@@ -220,6 +220,23 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _params_from(cfg: dict) -> GaParams:
+    """GaParams of a resolved configuration, after checking every setting's domain.
+
+    Every out-of-domain value is a UsageError here, so that a ValueError raised
+    later, during the experiment, is a runtime failure and not a usage error.
+    """
+    for key in ("replicates", "trials", "t_max"):
+        if key in cfg and cfg[key] < 1:
+            raise UsageError(f"{key} must be positive, got {cfg[key]}")
+    for key in ("max_iterations", "mc_trials", "stride"):
+        if cfg.get(key) is not None and cfg[key] < 0:
+            raise UsageError(f"{key} must be non-negative, got {cfg[key]}")
+    if "lam" in cfg and not 0.5 < cfg["lam"] < 1.0:
+        raise UsageError(f"lam must lie in (1/2, 1), got {cfg['lam']}")
+    if "mus" in cfg and cfg.get("grid") != "wide":
+        small = [mu for mu in _parse_mus(cfg["mus"]) if mu < 4]
+        if small:
+            raise UsageError(f"population-size list needs every mu >= 4, got {small[0]}")
     try:
         return GaParams(
             n=cfg["n"], k=cfg["k"], mu=cfg["mu"], p_c=cfg["pc"], chi=cfg["chi"], seed=cfg["seed"]
@@ -545,6 +562,8 @@ def _cmd_oracle(cfg: dict, out: Path) -> int:
     n, k, d = params.n, params.k, cfg["d"]
     if not 0 <= d <= k:
         raise UsageError(f"d must lie in [0, k], got {d}")
+    if params.p_m >= 1.0:
+        raise UsageError(f"the oracle needs chi < n, got chi={params.chi}, n={n}")
     # canonical plateau pair at Hamming distance 2d: zero blocks 0..k-1 and d..k+d-1
     full = (1 << n) - 1
     a = Genotype(full ^ ((1 << k) - 1), n)
@@ -609,10 +628,10 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_resolved_config(cfg, out)
         return _HANDLERS[cfg["subcommand"]](cfg, out)
-    except (UsageError, ValueError) as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
         print(f"failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -40,13 +40,15 @@ class EventClass(Enum):
     MUTATION_ONLY = "mutation_only"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Population:
     """Multiset of genotypes with cached fitness values.
 
     ``members`` and ``fitnesses`` are parallel tuples; ``generation`` counts
     applied iterations.  Member order carries no meaning beyond indexing
-    within a single step.
+    within a single step.  Treated as immutable: nothing assigns to a
+    population after construction, and :func:`ga_step` returns a new one.
+    The class is not frozen only because frozen construction is slow.
     """
 
     members: tuple[Genotype, ...]
@@ -76,14 +78,15 @@ def check_population(pop: Population, k: int) -> None:
             raise IntegrityError(f"cached fitness {f} wrong for {g}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepTrace:
     """Record of one iteration, sufficient to replay population deltas.
 
     ``removed_index`` indexes the extended multiset: values ``0..mu-1`` name
     pre-step members, value ``mu`` means the offspring itself was removed (so
     the population multiset is unchanged).  ``removed_genotype`` is the
-    genotype that left the extended multiset.
+    genotype that left the extended multiset.  Treated as immutable, like
+    :class:`Population`, but not frozen.
     """
 
     t: int
@@ -154,15 +157,19 @@ def classify_event(used_crossover: bool, parents: tuple[Genotype, ...]) -> Event
 
 
 def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Population, StepTrace]:
-    """Advance one iteration; returns the new population and its trace.
+    """Advance one iteration; returns a new population and its trace.
 
-    Scalar draws happen in a fixed order so that traces replay exactly:
+    ``pop`` itself is never modified.  Scalar draws happen in a fixed order so
+    that traces replay exactly:
     (1) crossover coin ``u < p_c`` with ``u`` uniform on [0, 1),
     (2) parent index draws (two with crossover, else one; with replacement),
     (3) crossover mask bits (crossover only),
     (4) mutation flip count, then flip positions (ascending Floyd draws),
     (5) removal tie-break index, drawn only when two or more candidates tie
-        at the minimum fitness.
+        at the minimum fitness of the extended multiset.  The candidates are
+        ordered with the offspring (index mu) first when it ties, then the
+        tied members in ascending index; the draw picks a position in that
+        order.
     """
     mu = params.mu
     members = pop.members
@@ -174,7 +181,7 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
         parents = (i, j)
         child = uniform_crossover(pa, pb, rng)
         child = standard_bit_mutation(child, params.p_m, rng)
-        if hamming_distance(pa, pb) <= 2:
+        if (pa.bits ^ pb.bits).bit_count() <= 2:
             event = EventClass.CROSSOVER_CLOSE
         else:
             event = EventClass.CROSSOVER_DISTANT
@@ -186,17 +193,25 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     child_fit = jump_fitness(child, params.k)
 
     # Worst of the extended multiset; the offspring participates as index mu.
-    low = child_fit
-    ties = [mu]
     fits = pop.fitnesses
-    for r in range(mu):
-        f = fits[r]
-        if f < low:
-            low = f
-            ties = [r]
-        elif f == low:
-            ties.append(r)
-    removed = ties[0] if len(ties) == 1 else ties[rng.index(len(ties))]
+    low = min(fits)
+    if child_fit < low:
+        removed = mu
+    else:
+        child_ties = child_fit == low
+        tied = fits.count(low)
+        size = tied + child_ties
+        pos = rng.index(size) if size > 1 else 0
+        if child_ties:
+            pos -= 1  # position 0 is the offspring
+        if pos < 0:
+            removed = mu
+        elif tied == mu:
+            removed = pos  # every member ties, so the rank is the index
+        else:
+            removed = fits.index(low)  # walk to the pos-th tied member
+            for _ in range(pos):
+                removed = fits.index(low, removed + 1)
 
     if removed == mu:
         removed_genotype = child

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import statistics
@@ -20,6 +21,7 @@ from jumpga import (
     check_population,
     classify_event,
     default_snapshot_stride,
+    estimate_transition,
     ga_step,
     hamming_distance,
     init_monomorphic_plateau,
@@ -29,6 +31,7 @@ from jumpga import (
     ones_count,
     run,
     standard_bit_mutation,
+    two_species_population,
     uniform_crossover,
 )
 
@@ -142,23 +145,135 @@ def manual_step(pop: Population, params: GaParams, rng) -> tuple[Population, dic
     return new, dict(parents=parents, offspring=child, removed=removed)
 
 
-@pytest.mark.parametrize(
-    "n,k,mu,p_c",
-    [(2, 1, 2, 0.5), (12, 3, 5, 0.7), (20, 2, 8, 0.0), (16, 4, 6, 1.0)],
-)
-def test_step_follows_documented_draw_order(n, k, mu, p_c):
+def removal_branch(fits: tuple[int, ...], child_fit: int, removed: int) -> str:
+    """Which case of the removal rule a step took, from its pre-step fitnesses.
+
+    The candidates are the offspring (index mu) first when it ties the
+    minimum, then the members at the minimum in ascending index.
+    """
+    mu = len(fits)
+    low = min(fits)
+    if child_fit < low:
+        return "child_strictly_worst"
+    candidates = ([mu] if child_fit == low else []) + [r for r in range(mu) if fits[r] == low]
+    if len(candidates) == 1:
+        return "unique_minimum" if child_fit > low else "child_sole_tie"
+    if len(candidates) - (child_fit == low) == mu:
+        return "all_tie_child_ties" if child_fit == low else "all_tie_child_better"
+    return "partial_tie_later" if candidates.index(removed) > 0 else "partial_tie_first"
+
+
+# Each cell names the case of the removal rule it must hit at least once; the
+# ids of the first four cells are their n-k-mu-p_c values.
+DRAW_ORDER_CELLS = [
+    pytest.param(2, 1, 2, 0.5, init_uniform, 200, "all_tie_child_ties", id="2-1-2-0.5"),
+    pytest.param(12, 3, 5, 0.7, init_uniform, 200, "unique_minimum", id="12-3-5-0.7"),
+    pytest.param(20, 2, 8, 0.0, init_uniform, 200, "partial_tie_later", id="20-2-8-0.0"),
+    pytest.param(16, 4, 6, 1.0, init_uniform, 200, "partial_tie_later", id="16-4-6-1.0"),
+    pytest.param(60, 3, 64, 0.5, init_monomorphic_plateau, 200, "all_tie_child_ties", id="plateau-mu64"),
+    pytest.param(8, 2, 4, 1.0, init_monomorphic_plateau, 200, "all_tie_child_better", id="plateau-optimum"),
+    pytest.param(30, 3, 16, 0.5, init_uniform, 1000, "partial_tie_later", id="uniform-mu16"),
+    pytest.param(60, 3, 8, 0.5, init_uniform, 200, "unique_minimum", id="uniform-distinct"),
+    pytest.param(12, 2, 4, 0.0, init_monomorphic_plateau, 200, "child_strictly_worst", id="plateau-gap-child"),
+]
+
+
+@pytest.mark.parametrize("n,k,mu,p_c,start,steps,branch", DRAW_ORDER_CELLS)
+def test_step_follows_documented_draw_order(n, k, mu, p_c, start, steps, branch):
     params = GaParams(n=n, k=k, mu=mu, p_c=p_c, chi=1.0, seed=17)
-    pop_a = init_uniform(params, make_rng(17, 0))
+    pop_a = start(params, make_rng(17, 0))
     pop_b = pop_a
     rng_a = make_rng(17, 1)
     rng_b = make_rng(17, 1)
-    for _ in range(200):
+    branches = Counter()
+    for _ in range(steps):
+        fits = pop_a.fitnesses
         pop_a, trace = ga_step(pop_a, params, rng_a)
         pop_b, manual = manual_step(pop_b, params, rng_b)
         assert trace.parent_indices == manual["parents"]
         assert trace.offspring == manual["offspring"]
         assert trace.removed_index == manual["removed"]
         assert pop_a == pop_b
+        branches[removal_branch(fits, trace.offspring_fitness, trace.removed_index)] += 1
+    assert branches[branch] >= 1, dict(branches)
+
+
+def test_draw_order_cells_cover_every_removal_branch():
+    covered = {cell.values[-1] for cell in DRAW_ORDER_CELLS}
+    assert covered >= {
+        "child_strictly_worst",
+        "unique_minimum",
+        "all_tie_child_ties",
+        "all_tie_child_better",
+        "partial_tie_later",
+    }
+
+
+# sha256 of 10^4-step trace streams: any change to a draw, a tie-break or a
+# record field changes the digest.
+TRACE_PINS = [
+    pytest.param(
+        40, 3, 12, 0.5, init_uniform,
+        "46e5b1173c6480ec6bdb459914bacc59dbe6545b43d16b093518daf219544ebb",
+        id="n40-mu12-uniform",
+    ),
+    pytest.param(
+        60, 3, 64, 0.2, init_uniform,
+        "6024583d5dd1109aa7c169b2b2f1f78f9380b3f0ca15fd190866cb11312349cb",
+        id="n60-mu64-uniform",
+    ),
+    pytest.param(
+        100, 3, 16, 1.0, init_monomorphic_plateau,
+        "e49e3ba49f99419d021cd3edd1bcbc926ad8b73c1e1340bc5ecf21cd0c05084a",
+        id="n100-mu16-plateau",
+    ),
+    pytest.param(
+        200, 3, 128, 0.5, init_monomorphic_plateau,
+        "8438062d8e921e7d39982af37d522cd2de50d9fb1f0f8fd1d7ff792a90b4019f",
+        id="n200-mu128-plateau",
+    ),
+]
+
+
+@pytest.mark.parametrize("n,k,mu,p_c,start,digest", TRACE_PINS)
+def test_trace_stream_matches_pinned_digest(n, k, mu, p_c, start, digest):
+    params = GaParams(n=n, k=k, mu=mu, p_c=p_c, chi=1.0, seed=2023)
+    pop = start(params, make_rng(2023, 0))
+    rng = make_rng(2023, 1)
+    h = hashlib.sha256()
+    for _ in range(10_000):
+        pop, tr = ga_step(pop, params, rng)
+        fields = (
+            tr.t,
+            tr.event.value,
+            tr.parent_indices,
+            tr.offspring,
+            tr.offspring_fitness,
+            tr.removed_index,
+            tr.removed_genotype,
+            tr.optimum_created,
+        )
+        h.update(repr(fields).encode())
+    h.update(repr((pop.members, pop.fitnesses, pop.generation)).encode())
+    assert h.hexdigest() == digest
+
+
+def test_step_leaves_its_input_population_unchanged():
+    # The records are not frozen; ga_step must still never write to its input.
+    for start, p_c in ((init_uniform, 0.5), (init_monomorphic_plateau, 1.0)):
+        params = GaParams(n=30, k=3, mu=16, p_c=p_c, chi=1.0, seed=8)
+        pop = start(params, make_rng(8, 0))
+        rng = make_rng(8, 1)
+        for _ in range(300):
+            before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation)
+            new, _ = ga_step(pop, params, rng)
+            assert (pop.members, pop.fitnesses, pop.generation) == before
+            pop = new
+    params = GaParams(n=60, k=3, mu=8, p_c=1.0, chi=1.0, seed=9)
+    pop, focal, _ = two_species_population(params, 5, 1, make_rng(9, 0))
+    before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation)
+    estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 500, make_rng(9, 1))
+    assert (pop.members, pop.fitnesses, pop.generation) == before
 
 
 def test_step_discards_strictly_worst_offspring_without_touching_population():

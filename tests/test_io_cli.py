@@ -154,6 +154,33 @@ def test_invalid_parameter_combinations_exit_2(tmp_path):
     assert main(["survival", "--out", out, "--lam", "0.5", "--replicates", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--replicates", "0"],
+        ["takeover", "--max-iterations", "-1"],
+        ["survival", "--t-max", "0"],
+        ["figure1", "--stride", "-2"],
+        ["sweep", "--trials", "0"],
+        ["sweep", "--mus", "3,8"],
+        ["bounds", "--mus", "2"],
+        ["oracle", "--mc-trials", "-5"],
+        ["oracle", "--n", "12", "--k", "2", "--chi", "12"],
+    ],
+)
+def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+
+
+def test_value_error_raised_mid_run_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
+    def broken(cfg, out):
+        raise ValueError("bug inside the experiment")
+
+    monkeypatch.setitem(cli._HANDLERS, "run", broken)
+    assert main(["run", "--out", str(tmp_path / "r")]) == 1
+    assert "failure: ValueError: bug inside the experiment" in capsys.readouterr().err
+
+
 def test_wide_jump_width_warns_on_stderr(tmp_path, capsys):
     rc = main(
         ["run", "--out", str(tmp_path / "w"), "--n", "12", "--k", "4", "--mu", "4",
