@@ -18,6 +18,7 @@ import configparser
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .analysis import (
@@ -632,6 +633,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
+        traceback.print_exc()
         print(f"failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

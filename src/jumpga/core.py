@@ -123,11 +123,23 @@ class RandomStream:
         return i if i < bound else bound - 1
 
     def random_bits(self, nbits: int) -> int:
-        """Integer whose low ``nbits`` bits are independent fair coin flips."""
+        """Integer whose low ``nbits`` bits are independent fair coin flips.
+
+        Takes the next ceil(nbits / 53) uniforms, 53 bits from each, lowest
+        bits from the first.
+        """
+        pos = self._pos
+        end = pos + (nbits + 52) // 53
+        buf = self._buf
+        if end <= len(buf):
+            self._pos = end
+            draws = buf[pos:end]
+        else:  # a refill falls inside the range
+            draws = [self.uniform() for _ in range(end - pos)]
         out = 0
         shift = 0
-        while shift < nbits:
-            out |= int(self.uniform() * _TWO53) << shift
+        for u in draws:
+            out |= int(u * _TWO53) << shift
             shift += 53
         return out & ((1 << nbits) - 1)
 
@@ -218,7 +230,8 @@ def uniform_crossover(a: Genotype, b: Genotype, rng: RandomStream) -> Genotype:
     if a.n != b.n:
         raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
     mask = rng.random_bits(a.n)
-    return Genotype((a.bits & mask) | (b.bits & ~mask), a.n)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
+    return tuple.__new__(Genotype, ((a.bits & mask) | (b.bits & ~mask), a.n))
 
 
 def standard_bit_mutation(g: Genotype, p_m: float, rng: RandomStream) -> Genotype:
@@ -235,8 +248,8 @@ def standard_bit_mutation(g: Genotype, p_m: float, rng: RandomStream) -> Genotyp
     if m == 0:
         return g
     if m == n:
-        return Genotype(g.bits ^ ((1 << n) - 1), n)
+        return tuple.__new__(Genotype, (g.bits ^ ((1 << n) - 1), n))
     flips = 0
     for i in random_index_subset(rng, n, m):
         flips |= 1 << i
-    return Genotype(g.bits ^ flips, n)
+    return tuple.__new__(Genotype, (g.bits ^ flips, n))

@@ -49,11 +49,25 @@ class Population:
     within a single step.  Treated as immutable: nothing assigns to a
     population after construction, and :func:`ga_step` returns a new one.
     The class is not frozen only because frozen construction is slow.
+
+    ``low`` and ``tied`` cache the minimum fitness and the number of members
+    at it, so that :func:`ga_step` picks the removed member without scanning
+    all mu fitnesses.  The invariant is ``low == min(fitnesses)`` and
+    ``tied == fitnesses.count(low)``; both are derived, so they take no part
+    in ``==`` or ``repr``, and are computed from ``fitnesses`` when not passed.
     """
 
     members: tuple[Genotype, ...]
     fitnesses: tuple[int, ...]
     generation: int = 0
+    low: int | None = field(default=None, compare=False, repr=False)
+    tied: int = field(default=0, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.low is None:
+            fits = self.fitnesses
+            self.low = low = min(fits)
+            self.tied = fits.count(low)
 
     @property
     def size(self) -> int:
@@ -69,13 +83,19 @@ class IntegrityError(Exception):
 
 
 def check_population(pop: Population, k: int) -> None:
-    """Verify the fitness cache and shared dimension (test/debug helper)."""
+    """Verify the fitness cache, the minimum cache and shared dimension (test/debug helper)."""
     n = pop.members[0].n
     for g, f in zip(pop.members, pop.fitnesses):
         if g.n != n:
             raise IntegrityError(f"mixed genotype dimensions: {g.n} != {n}")
         if jump_fitness(g, k) != f:
             raise IntegrityError(f"cached fitness {f} wrong for {g}")
+    low = min(pop.fitnesses)
+    if pop.low != low:
+        raise IntegrityError(f"cached minimum {pop.low} != {low}")
+    tied = pop.fitnesses.count(low)
+    if pop.tied != tied:
+        raise IntegrityError(f"cached tie count {pop.tied} != {tied} members at {low}")
 
 
 @dataclass(slots=True)
@@ -170,6 +190,12 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
         ordered with the offspring (index mu) first when it ties, then the
         tied members in ascending index; the draw picks a position in that
         order.
+
+    The minimum cache carries over: ``low`` and ``tied`` are read from ``pop``
+    and passed to the new population.  They are unchanged when the offspring
+    is removed or replaces a member at ``low`` with fitness ``low``.  When a
+    fitter offspring replaces one, ``tied`` drops by one, and only when it
+    reaches 0 are the minimum and its count recomputed from the new fitnesses.
     """
     mu = params.mu
     members = pop.members
@@ -194,12 +220,12 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
 
     # Worst of the extended multiset; the offspring participates as index mu.
     fits = pop.fitnesses
-    low = min(fits)
+    low = pop.low
+    tied = pop.tied
     if child_fit < low:
         removed = mu
     else:
         child_ties = child_fit == low
-        tied = fits.count(low)
         size = tied + child_ties
         pos = rng.index(size) if size > 1 else 0
         if child_ties:
@@ -215,14 +241,22 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
 
     if removed == mu:
         removed_genotype = child
-        new_pop = Population(members, fits, pop.generation + 1)
+        new_pop = Population(members, fits, pop.generation + 1, low, tied)
     else:
+        # The removed member sits at ``low``, so a child at ``low`` leaves the
+        # fitnesses, and the cache, as they were.
         removed_genotype = members[removed]
-        new_pop = Population(
-            members[:removed] + (child,) + members[removed + 1 :],
-            fits[:removed] + (child_fit,) + fits[removed + 1 :],
-            pop.generation + 1,
-        )
+        new_members = list(members)
+        new_members[removed] = child
+        if child_fit != low:
+            new_fits = list(fits)
+            new_fits[removed] = child_fit
+            fits = tuple(new_fits)
+            tied -= 1
+            if not tied:
+                low = min(fits)
+                tied = fits.count(low)
+        new_pop = Population(tuple(new_members), fits, pop.generation + 1, low, tied)
     trace = StepTrace(
         t=pop.generation + 1,
         event=event,
@@ -259,7 +293,7 @@ def run(
     optimum = params.optimum_fitness
     if stop.optimum and any(f == optimum for f in pop.fitnesses):
         return finish(pop, 0, "optimum_found")
-    if stop.full_plateau and min(pop.fitnesses) >= params.n:
+    if stop.full_plateau and pop.low >= params.n:
         return finish(pop, 0, "full_plateau")
 
     t = 0
@@ -270,7 +304,7 @@ def run(
             h.on_step(t, trace, pop)
         if stop.optimum and trace.optimum_created:
             return finish(pop, t, "optimum_found")
-        if stop.full_plateau and min(pop.fitnesses) >= params.n:
+        if stop.full_plateau and pop.low >= params.n:
             return finish(pop, t, "full_plateau")
     return finish(pop, t, "max_iterations")
 

@@ -20,6 +20,7 @@ without running a simulation.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -506,6 +507,55 @@ def test_11_all_subcommands_rerun_byte_identical(tmp_path, capsys):
         detail if ok else detail + "; " + "; ".join(notes),
     )
     assert ok, notes
+
+
+# sha256 of every artifact but config.resolved, per _CLI_CASES entry: check 11
+# proves that a rerun matches itself, these pins that it matches earlier
+# versions of the package.
+_CLI_PINS = {
+    "run": {
+        "runs.csv": "3dffdb84f6c2d0a265f9907b60020628ec83151d866716543a8736c514d8c23f",
+    },
+    "takeover": {
+        "takeover.csv": "66e763abdda75a2f980b1c79d5c2843edb4c80246ca50e5410facfaa2850b809",
+        "takeover_summary.json": "b7857f8c98ee025ad197bf4969cf2913567f75726a15f31c90e24c5a159b6e48",
+    },
+    "survival": {
+        "survival.csv": "efa83215823de237fdae1d3602a62fe51fec23ec975ca93486483a83cb28a999",
+        "survival_summary.json": "bfe04c96650309a2b6aebca3c842b5a49ee6819e4336f964dfc465ce00cd7af6",
+    },
+    "figure1": {
+        "figure1_seed0.csv": "1b435ab0bbe801aad1680928f3d756c14d82f0c8fbb241a69826254b65ec2c7e",
+        "figure1_seed0.svg": "c004f0be8d5becc89e754d91f500b6da6466577cb8b191581a5310d134abfa1e",
+        "figure1_seed1.csv": "7faa47804569641e8c5806fda30da6d7d14ad27996051aafbaef49cb3ebc496f",
+        "figure1_seed1.svg": "9ff92deb1543a14ca43d85ec18fc98de1d047800f3ead496fcf40be7a8364b96",
+        "figure1_summary.json": "44b8412fbfa32135f57978322b45b6427ae90f465e7080f5ff51444eed8d2425",
+    },
+    "compare": {
+        "compare_crossover.csv": "92bd6b08439a1ad729f775bf4332973878f8f7b5bf833d385ba20086f6b9325e",
+        "compare_mutation_only.csv": "12643526def509965f3654d5ae574b81e85d31e600b96369081ac096c3e520e3",
+        "compare_summary.json": "66b6c106bba5a4e115f12b6d624bb61f160f296371ce9e486dffd73ba52e7024",
+    },
+    "bounds": {
+        "bounds.csv": "a6bbdfd096c112551a4231b9c505db8dc0f105c7e65b1a2d91007c47f9697342",
+    },
+    "sweep": {
+        "sweep_summary.json": "c52308f13de03afdc060362793db7da044742b53f633412d293a532063fef7c1",
+        "transitions.csv": "018cc53599a0d86c94522d6d6e20e1b54be8ddc21848fcc97cd0ec49ed282d69",
+    },
+    "oracle": {
+        "oracle.json": "434281f4c623deda55f832144f03f167bfe6f831990229bcf92958cfe25fb286",
+    },
+}
+
+
+@pytest.mark.parametrize("sub,args", _CLI_CASES, ids=[sub for sub, _ in _CLI_CASES])
+def test_11_artifacts_match_pinned_digests(tmp_path, capsys, sub, args):
+    out = tmp_path / sub
+    assert main([sub, "--out", str(out)] + args) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in _artifact_bytes(out).items()}
+    assert digests == _CLI_PINS[sub]
 
 
 # ---------------------------------------------------------------------------

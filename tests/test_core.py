@@ -17,7 +17,7 @@ from jumpga import (
     standard_bit_mutation,
     uniform_crossover,
 )
-from jumpga.core import random_index_subset
+from jumpga.core import RandomStream, random_index_subset
 
 
 def g(bits: int, n: int) -> Genotype:
@@ -237,6 +237,24 @@ def test_random_stream_ranges():
         assert 0 <= rng.random_bits(7) < 128
     wide = rng.random_bits(130)
     assert 0 <= wide < (1 << 130)
+
+
+@pytest.mark.parametrize("offset", [4, 3, 2, 1, 0])
+def test_random_bits_matches_per_uniform_draws_across_a_refill(offset):
+    # n = 200 takes 4 uniforms; from BLOCK-3 on, the buffer refills inside them.
+    n, block = 200, RandomStream.BLOCK
+    rng, twin = make_rng(110), make_rng(110)
+    for stream in (rng, twin):
+        for _ in range(block - offset):
+            stream.uniform()
+    for _ in range(3):
+        mask = rng.random_bits(n)
+        want = 0
+        for i in range(4):
+            want |= int(twin.uniform() * 2**53) << (53 * i)
+        assert mask == want & ((1 << n) - 1)
+        assert rng._pos == twin._pos
+    assert rng.uniform() == twin.uniform()
 
 
 def test_binomial_edge_rates_and_moments():

@@ -14,6 +14,7 @@ from jumpga import (
     EventClass,
     GaParams,
     Genotype,
+    IntegrityError,
     Population,
     SnapshotHook,
     StopCondition,
@@ -274,6 +275,41 @@ def test_step_leaves_its_input_population_unchanged():
     before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation)
     estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 500, make_rng(9, 1))
     assert (pop.members, pop.fitnesses, pop.generation) == before
+
+
+def test_check_population_rejects_a_corrupted_minimum_cache():
+    params = GaParams(n=12, k=2, mu=4, p_c=0.5, chi=1.0, seed=0)
+    pop = population_of(params, 0x0FF, 0x3FF, 0x0FF, 0xFFF)
+    assert (pop.low, pop.tied) == (10, 2)
+    check_population(pop, params.k)
+    for low, tied in ((11, 2), (10, 1), (4, 1)):
+        bad = Population(pop.members, pop.fitnesses, pop.generation, low, tied)
+        assert bad == pop  # the cache takes no part in equality
+        with pytest.raises(IntegrityError):
+            check_population(bad, params.k)
+
+
+def test_minimum_cache_holds_after_every_chained_step():
+    # A step recomputes the cache only when a fitter offspring replaces the
+    # last member at the minimum; that branch must run from each start.
+    params = GaParams(n=12, k=2, mu=6, p_c=0.5, chi=1.0, seed=12)
+    starts = {
+        "uniform": lambda: init_uniform(params, make_rng(12, 0)),
+        "plateau": lambda: init_monomorphic_plateau(params, make_rng(12, 0)),
+        "two_species": lambda: two_species_population(params, 3, 1, make_rng(12, 0))[0],
+    }
+    recomputed = Counter()
+    for name, start in starts.items():
+        pop = start()
+        check_population(pop, params.k)
+        rng = make_rng(12, 1)
+        for _ in range(500):
+            new, trace = ga_step(pop, params, rng)
+            if pop.tied == 1 and trace.removed_index < params.mu and trace.offspring_fitness > pop.low:
+                recomputed[name] += 1
+            check_population(new, params.k)
+            pop = new
+    assert all(recomputed[name] >= 1 for name in starts), dict(recomputed)
 
 
 def test_step_discards_strictly_worst_offspring_without_touching_population():

@@ -181,6 +181,26 @@ def test_value_error_raised_mid_run_is_a_runtime_failure(tmp_path, monkeypatch, 
     assert "failure: ValueError: bug inside the experiment" in capsys.readouterr().err
 
 
+def test_runtime_failure_prints_the_traceback_before_the_failure_line(tmp_path, monkeypatch, capsys):
+    def handler_that_raises(cfg, out):
+        raise ValueError("bug inside the experiment")
+
+    monkeypatch.setitem(cli._HANDLERS, "run", handler_that_raises)
+    assert main(["run", "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "handler_that_raises" in err
+    assert err.splitlines()[-1] == "failure: ValueError: bug inside the experiment"
+
+
+def test_usage_error_prints_one_line_and_no_traceback(tmp_path, capsys):
+    assert main(["run", "--replicates", "0", "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_wide_jump_width_warns_on_stderr(tmp_path, capsys):
     rc = main(
         ["run", "--out", str(tmp_path / "w"), "--n", "12", "--k", "4", "--mu", "4",
