@@ -12,11 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import Genotype
-from .ga import Population, StepTrace
-
-
-class TraceIntegrityError(Exception):
-    """A replayed trace does not match the population state it claims to describe."""
+from .ga import IntegrityError, Population, StepTrace
 
 
 @dataclass
@@ -96,7 +92,7 @@ class SpeciesTracker:
     def _remove(self, g: Genotype) -> None:
         s = self.counts.get(g, 0)
         if not s:
-            raise TraceIntegrityError(f"removal of absent genotype {g}")
+            raise IntegrityError(f"removal of absent genotype {g}")
         if s == 1:
             del self.counts[g]
         else:
@@ -143,7 +139,7 @@ class PairwiseDistanceTracker:
             return
         old = members[r]
         if old != trace.removed_genotype.bits:
-            raise TraceIntegrityError("trace removal index does not match tracked member")
+            raise IntegrityError("trace removal index does not match tracked member")
         new = trace.offspring.bits
         counts = self.counts
         for idx, mbits in enumerate(members):

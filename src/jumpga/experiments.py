@@ -37,11 +37,11 @@ from .ga import (
     EventClass,
     Population,
     StopCondition,
-    default_snapshot_stride,
     ga_step,
     init_monomorphic_plateau,
     init_uniform,
     run,
+    steps,
 )
 
 
@@ -108,6 +108,35 @@ def two_species_population(
 # single-step estimators
 
 
+def _count_moves(
+    params: GaParams, population: Population, species: Genotype, event: EventClass | None,
+    trials: int, cap: int, rng: RandomStream,
+) -> tuple[int, int, int, int]:
+    """Single steps from ``population`` until ``trials`` are accepted or ``cap``
+    are taken; a step is accepted when its event class is ``event`` (every
+    step when ``event`` is None).  Returns ``(accepted, attempts, ups, downs)``,
+    ``ups``/``downs`` counting accepted steps that grow/shrink ``species``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    mu = params.mu
+    accepted = attempts = ups = downs = 0
+    while accepted < trials and attempts < cap:
+        _, trace = ga_step(population, params, rng)
+        attempts += 1
+        if event is not None and trace.event is not event:
+            continue
+        accepted += 1
+        if trace.removed_index == mu:
+            continue
+        dy = (trace.offspring == species) - (trace.removed_genotype == species)
+        if dy > 0:
+            ups += 1
+        elif dy < 0:
+            downs += 1
+    return accepted, attempts, ups, downs
+
+
 @dataclass(frozen=True)
 class ConditionedEstimate:
     """Conditioned transition estimate for one population/event cell.
@@ -147,29 +176,9 @@ def estimate_transition(
     Repeats single steps from the same start population until ``trials``
     accepted samples or ``max_attempts`` total steps (default 50x target).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     cap = 50 * trials if max_attempts is None else max_attempts
-    mu = params.mu
-    accepted = ups = downs = attempts = 0
-    while accepted < trials and attempts < cap:
-        _, trace = ga_step(population, params, rng)
-        attempts += 1
-        if trace.event is not event:
-            continue
-        accepted += 1
-        if trace.removed_index == mu:
-            continue
-        dy = 0
-        if trace.offspring == species:
-            dy += 1
-        if trace.removed_genotype == species:
-            dy -= 1
-        if dy == 1:
-            ups += 1
-        elif dy == -1:
-            downs += 1
-    y = sum(1 for g in population.members if g == species)
+    accepted, attempts, ups, downs = _count_moves(params, population, species, event, trials, cap, rng)
+    y = population.members.count(species)
     if accepted:
         pp = ups / accepted
         pm = downs / accepted
@@ -202,27 +211,11 @@ def estimate_unconditioned_drift(
     rng: RandomStream,
 ) -> DriftEstimate:
     """Mean one-step size change of ``species`` over all event classes."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    mu = params.mu
-    ups = downs = 0
-    for _ in range(trials):
-        _, trace = ga_step(population, params, rng)
-        if trace.removed_index == mu:
-            continue
-        dy = 0
-        if trace.offspring == species:
-            dy += 1
-        if trace.removed_genotype == species:
-            dy -= 1
-        if dy == 1:
-            ups += 1
-        elif dy == -1:
-            downs += 1
+    _, _, ups, downs = _count_moves(params, population, species, None, trials, trials, rng)
     mean = (ups - downs) / trials
     second_moment = (ups + downs) / trials
     stderr = math.sqrt(max(second_moment - mean * mean, 0.0) / trials)
-    y = sum(1 for g in population.members if g == species)
+    y = population.members.count(species)
     return DriftEstimate(y, mean, stderr, trials, ups, downs)
 
 
@@ -287,7 +280,6 @@ class TakeoverReplicate:
     replicate: int
     hitting_time: int | None
     censored: bool
-    optimum_seen: bool
 
 
 @dataclass(frozen=True)
@@ -301,13 +293,27 @@ class TakeoverSummary:
     cap: int
 
 
-def _censored_stats(values: list[int | None], cap: int) -> tuple[float | None, float | None]:
+def _censored_stats(values: list[int | None]) -> tuple[float | None, float | None]:
     completed = [v for v in values if v is not None]
     mean = sum(completed) / len(completed) if completed else None
     median = None
     if len(completed) * 2 > len(values):
         median = float(statistics.median(v if v is not None else math.inf for v in values))
     return mean, median
+
+
+def _take_over(
+    pop: Population, p: GaParams, rng: RandomStream, cap: int
+) -> tuple[Population, SpeciesTracker, int | None]:
+    """Step until the largest species first holds at most mu/2 members; returns
+    ``(population, species tracker, step count)`` then, or with a count of None
+    after ``cap`` steps."""
+    tracker = SpeciesTracker(pop)
+    for t, pop, trace in steps(pop, p, rng, cap):
+        tracker.apply(trace)
+        if 2 * tracker.largest <= p.mu:
+            return pop, tracker, t
+    return pop, tracker, None
 
 
 def run_takeover(config: ExperimentConfig) -> TakeoverSummary:
@@ -317,21 +323,10 @@ def run_takeover(config: ExperimentConfig) -> TakeoverSummary:
     reps: list[TakeoverReplicate] = []
     for r in range(config.replicates):
         rng = make_rng(p.seed, stream=r)
-        pop = init_monomorphic_plateau(p, rng)
-        tracker = SpeciesTracker(pop)
-        hit = None
-        optimum_seen = False
-        for t in range(1, cap + 1):
-            pop, trace = ga_step(pop, p, rng)
-            if trace.optimum_created:
-                optimum_seen = True
-            tracker.apply(trace)
-            if 2 * tracker.largest <= p.mu:
-                hit = t
-                break
-        reps.append(TakeoverReplicate(r, hit, hit is None, optimum_seen))
+        _, _, hit = _take_over(init_monomorphic_plateau(p, rng), p, rng, cap)
+        reps.append(TakeoverReplicate(r, hit, hit is None))
     times = [rr.hitting_time for rr in reps]
-    mean, median = _censored_stats(times, cap)
+    mean, median = _censored_stats(times)
     reference = takeover_reference(p)
     return TakeoverSummary(
         tuple(reps),
@@ -391,15 +386,7 @@ def run_survival(config: ExperimentConfig) -> SurvivalSummary:
     reps: list[SurvivalReplicate] = []
     for r in range(config.replicates):
         rng = make_rng(p.seed, stream=r)
-        pop = init_monomorphic_plateau(p, rng)
-        tracker = SpeciesTracker(pop)
-        hit = None
-        for t in range(1, takeover_cap + 1):
-            pop, trace = ga_step(pop, p, rng)
-            tracker.apply(trace)
-            if 2 * tracker.largest <= p.mu:
-                hit = t
-                break
+        pop, tracker, hit = _take_over(init_monomorphic_plateau(p, rng), p, rng, takeover_cap)
         if hit is None:
             reps.append(SurvivalReplicate(r, None, True, 0, None, None, False))
             continue
@@ -407,9 +394,7 @@ def run_survival(config: ExperimentConfig) -> SurvivalSummary:
         focal_hit = max_hit = None
         interrupted = False
         m = 0
-        while m < config.t_max and focal_hit is None:
-            pop, trace = ga_step(pop, p, rng)
-            m += 1
+        for m, _, trace in steps(pop, p, rng, config.t_max):
             if trace.optimum_created:
                 interrupted = True
                 break
@@ -418,6 +403,7 @@ def run_survival(config: ExperimentConfig) -> SurvivalSummary:
                 max_hit = m
             if tracker.count(focal) >= threshold:
                 focal_hit = m
+                break
         reps.append(SurvivalReplicate(r, hit, False, m, focal_hit, max_hit, interrupted))
     monitored = [rr for rr in reps if not rr.takeover_censored]
     focal_exc = sum(rr.focal_hit_time is not None for rr in monitored)
@@ -461,7 +447,7 @@ def run_figure1(config: ExperimentConfig) -> list[DistanceSeriesRun]:
     """
     p = config.params
     distances = tuple(range(0, 2 * p.k + 1, 2))
-    stride = config.snapshot_stride or default_snapshot_stride(p.mu)
+    stride = config.snapshot_stride or (1 if p.mu <= 64 else 10)
     cap = config.max_iterations or 10_000_000
     out: list[DistanceSeriesRun] = []
     for r in range(config.replicates):
@@ -471,9 +457,7 @@ def run_figure1(config: ExperimentConfig) -> list[DistanceSeriesRun]:
         rows = [(0, tracker.frequencies(distances))]
         found = False
         t = 0
-        while t < cap:
-            pop, trace = ga_step(pop, p, rng)
-            t += 1
+        for t, _, trace in steps(pop, p, rng, cap):
             if trace.optimum_created:
                 found = True
                 break
@@ -532,7 +516,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonSummary:
             res = run(pop, arm_params, StopCondition(optimum=True, max_iterations=cap), rng)
             records.append(RunRecord(r, res.iterations, res.evaluations, res.stop_reason))
         evals = [rec.evaluations if rec.stop_reason == "optimum_found" else None for rec in records]
-        mean, median = _censored_stats(evals, cap)
+        mean, median = _censored_stats(evals)
         arms.append(
             ComparisonArm(
                 label,

@@ -7,18 +7,23 @@ lowest-fitness member of the extended (mu+1) multiset, breaking ties uniformly
 at random.  Runtime is counted in fitness evaluations: mu for initialization
 plus one per iteration; the optimum counts as evaluated the moment it is
 created as an offspring.
+
+:func:`ga_step` takes one iteration.  :func:`steps` chains it and is the one
+loop through which every runner steps a population forward; :func:`run` is
+that loop with the stop conditions of a :class:`StopCondition`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 
 from .core import (
     GaParams,
     Genotype,
     RandomStream,
-    hamming_distance,
     jump_fitness,
     random_index_subset,
     standard_bit_mutation,
@@ -79,7 +84,7 @@ class Population:
 
 
 class IntegrityError(Exception):
-    """Cached state disagrees with a full recomputation."""
+    """Cached or tracked state (population caches, diversity trackers) disagrees with the population."""
 
 
 def check_population(pop: Population, k: int) -> None:
@@ -146,7 +151,6 @@ class RunResult:
     iterations: int
     evaluations: int
     stop_reason: str
-    telemetry: dict = field(default_factory=dict)
 
 
 def init_uniform(params: GaParams, rng: RandomStream) -> Population:
@@ -164,16 +168,6 @@ def init_monomorphic_plateau(params: GaParams, rng: RandomStream) -> Population:
     g = Genotype(bits, params.n)
     f = jump_fitness(g, params.k)
     return Population((g,) * params.mu, (f,) * params.mu, 0)
-
-
-def classify_event(used_crossover: bool, parents: tuple[Genotype, ...]) -> EventClass:
-    """Event class of an iteration given its parent genotypes."""
-    if not used_crossover:
-        return EventClass.MUTATION_ONLY
-    a, b = parents
-    if hamming_distance(a, b) <= 2:
-        return EventClass.CROSSOVER_CLOSE
-    return EventClass.CROSSOVER_DISTANT
 
 
 def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Population, StepTrace]:
@@ -270,61 +264,30 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     return new_pop, trace
 
 
-def run(
-    pop: Population,
-    params: GaParams,
-    stop: StopCondition,
-    rng: RandomStream,
-    telemetry_hooks: tuple = (),
-) -> RunResult:
-    """Run until a stop condition triggers.
-
-    Hooks are called as ``hook.on_step(t, trace, population)`` after every
-    iteration; hooks exposing ``name`` and ``series`` attributes have their
-    collected series attached to the result's ``telemetry`` dict.
+def steps(
+    pop: Population, params: GaParams, rng: RandomStream, limit: int | None = None
+) -> Iterator[tuple[int, Population, StepTrace]]:
+    """Chain :func:`ga_step` from ``pop``, yielding ``(t, population, trace)``
+    for t = 1 to ``limit`` (without end when None), where ``population`` is the
+    state after step t.  Draws are those of ``ga_step`` called by hand on the
+    same stream, taken only when the next item is asked for.
     """
-
-    def finish(population: Population, t: int, reason: str) -> RunResult:
-        telemetry = {
-            h.name: h.series for h in telemetry_hooks if hasattr(h, "name") and hasattr(h, "series")
-        }
-        return RunResult(population, t, params.mu + t, reason, telemetry)
-
-    optimum = params.optimum_fitness
-    if stop.optimum and any(f == optimum for f in pop.fitnesses):
-        return finish(pop, 0, "optimum_found")
-    if stop.full_plateau and pop.low >= params.n:
-        return finish(pop, 0, "full_plateau")
-
-    t = 0
-    while stop.max_iterations is None or t < stop.max_iterations:
+    for t in count(1) if limit is None else range(1, limit + 1):
         pop, trace = ga_step(pop, params, rng)
-        t += 1
-        for h in telemetry_hooks:
-            h.on_step(t, trace, pop)
+        yield t, pop, trace
+
+
+def run(pop: Population, params: GaParams, stop: StopCondition, rng: RandomStream) -> RunResult:
+    """Step through :func:`steps` until a stop condition triggers (after 0
+    iterations when ``pop`` already meets it); evaluations are mu + iterations."""
+    if stop.optimum and params.optimum_fitness in pop.fitnesses:
+        return RunResult(pop, 0, params.mu, "optimum_found")
+    if stop.full_plateau and pop.low >= params.n:
+        return RunResult(pop, 0, params.mu, "full_plateau")
+    t = 0
+    for t, pop, trace in steps(pop, params, rng, stop.max_iterations):
         if stop.optimum and trace.optimum_created:
-            return finish(pop, t, "optimum_found")
+            return RunResult(pop, t, params.mu + t, "optimum_found")
         if stop.full_plateau and pop.low >= params.n:
-            return finish(pop, t, "full_plateau")
-    return finish(pop, t, "max_iterations")
-
-
-def default_snapshot_stride(mu: int) -> int:
-    """Telemetry snapshot stride: every iteration up to mu=64, every 10th beyond."""
-    return 1 if mu <= 64 else 10
-
-
-class SnapshotHook:
-    """Pull-based telemetry hook: records ``(t, probe(population))`` every ``stride`` steps."""
-
-    def __init__(self, name: str, probe, stride: int = 1):
-        if stride < 1:
-            raise ValueError(f"stride must be positive, got {stride}")
-        self.name = name
-        self.probe = probe
-        self.stride = stride
-        self.series: list[tuple[int, object]] = []
-
-    def on_step(self, t: int, trace: StepTrace, population: Population) -> None:
-        if t % self.stride == 0:
-            self.series.append((t, self.probe(population)))
+            return RunResult(pop, t, params.mu + t, "full_plateau")
+    return RunResult(pop, t, params.mu + t, "max_iterations")

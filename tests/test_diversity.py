@@ -10,11 +10,11 @@ import pytest
 from jumpga import (
     GaParams,
     Genotype,
+    IntegrityError,
     PairwiseDistanceTracker,
     Population,
     SpeciesTracker,
     StepTrace,
-    TraceIntegrityError,
     census,
     ga_step,
     hamming_histogram,
@@ -149,9 +149,9 @@ def test_trackers_reject_inconsistent_traces():
         removed_genotype=absent,
         optimum_created=False,
     )
-    with pytest.raises(TraceIntegrityError):
+    with pytest.raises(IntegrityError):
         SpeciesTracker(pop).apply(bogus)
-    with pytest.raises(TraceIntegrityError):
+    with pytest.raises(IntegrityError):
         PairwiseDistanceTracker(pop).apply(bogus)
 
 

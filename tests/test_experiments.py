@@ -8,6 +8,8 @@ import math
 import pytest
 
 from jumpga import (
+    ConditionedEstimate,
+    DriftEstimate,
     EventClass,
     ExperimentConfig,
     GaParams,
@@ -127,6 +129,34 @@ def test_estimate_unconditioned_drift_structure():
     assert de.mean + 3 * de.stderr < 0.0
 
 
+def test_estimators_match_pinned_values():
+    # Exact results of the two estimators on two cells, including a capped
+    # run; any change to their counting or to a draw changes them.
+    p = GaParams(n=60, k=3, mu=8, p_c=0.5, chi=1.0, seed=41)
+    pop, focal, _ = two_species_population(p, 5, 1, make_rng(41, 0))
+    assert estimate_transition(
+        p, pop, focal, EventClass.CROSSOVER_CLOSE, 2000, make_rng(41, 1)
+    ) == ConditionedEstimate(
+        EventClass.CROSSOVER_CLOSE, 5, 0.06, 0.091, 0.0053103672189407005, 0.006431135203057078,
+        2000, 3946, "", False,
+    )
+    assert estimate_unconditioned_drift(p, pop, focal, 3000, make_rng(41, 2)) == DriftEstimate(
+        5, -0.006666666666666667, 0.007317153868871471, 3000, 231, 251
+    )
+
+    p = GaParams(n=40, k=2, mu=6, p_c=0.7, chi=1.5, seed=42)
+    pop, focal, _ = two_species_population(p, 4, 2, make_rng(42, 0))
+    assert estimate_transition(
+        p, pop, focal, EventClass.CROSSOVER_DISTANT, 1500, make_rng(42, 3), max_attempts=2500
+    ) == ConditionedEstimate(
+        EventClass.CROSSOVER_DISTANT, 4, 0.007334963325183374, 0.13814180929095354,
+        0.002983483802004539, 0.012064347129399485, 818, 2500, "", False,
+    )
+    assert estimate_unconditioned_drift(p, pop, focal, 3000, make_rng(42, 2)) == DriftEstimate(
+        4, -0.03333333333333333, 0.005524356842069357, 3000, 89, 189
+    )
+
+
 # ---------------------------------------------------------------------------
 # direct optimum-creation sampling
 
@@ -244,6 +274,15 @@ def test_distance_series_structure_and_determinism():
         assert dr.found_optimum
         assert dr.rows[-1][0] <= dr.iterations
     assert run_figure1(cfg) == runs
+
+
+def test_distance_series_default_stride_follows_mu():
+    # Without a stride, rows come every step up to mu = 64 and every 10th beyond.
+    for mu, stride in ((64, 1), (65, 10)):
+        p = GaParams(n=100, k=3, mu=mu, p_c=0.5, chi=1.0, seed=7)
+        (dr,) = run_figure1(ExperimentConfig(p, replicates=1, snapshot_stride=None, max_iterations=30))
+        assert (dr.iterations, dr.found_optimum) == (30, False)
+        assert [t for t, _ in dr.rows] == list(range(0, 31, stride))
 
 
 def test_distance_series_distinct_replicates_differ():

@@ -7,6 +7,7 @@ import math
 import random
 import statistics
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -16,12 +17,9 @@ from jumpga import (
     Genotype,
     IntegrityError,
     Population,
-    SnapshotHook,
     StopCondition,
     census,
     check_population,
-    classify_event,
-    default_snapshot_stride,
     estimate_transition,
     ga_step,
     hamming_distance,
@@ -32,6 +30,7 @@ from jumpga import (
     ones_count,
     run,
     standard_bit_mutation,
+    steps,
     two_species_population,
     uniform_crossover,
 )
@@ -92,17 +91,27 @@ def test_init_monomorphic_plateau_is_uniform_over_plateau_strings():
 # event classification
 
 
-def test_classify_event_by_parent_count_and_distance():
-    n = 10
-    a = Genotype(0b1111111100, n)
-    assert classify_event(False, (a,)) == EventClass.MUTATION_ONLY
-    assert classify_event(True, (a, a)) == EventClass.CROSSOVER_CLOSE
-    two_apart = Genotype(a.bits ^ 0b11, n)
-    assert hamming_distance(a, two_apart) == 2
-    assert classify_event(True, (a, two_apart)) == EventClass.CROSSOVER_CLOSE
-    four_apart = Genotype(a.bits ^ 0b1111, n)
-    assert hamming_distance(a, four_apart) == 4
-    assert classify_event(True, (a, four_apart)) == EventClass.CROSSOVER_DISTANT
+def test_step_classifies_its_event_by_parent_count_and_distance():
+    # Plateau members with parent pairs at distance 0 (a parent with itself),
+    # 2 (a, b) and 4 (a, c and b, c): a crossover is close exactly when its
+    # parents are at most 2 apart, and one parent means mutation only.
+    params = GaParams(n=12, k=3, mu=3, p_c=0.5, chi=1.0, seed=5)
+    pop = population_of(params, *(0xFFF ^ zeros for zeros in (0b000111, 0b001011, 0b110001)))
+    a, b, c = pop.members
+    assert [hamming_distance(x, y) for x, y in ((a, b), (a, c), (b, c))] == [2, 4, 4]
+    rng = make_rng(5, 1)
+    seen = Counter()
+    for _ in range(400):
+        _, trace = ga_step(pop, params, rng)
+        parents = [pop.members[i] for i in trace.parent_indices]
+        assert (trace.event is EventClass.MUTATION_ONLY) == (len(parents) == 1)
+        if len(parents) == 2:
+            d = hamming_distance(*parents)
+            assert (trace.event is EventClass.CROSSOVER_CLOSE) == (d <= 2)
+            seen[d] += 1
+        else:
+            seen["one parent"] += 1
+    assert set(seen) == {0, 2, 4, "one parent"}, dict(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +497,30 @@ def test_runs_replay_identically_for_equal_seeds():
     assert trajectory() == trajectory()
 
 
+def test_steps_chain_ga_step_on_the_same_stream():
+    params = GaParams(n=30, k=3, mu=8, p_c=0.5, chi=1.0, seed=21)
+    start = init_uniform(params, make_rng(21, 0))
+    rng = make_rng(21, 1)
+    assert list(steps(start, params, rng, 0)) == []
+    assert rng.uniform() == make_rng(21, 1).uniform()  # nothing was drawn
+
+    limit = 300
+    rng = make_rng(21, 1)
+    got = list(steps(start, params, rng, limit))
+    by_hand = []
+    pop, hand_rng = start, make_rng(21, 1)
+    for _ in range(limit):
+        pop, trace = ga_step(pop, params, hand_rng)
+        by_hand.append((pop, trace))
+    assert [t for t, _, _ in got] == list(range(1, limit + 1))
+    assert [(p, tr) for _, p, tr in got] == by_hand
+    assert rng.uniform() == hand_rng.uniform()
+
+    # Without a limit the chain goes on: its 501st item is step 501.
+    t, pop, trace = next(islice(steps(start, params, make_rng(21, 1)), 500, None))
+    assert t == pop.generation == trace.t == 501
+
+
 def test_small_instances_reach_the_optimum_from_every_seed():
     worst = 0
     for seed in range(100):
@@ -497,21 +530,6 @@ def test_small_instances_reach_the_optimum_from_every_seed():
         assert res.stop_reason == "optimum_found"
         worst = max(worst, res.iterations)
     assert worst < 100_000
-
-
-def test_snapshot_hooks_sample_on_stride():
-    params = GaParams(n=16, k=2, mu=5, p_c=0.5, chi=1.0, seed=3)
-    pop = init_uniform(params, make_rng(3, 0))
-    hook = SnapshotHook("largest", lambda p: census(p).largest_size, stride=10)
-    res = run(pop, params, StopCondition(max_iterations=100), make_rng(3, 1), (hook,))
-    series = res.telemetry["largest"]
-    stops = res.iterations
-    assert [t for t, _ in series] == list(range(10, stops + 1, 10))
-    assert all(1 <= v <= params.mu for _, v in series)
-    with pytest.raises(ValueError):
-        SnapshotHook("bad", lambda p: 0, stride=0)
-    assert default_snapshot_stride(64) == 1
-    assert default_snapshot_stride(65) == 10
 
 
 # ---------------------------------------------------------------------------
