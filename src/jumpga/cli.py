@@ -226,10 +226,10 @@ def _params_from(cfg: dict) -> GaParams:
     Every out-of-domain value is a UsageError here, so that a ValueError raised
     later, during the experiment, is a runtime failure and not a usage error.
     """
-    for key in ("replicates", "trials", "t_max"):
-        if key in cfg and cfg[key] < 1:
+    for key in ("replicates", "trials", "t_max", "stride"):
+        if cfg.get(key) is not None and cfg[key] < 1:
             raise UsageError(f"{key} must be positive, got {cfg[key]}")
-    for key in ("max_iterations", "mc_trials", "stride"):
+    for key in ("max_iterations", "mc_trials"):
         if cfg.get(key) is not None and cfg[key] < 0:
             raise UsageError(f"{key} must be non-negative, got {cfg[key]}")
     if "lam" in cfg and not 0.5 < cfg["lam"] < 1.0:

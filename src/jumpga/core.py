@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-_TWO53 = 1 << 53
+_TWO53 = 2.0**53
 
 
 class Genotype(NamedTuple):
@@ -81,12 +80,6 @@ class GaParams:
         return self.n + self.k
 
 
-@lru_cache(maxsize=256)
-def _binomial_walk_setup(n: int, p: float):
-    # Start mass (1-p)^n and odds ratio for the inverse-CDF walk.
-    return math.exp(n * math.log1p(-p)), p / (1.0 - p)
-
-
 class RandomStream:
     """Deterministic random stream: buffered scalar uniforms over PCG64.
 
@@ -96,30 +89,49 @@ class RandomStream:
     consumers can use the underlying numpy ``generator`` directly; mixing the
     two is still deterministic because buffer refills happen at fixed points
     in the consumption sequence.
+
+    Each block is kept twice, as floats ``u`` and as the integers ``j = u * 2**53``
+    (exact: numpy's doubles are ``j * 2**-53``).  ``random_bits`` reads the
+    integers, the other draws the floats, and all advance one position.
     """
 
-    __slots__ = ("generator", "_buf", "_pos")
+    __slots__ = ("generator", "_buf", "_bits", "_pos", "_walk")
 
     BLOCK = 4096
 
     def __init__(self, generator: np.random.Generator):
         self.generator = generator
         self._buf: list[float] = []
+        self._bits: list[int] = []
         self._pos = 0
+        # (n, p, (1-p)^n, p/(1-p)) of the last binomial walk, reused while (n, p) repeats
+        self._walk = (0, 0.0, 1.0, 0.0)
+
+    def _refill(self) -> list[float]:
+        block = self.generator.random(self.BLOCK)
+        self._bits = (block * _TWO53).astype(np.int64).tolist()
+        self._buf = buf = block.tolist()
+        return buf
 
     def uniform(self) -> float:
         """Next uniform float in [0, 1)."""
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
-            self._buf = buf = self.generator.random(self.BLOCK).tolist()
-            self._pos = pos = 0
+            buf = self._refill()
+            pos = 0
         self._pos = pos + 1
         return buf[pos]
 
     def index(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
-        i = int(self.uniform() * bound)
+        """Uniform integer in [0, bound): the next uniform times ``bound``, rounded down."""
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
+            buf = self._refill()
+            pos = 0
+        self._pos = pos + 1
+        i = int(buf[pos] * bound)
         return i if i < bound else bound - 1
 
     def random_bits(self, nbits: int) -> int:
@@ -130,16 +142,16 @@ class RandomStream:
         """
         pos = self._pos
         end = pos + (nbits + 52) // 53
-        buf = self._buf
-        if end <= len(buf):
+        bits = self._bits
+        if end <= len(bits):
             self._pos = end
-            draws = buf[pos:end]
+            draws = bits[pos:end]
         else:  # a refill falls inside the range
-            draws = [self.uniform() for _ in range(end - pos)]
+            draws = [int(self.uniform() * _TWO53) for _ in range(end - pos)]
         out = 0
         shift = 0
-        for u in draws:
-            out |= int(u * _TWO53) << shift
+        for j in draws:
+            out |= j << shift
             shift += 53
         return out & ((1 << nbits) - 1)
 
@@ -149,10 +161,14 @@ class RandomStream:
             return 0
         if p >= 1.0:
             return n
-        start, ratio = _binomial_walk_setup(n, p)
+        walk = self._walk
+        if walk[0] != n or walk[1] != p:
+            self._walk = walk = (n, p, math.exp(n * math.log1p(-p)), p / (1.0 - p))
+        start = walk[2]
         if start == 0.0:
             # (1-p)^n underflowed; fall back to the generator's own sampler.
             return int(self.generator.binomial(n, p))
+        ratio = walk[3]
         u = self.uniform()
         c = start
         cum = start
@@ -178,22 +194,26 @@ def make_rng(seed: int, stream: int = 0) -> RandomStream:
     return RandomStream(np.random.Generator(np.random.PCG64(ss)))
 
 
-def random_index_subset(rng: RandomStream, n: int, m: int) -> set[int]:
-    """Uniform random m-subset of range(n) (Floyd's sampling algorithm).
+def _floyd_mask(rng: RandomStream, n: int, m: int) -> int:
+    """Bitmask of a uniform random m-subset of range(n) (Floyd's sampling algorithm).
 
     Draws exactly ``m`` uniforms, one per element, for ``j`` ranging over
-    ``n-m .. n-1`` in ascending order.
+    ``n-m .. n-1`` in ascending order: ``t = rng.index(j + 1)`` joins the
+    subset, or ``j`` does when ``t`` is already in it.
     """
+    mask = 0
+    for j in range(n - m, n):
+        bit = 1 << rng.index(j + 1)
+        mask |= (1 << j) if mask & bit else bit
+    return mask
+
+
+def random_index_subset(rng: RandomStream, n: int, m: int) -> set[int]:
+    """Uniform random m-subset of range(n), with the draws of :func:`_floyd_mask`."""
     if not 0 <= m <= n:
         raise ValueError(f"subset size {m} outside [0, {n}]")
-    chosen: set[int] = set()
-    for j in range(n - m, n):
-        t = rng.index(j + 1)
-        if t in chosen:
-            chosen.add(j)
-        else:
-            chosen.add(t)
-    return chosen
+    mask = _floyd_mask(rng, n, m)
+    return {i for i in range(n) if mask >> i & 1}
 
 
 def ones_count(g: Genotype) -> int:
@@ -249,7 +269,4 @@ def standard_bit_mutation(g: Genotype, p_m: float, rng: RandomStream) -> Genotyp
         return g
     if m == n:
         return tuple.__new__(Genotype, (g.bits ^ ((1 << n) - 1), n))
-    flips = 0
-    for i in random_index_subset(rng, n, m):
-        flips |= 1 << i
-    return tuple.__new__(Genotype, (g.bits ^ flips, n))
+    return tuple.__new__(Genotype, (g.bits ^ _floyd_mask(rng, n, m), n))

@@ -67,43 +67,48 @@ class SpeciesTracker:
     """
 
     def __init__(self, pop: Population):
-        self.counts: Counter[Genotype] = Counter(pop.members)
-        self._size_hist: Counter[int] = Counter(self.counts.values())
+        self.counts: dict[Genotype, int] = dict(Counter(pop.members))
+        self._size_hist: dict[int, int] = dict(Counter(self.counts.values()))
         self.largest: int = max(self.counts.values())
         self._mu = len(pop.members)
 
     def apply(self, trace: StepTrace) -> None:
         if trace.removed_index == self._mu:
             return  # offspring itself was removed; multiset unchanged
-        self._add(trace.offspring)
-        self._remove(trace.removed_genotype)
-
-    def _add(self, g: Genotype) -> None:
-        s = self.counts.get(g, 0)
-        self.counts[g] = s + 1
-        if s:
-            self._size_hist[s] -= 1
-            if not self._size_hist[s]:
-                del self._size_hist[s]
-        self._size_hist[s + 1] += 1
-        if s + 1 > self.largest:
-            self.largest = s + 1
-
-    def _remove(self, g: Genotype) -> None:
-        s = self.counts.get(g, 0)
+        counts = self.counts
+        gone = trace.removed_genotype
+        s = counts.get(gone, 0)
         if not s:
-            raise IntegrityError(f"removal of absent genotype {g}")
-        if s == 1:
-            del self.counts[g]
+            raise IntegrityError(f"removal of absent genotype {gone}")
+        new = trace.offspring
+        if new == gone:
+            return  # one copy replaced by an identical one
+        hist = self._size_hist
+        # Remove one copy of ``gone`` (class size s -> s-1) ...
+        c = hist[s] - 1
+        if c:
+            hist[s] = c
         else:
-            self.counts[g] = s - 1
-        self._size_hist[s] -= 1
-        if not self._size_hist[s]:
-            del self._size_hist[s]
+            del hist[s]
+            if s == self.largest:
+                self.largest = s - 1
         if s > 1:
-            self._size_hist[s - 1] += 1
-        if s == self.largest and not self._size_hist.get(s, 0):
-            self.largest = s - 1
+            counts[gone] = s - 1
+            hist[s - 1] = hist.get(s - 1, 0) + 1
+        else:
+            del counts[gone]
+        # ... then add one copy of ``new`` (class size a -> a+1).
+        a = counts.get(new, 0)
+        counts[new] = a + 1
+        if a:
+            c = hist[a] - 1
+            if c:
+                hist[a] = c
+            else:
+                del hist[a]
+        hist[a + 1] = hist.get(a + 1, 0) + 1
+        if a >= self.largest:
+            self.largest = a + 1
 
     def count(self, g: Genotype) -> int:
         return self.counts.get(g, 0)

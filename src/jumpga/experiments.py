@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if self.snapshot_stride is not None and self.snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride must be positive, got {self.snapshot_stride}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +321,9 @@ def _take_over(
 def run_takeover(config: ExperimentConfig) -> TakeoverSummary:
     """From a monomorphic plateau start, time until largest species <= mu/2."""
     p = config.params
-    cap = config.max_iterations or math.ceil(100 * takeover_reference(p))
+    cap = config.max_iterations
+    if cap is None:
+        cap = math.ceil(100 * takeover_reference(p))
     reps: list[TakeoverReplicate] = []
     for r in range(config.replicates):
         rng = make_rng(p.seed, stream=r)
@@ -382,7 +386,9 @@ def run_survival(config: ExperimentConfig) -> SurvivalSummary:
     if not 0.5 < lam < 1.0:
         raise ValueError(f"lam must lie in (1/2, 1), got {lam}")
     threshold = math.ceil(lam * p.mu - 1e-9)
-    takeover_cap = config.max_iterations or math.ceil(100 * takeover_reference(p))
+    takeover_cap = config.max_iterations
+    if takeover_cap is None:
+        takeover_cap = math.ceil(100 * takeover_reference(p))
     reps: list[SurvivalReplicate] = []
     for r in range(config.replicates):
         rng = make_rng(p.seed, stream=r)
@@ -447,8 +453,10 @@ def run_figure1(config: ExperimentConfig) -> list[DistanceSeriesRun]:
     """
     p = config.params
     distances = tuple(range(0, 2 * p.k + 1, 2))
-    stride = config.snapshot_stride or (1 if p.mu <= 64 else 10)
-    cap = config.max_iterations or 10_000_000
+    stride = config.snapshot_stride
+    if stride is None:
+        stride = 1 if p.mu <= 64 else 10
+    cap = 10_000_000 if config.max_iterations is None else config.max_iterations
     out: list[DistanceSeriesRun] = []
     for r in range(config.replicates):
         rng = make_rng(p.seed, stream=r)
@@ -505,7 +513,7 @@ def run_comparison(config: ExperimentConfig) -> ComparisonSummary:
     and stop at the optimum or at the cap (default 50 * n^k iterations).
     """
     p = config.params
-    cap = config.max_iterations or 50 * p.n**p.k
+    cap = 50 * p.n**p.k if config.max_iterations is None else config.max_iterations
     arms: list[ComparisonArm] = []
     for label, pc in (("crossover", p.p_c), ("mutation_only", 0.0)):
         arm_params = replace(p, p_c=pc)

@@ -45,6 +45,11 @@ class EventClass(Enum):
     MUTATION_ONLY = "mutation_only"
 
 
+_CLOSE = EventClass.CROSSOVER_CLOSE
+_DISTANT = EventClass.CROSSOVER_DISTANT
+_MUTATION = EventClass.MUTATION_ONLY
+
+
 @dataclass(slots=True)
 class Population:
     """Multiset of genotypes with cached fitness values.
@@ -199,17 +204,13 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
         pa = members[i]
         pb = members[j]
         parents = (i, j)
-        child = uniform_crossover(pa, pb, rng)
-        child = standard_bit_mutation(child, params.p_m, rng)
-        if (pa.bits ^ pb.bits).bit_count() <= 2:
-            event = EventClass.CROSSOVER_CLOSE
-        else:
-            event = EventClass.CROSSOVER_DISTANT
+        child = standard_bit_mutation(uniform_crossover(pa, pb, rng), params.p_m, rng)
+        event = _CLOSE if (pa.bits ^ pb.bits).bit_count() <= 2 else _DISTANT
     else:
         i = rng.index(mu)
         parents = (i,)
         child = standard_bit_mutation(members[i], params.p_m, rng)
-        event = EventClass.MUTATION_ONLY
+        event = _MUTATION
     child_fit = jump_fitness(child, params.k)
 
     # Worst of the extended multiset; the offspring participates as index mu.
@@ -233,9 +234,10 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
             for _ in range(pos):
                 removed = fits.index(low, removed + 1)
 
+    t = pop.generation + 1
     if removed == mu:
         removed_genotype = child
-        new_pop = Population(members, fits, pop.generation + 1, low, tied)
+        new_pop = Population(members, fits, t, low, tied)
     else:
         # The removed member sits at ``low``, so a child at ``low`` leaves the
         # fitnesses, and the cache, as they were.
@@ -250,18 +252,10 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
             if not tied:
                 low = min(fits)
                 tied = fits.count(low)
-        new_pop = Population(tuple(new_members), fits, pop.generation + 1, low, tied)
-    trace = StepTrace(
-        t=pop.generation + 1,
-        event=event,
-        parent_indices=parents,
-        offspring=child,
-        offspring_fitness=child_fit,
-        removed_index=removed,
-        removed_genotype=removed_genotype,
-        optimum_created=child_fit == params.n + params.k,
-    )
-    return new_pop, trace
+        new_pop = Population(tuple(new_members), fits, t, low, tied)
+    # Positional, in field order: keyword construction costs measurably more per step.
+    optimum = child_fit == params.n + params.k
+    return new_pop, StepTrace(t, event, parents, child, child_fit, removed, removed_genotype, optimum)
 
 
 def steps(

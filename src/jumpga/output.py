@@ -122,15 +122,15 @@ def render_svg(rows, path, distances, title: str = "") -> None:
         f'<text x="{_fmt(_ML + plot_w / 2)}" y="{_fmt(_H - 8)}" font-family="monospace" '
         f'font-size="12" text-anchor="middle">iteration</text>'
     )
+    xs = [sx(t) for t, _ in rows]
     for ci, d in enumerate(distances):
         color = _PALETTE[ci % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(sx(t))},{_fmt(sy(freqs[ci]))}" for t, freqs in rows)
+        ys = [sy(freqs[ci]) for _, freqs in rows]
         if len(rows) == 1:
-            t, freqs = rows[0]
-            parts.append(
-                f'<circle cx="{_fmt(sx(t))}" cy="{_fmt(sy(freqs[ci]))}" r="3" fill="{color}"/>'
-            )
+            parts.append(f'<circle cx="{_fmt(xs[0])}" cy="{_fmt(ys[0])}" r="3" fill="{color}"/>')
         else:
+            # "%.2f" rounds exactly as _fmt does; one map keeps the per-point cost in C.
+            pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from jumpga import (
     standard_bit_mutation,
     uniform_crossover,
 )
-from jumpga.core import RandomStream, random_index_subset
+from jumpga.core import RandomStream, _floyd_mask, random_index_subset
 
 
 def g(bits: int, n: int) -> Genotype:
@@ -257,6 +258,109 @@ def test_random_bits_matches_per_uniform_draws_across_a_refill(offset):
     assert rng.uniform() == twin.uniform()
 
 
+class FloatBufferStream:
+    """Reference stream: the block of numpy uniforms kept as floats, every draw
+    derived from ``uniform()`` as the documented draw order states it."""
+
+    def __init__(self, seed: int, stream: int = 0):
+        self.generator = make_rng(seed, stream).generator
+        self.buf: list[float] = []
+        self.pos = 0
+
+    def uniform(self) -> float:
+        if self.pos == len(self.buf):
+            self.buf = self.generator.random(RandomStream.BLOCK).tolist()
+            self.pos = 0
+        self.pos += 1
+        return self.buf[self.pos - 1]
+
+    def index(self, bound: int) -> int:
+        return min(int(self.uniform() * bound), bound - 1)
+
+    def random_bits(self, nbits: int) -> int:
+        out = 0
+        for i in range((nbits + 52) // 53):
+            out |= int(self.uniform() * 2**53) << (53 * i)
+        return out & ((1 << nbits) - 1)
+
+
+@pytest.mark.parametrize("nbits", [1, 52, 53, 54, 200])
+def test_draws_equal_the_float_buffer_reconstruction(nbits):
+    # One cycle takes w + 3 uniforms (w for the mask); shifting its start by
+    # 0..w+2 puts the refill at every position of the cycle, and 5000 cycles
+    # run across at least one refill from every start.
+    w = (nbits + 52) // 53
+    for offset in range(w + 3):
+        rng, ref = make_rng(112, offset), FloatBufferStream(112, offset)
+        for _ in range(offset):
+            assert rng.uniform() == ref.uniform()
+        for _ in range(5000 // (w + 3)):
+            assert rng.random_bits(nbits) == ref.random_bits(nbits)
+            assert rng.uniform() == ref.uniform()
+            assert rng.index(7) == ref.index(7)
+            assert rng.index(1_000_003) == ref.index(1_000_003)
+        assert rng._pos == ref.pos
+
+
+def floyd_reference(rng, n: int, m: int) -> tuple[set[int], int]:
+    """Floyd's sampler on a set, as first written; also counts colliding draws."""
+    chosen: set[int] = set()
+    collisions = 0
+    for j in range(n - m, n):
+        t = rng.index(j + 1)
+        if t in chosen:
+            chosen.add(j)
+            collisions += 1
+        else:
+            chosen.add(t)
+    return chosen, collisions
+
+
+def test_bitmask_floyd_matches_the_set_sampler_for_every_subset_size():
+    n = 24
+    collisions = 0
+    for m in range(n + 1):
+        rng, twin = make_rng(113, m), make_rng(113, m)
+        for _ in range(40):
+            want, hit = floyd_reference(twin, n, m)
+            collisions += hit
+            assert _floyd_mask(rng, n, m) == sum(1 << i for i in want)
+            assert rng._pos == twin._pos
+            assert random_index_subset(rng, n, m) == floyd_reference(twin, n, m)[0]
+            assert rng._pos == twin._pos
+    assert collisions > 0
+
+
+def test_mutation_flips_the_positions_of_the_set_sampler_on_a_twin_stream():
+    # At rate 1/2 on 12 bits every flip count from 0 to 12 occurs.
+    n, p = 12, 0.5
+    rng, twin = make_rng(114), make_rng(114)
+    g0 = Genotype(0b101100111010, n)
+    sizes = Counter()
+    for _ in range(20_000):
+        m = twin.binomial(n, p)
+        sizes[m] += 1
+        if m == n:
+            want = g0.bits ^ ((1 << n) - 1)
+        else:
+            want = g0.bits ^ sum(1 << i for i in floyd_reference(twin, n, m)[0])
+        assert standard_bit_mutation(g0, p, rng).bits == want
+        assert rng._pos == twin._pos
+    assert set(sizes) == set(range(n + 1))
+
+
+def test_interleaved_binomial_settings_equal_draws_on_fresh_streams():
+    # Cells differ in n only, in p only, or in both, and each comes back later.
+    cells = [(200, 1 / 200), (40, 1 / 40), (200, 0.3), (40, 0.3), (12, 0.5), (12, 1 / 200)]
+    rng = make_rng(115)
+    for used in range(300):
+        n, p = cells[used % len(cells)]
+        fresh = make_rng(115)
+        for _ in range(used):
+            fresh.uniform()
+        assert rng.binomial(n, p) == fresh.binomial(n, p)
+
+
 def test_binomial_edge_rates_and_moments():
     rng = make_rng(109)
     assert rng.binomial(50, 0.0) == 0
@@ -279,8 +383,6 @@ def test_random_index_subset_is_uniform_over_subsets():
         assert all(0 <= i < 5 for i in s)
     with pytest.raises(ValueError):
         random_index_subset(rng, 5, 6)
-
-    from collections import Counter
 
     trials = 100_000
     counts = Counter(frozenset(random_index_subset(rng, 5, 2)) for _ in range(trials))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +25,8 @@ from jumpga import (
     jump_fitness,
     largest_species_series,
     make_rng,
+    steps,
+    two_species_population,
 )
 
 
@@ -111,6 +115,28 @@ def test_species_tracker_matches_full_census_after_every_step():
         assert c.classes[largest_class] == c.largest_size
 
 
+def test_species_tracker_state_equals_a_fresh_census_after_every_chained_step():
+    params = GaParams(n=14, k=3, mu=10, p_c=0.7, chi=1.0, seed=45)
+    starts = {
+        "uniform": lambda rng: init_uniform(params, rng),
+        "plateau": lambda rng: init_monomorphic_plateau(params, rng),
+        "two_species": lambda rng: two_species_population(params, 4, 2, rng)[0],
+    }
+    for name, start in starts.items():
+        rng = make_rng(45, 0)
+        pop = start(rng)
+        tracker = SpeciesTracker(pop)
+        same = 0
+        for _, pop, trace in steps(pop, params, rng, 500):
+            tracker.apply(trace)
+            same += trace.removed_index < params.mu and trace.offspring == trace.removed_genotype
+            census_now = Counter(pop.members)
+            assert tracker.counts == census_now, name
+            assert tracker.largest == max(census_now.values()), name
+            assert tracker._size_hist == Counter(census_now.values()), name
+        assert same > 0, name
+
+
 def test_pairwise_tracker_matches_full_histogram_after_every_step():
     params = GaParams(n=12, k=3, mu=8, p_c=0.5, chi=1.0, seed=43)
     history, traces = run_with_traces(params, 300)
@@ -153,6 +179,9 @@ def test_trackers_reject_inconsistent_traces():
         SpeciesTracker(pop).apply(bogus)
     with pytest.raises(IntegrityError):
         PairwiseDistanceTracker(pop).apply(bogus)
+    # An offspring equal to the absent genotype it claims to replace.
+    with pytest.raises(IntegrityError):
+        SpeciesTracker(pop).apply(replace(bogus, offspring=absent))
 
 
 def test_offspring_discard_leaves_trackers_unchanged():

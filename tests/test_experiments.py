@@ -315,6 +315,34 @@ def test_comparison_pairs_arms_and_reports_ratio():
 
 
 # ---------------------------------------------------------------------------
+# iteration caps
+
+
+def test_a_cap_of_zero_means_zero_iterations_in_every_runner():
+    p = GaParams(n=20, k=2, mu=6, p_c=0.5, chi=1.0, seed=8)
+    cfg = ExperimentConfig(p, replicates=2, max_iterations=0, t_max=50)
+    takeover = run_takeover(cfg)
+    assert takeover.cap == 0
+    assert [(r.hitting_time, r.censored) for r in takeover.replicates] == [(None, True)] * 2
+    survival = run_survival(cfg)
+    assert survival.monitored_replicates == 0
+    assert all(r.takeover_censored for r in survival.replicates)
+    for dr in run_figure1(cfg):
+        assert (dr.iterations, dr.found_optimum, len(dr.rows)) == (0, False, 1)
+    comparison = run_comparison(cfg)
+    assert comparison.cap == 0
+    for arm in comparison.arms:
+        assert [(r.iterations, r.stop_reason) for r in arm.records] == [(0, "max_iterations")] * 2
+
+
+def test_snapshot_stride_must_be_positive():
+    p = GaParams(n=20, k=2, mu=6, p_c=0.5, chi=1.0, seed=8)
+    for stride in (0, -3):
+        with pytest.raises(ValueError):
+            ExperimentConfig(p, snapshot_stride=stride)
+
+
+# ---------------------------------------------------------------------------
 # bound sweep
 
 

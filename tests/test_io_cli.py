@@ -166,10 +166,20 @@ def test_invalid_parameter_combinations_exit_2(tmp_path):
         ["bounds", "--mus", "2"],
         ["oracle", "--mc-trials", "-5"],
         ["oracle", "--n", "12", "--k", "2", "--chi", "12"],
+        ["figure1", "--stride", "0"],
     ],
 )
 def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+
+
+def test_max_iterations_zero_caps_takeover_at_zero_steps(tmp_path):
+    out = tmp_path / "t"
+    argv = ["takeover", "--out", str(out), "--n", "20", "--k", "2", "--mu", "6",
+            "--replicates", "3", "--max-iterations", "0"]
+    assert main(argv) == 0
+    summary = json.loads((out / "takeover_summary.json").read_text())
+    assert (summary["cap"], summary["censored"], summary["replicates"]) == (0, 3, 3)
 
 
 def test_value_error_raised_mid_run_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
