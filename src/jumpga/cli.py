@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 import traceback
+from dataclasses import astuple
 from pathlib import Path
 
 from .analysis import (
@@ -34,16 +34,16 @@ from .analysis import (
 )
 from .core import GaParams, Genotype, make_rng
 from .experiments import (
-    ExperimentConfig,
     run_bound_sweep,
     run_comparison,
     run_figure1,
+    run_replicates,
     run_survival,
     run_takeover,
     sample_optimum_creation_frequency,
     sweep_grid_ys,
 )
-from .ga import StopCondition, init_uniform, run
+from .ga import StopCondition
 from .output import format_value, render_svg, write_json, write_series_csv
 
 ENV_OUTPUT_DIR = "JUMPGA_OUTPUT_DIR"
@@ -53,49 +53,62 @@ class UsageError(Exception):
     pass
 
 
-_COMMON_DEFAULTS = {
-    "out": "out",
-    "seed": 1,
-    "n": 100,
-    "k": 3,
-    "mu": 20,
-    "pc": 0.5,
-    "chi": 1.0,
+# Every setting once: key -> (type, help, domain).  The flag is ``--`` plus
+# the key with ``_`` as ``-``; the config-file key is the key itself.  The
+# domain is a lower bound (1: positive, 0: non-negative), a tuple of choices,
+# or None where GaParams or an explicit check in ``_params_from`` or a handler
+# judges the value.
+_OPTIONS = {
+    "out": (str, "output directory", None),
+    "seed": (int, "base seed for all random streams", None),
+    "n": (int, "bit-string dimension", None),
+    "k": (int, "jump width", None),
+    "mu": (int, "population size", None),
+    "pc": (float, "crossover probability", None),
+    "chi": (float, "mutation strength (per-bit rate chi/n)", None),
+    "replicates": (int, "independent replicates; replicate r uses random stream r", 1),
+    "max_iterations": (int, "iteration cap (survival: on the takeover); None: scaled to the run", 0),
+    "stop": (str, "stop at the optimum, or also once all members are on the plateau",
+             ("optimum", "plateau")),
+    "lam": (float, "regrowth threshold as a fraction of mu, in (1/2, 1)", None),
+    "t_max": (int, "monitoring horizon in iterations", 1),
+    "stride": (int, "snapshot stride in iterations; None means 1 up to mu = 64, else 10", 1),
+    "svg": (bool, "also draw each distance series as SVG", None),
+    "trials": (int, "accepted-trial target per cell", 1),
+    "mus": (str, "comma-separated population sizes, each at least 4", None),
+    "format": (str, "'text' also prints the table, 'csv' only writes bounds.csv",
+               ("text", "csv")),
+    "grid": (str, "named population-size grid: 'default' uses --mus, 'wide' uses 4..64",
+             ("default", "wide")),
+    "d": (int, "half the parent Hamming distance, in [0, k]", None),
+    "mc_trials": (int, "Monte Carlo trials for an optional cross-check (0: none)", 0),
 }
 
-_SUB_DEFAULTS = {
-    "run": {"replicates": 1, "max_iterations": 1_000_000, "stop": "optimum"},
-    "takeover": {"replicates": 50, "max_iterations": None},
-    "survival": {"replicates": 30, "lam": 0.75, "t_max": 100_000, "max_iterations": None},
-    "figure1": {"replicates": 10, "stride": None, "max_iterations": 10_000_000, "svg": True},
-    "compare": {"replicates": 20, "max_iterations": None},
-    "bounds": {"mus": "4,8,16", "format": "text", "grid": "default"},
-    "sweep": {"trials": 100_000, "mus": "4,8,16"},
-    "oracle": {"d": 1, "mc_trials": 0},
+# Config-file section -> (subcommand help, defaults of the section's settings);
+# [common] holds the settings every subcommand takes.
+_SECTIONS = {
+    "common": (None, {"out": "out", "seed": 1, "n": 100, "k": 3, "mu": 20, "pc": 0.5, "chi": 1.0}),
+    "run": ("plain GA runs to a stop condition",
+            {"replicates": 1, "max_iterations": 1_000_000, "stop": "optimum"}),
+    "takeover": ("time until the largest species falls to mu/2",
+                 {"replicates": 50, "max_iterations": None}),
+    "survival": ("species-regrowth monitoring after takeover",
+                 {"replicates": 30, "lam": 0.75, "t_max": 100_000, "max_iterations": None}),
+    "figure1": ("pairwise-distance frequency series until the optimum",
+                {"replicates": 10, "stride": None, "max_iterations": 10_000_000, "svg": True}),
+    "compare": ("crossover arm vs mutation-only arm",
+                {"replicates": 20, "max_iterations": None}),
+    "bounds": ("tabulate every closed-form bound over a grid",
+               {"mus": "4,8,16", "format": "text", "grid": "default"}),
+    "sweep": ("Monte Carlo bound checks over a (mu, y, event) grid",
+              {"trials": 100_000, "mus": "4,8,16"}),
+    "oracle": ("exact vs closed-form optimum-creation probability",
+               {"d": 1, "mc_trials": 0}),
 }
 
-_KEY_TYPES = {
-    "out": str,
-    "seed": int,
-    "n": int,
-    "k": int,
-    "mu": int,
-    "pc": float,
-    "chi": float,
-    "replicates": int,
-    "max_iterations": int,
-    "stop": str,
-    "lam": float,
-    "t_max": int,
-    "stride": int,
-    "svg": bool,
-    "trials": int,
-    "mus": str,
-    "format": str,
-    "grid": str,
-    "d": int,
-    "mc_trials": int,
-}
+
+def _defaults(subcommand: str) -> dict:
+    return {**_SECTIONS["common"][1], **_SECTIONS[subcommand][1]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,83 +117,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steady-state (mu+1) GA laboratory on jump fitness functions",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp):
+    for sub, (sub_help, _) in _SECTIONS.items():
+        if sub_help is None:
+            continue
+        sp = subs.add_parser(sub, help=sub_help, description=sub_help)
         sp.add_argument("--config", help="config file (ini-style key=value sections)")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int, help="base seed for all random streams")
-        sp.add_argument("--n", type=int, help="bit-string dimension")
-        sp.add_argument("--k", type=int, help="jump width")
-        sp.add_argument("--mu", type=int, help="population size")
-        sp.add_argument("--pc", type=float, help="crossover probability")
-        sp.add_argument("--chi", type=float, help="mutation strength (per-bit rate chi/n)")
-
-    sp = subs.add_parser("run", help="plain GA runs to a stop condition")
-    add_common(sp)
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--max-iterations", type=int, dest="max_iterations")
-    sp.add_argument("--stop", choices=("optimum", "plateau"))
-
-    sp = subs.add_parser("takeover", help="time until the largest species falls to mu/2")
-    add_common(sp)
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--max-iterations", type=int, dest="max_iterations")
-
-    sp = subs.add_parser("survival", help="species-regrowth monitoring after takeover")
-    add_common(sp)
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--lam", type=float, help="regrowth threshold fraction of mu")
-    sp.add_argument("--t-max", type=int, dest="t_max", help="monitoring horizon")
-    sp.add_argument("--max-iterations", type=int, dest="max_iterations")
-
-    sp = subs.add_parser("figure1", help="pairwise-distance frequency series until the optimum")
-    add_common(sp)
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--stride", type=int, help="snapshot stride (default by mu)")
-    sp.add_argument("--max-iterations", type=int, dest="max_iterations")
-    sp.add_argument("--svg", action=argparse.BooleanOptionalAction)
-
-    sp = subs.add_parser("compare", help="crossover arm vs mutation-only arm")
-    add_common(sp)
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--max-iterations", type=int, dest="max_iterations")
-
-    sp = subs.add_parser("bounds", help="tabulate every closed-form bound over a grid")
-    add_common(sp)
-    sp.add_argument("--mus", help="comma-separated population sizes")
-    sp.add_argument("--format", choices=("text", "csv"))
-    sp.add_argument(
-        "--grid",
-        choices=("default", "wide"),
-        help="named population-size grid: 'default' uses --mus, 'wide' uses 4..64",
-    )
-
-    sp = subs.add_parser("sweep", help="Monte Carlo bound checks over a (mu, y, event) grid")
-    add_common(sp)
-    sp.add_argument("--trials", type=int, help="accepted-trial target per cell")
-    sp.add_argument("--mus", help="comma-separated population sizes")
-
-    sp = subs.add_parser("oracle", help="exact vs closed-form optimum-creation probability")
-    add_common(sp)
-    sp.add_argument("--d", type=int, help="half the parent Hamming distance")
-    sp.add_argument("--mc-trials", type=int, dest="mc_trials", help="optional Monte Carlo check")
-
+        for key, default in _defaults(sub).items():
+            typ, help_text, domain = _OPTIONS[key]
+            kwargs = {"dest": key, "help": f"{help_text} (default: {default})"}
+            if typ is bool:
+                kwargs["action"] = argparse.BooleanOptionalAction
+            else:
+                kwargs.update(type=typ, choices=domain if isinstance(domain, tuple) else None)
+            sp.add_argument("--" + key.replace("_", "-"), **kwargs)
     return parser
 
 
+def _check_domain(key: str, value) -> None:
+    domain = _OPTIONS[key][2]
+    if isinstance(domain, tuple):
+        if value not in domain:
+            raise UsageError(f"{key} must be one of {', '.join(domain)}, got {value!r}")
+    elif domain is not None and value is not None and value < domain:
+        raise UsageError(f"{key} must be {'positive' if domain else 'non-negative'}, got {value}")
+
+
 def _coerce(key: str, raw: str):
-    typ = _KEY_TYPES[key]
+    """A config-file value as its setting's type, checked against its domain."""
+    typ = _OPTIONS[key][0]
     try:
-        if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return typ(raw)
-    except ValueError:
+        value = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
         raise UsageError(f"config value for '{key}' is not a valid {typ.__name__}: {raw!r}") from None
+    _check_domain(key, value)
+    return value
 
 
 def _read_config_file(path: str, subcommand: str) -> dict:
@@ -188,7 +158,7 @@ def _read_config_file(path: str, subcommand: str) -> dict:
     read = parser.read(path)
     if not read:
         raise UsageError(f"config file not found: {path}")
-    allowed = set(_COMMON_DEFAULTS) | set(_SUB_DEFAULTS[subcommand])
+    allowed = _defaults(subcommand)
     out: dict = {}
     for section in ("common", subcommand):
         if not parser.has_section(section):
@@ -198,15 +168,14 @@ def _read_config_file(path: str, subcommand: str) -> dict:
                 raise UsageError(f"unknown config key '{key}' in section [{section}]")
             out[key] = _coerce(key, raw)
     for section in parser.sections():
-        if section != "common" and section not in _SUB_DEFAULTS:
+        if section not in _SECTIONS:
             raise UsageError(f"unknown config section [{section}]")
     return out
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     sub = args.subcommand
-    cfg = dict(_COMMON_DEFAULTS)
-    cfg.update(_SUB_DEFAULTS[sub])
+    cfg = _defaults(sub)
     if args.config:
         cfg.update(_read_config_file(args.config, sub))
     env_out = os.environ.get(ENV_OUTPUT_DIR)
@@ -226,12 +195,9 @@ def _params_from(cfg: dict) -> GaParams:
     Every out-of-domain value is a UsageError here, so that a ValueError raised
     later, during the experiment, is a runtime failure and not a usage error.
     """
-    for key in ("replicates", "trials", "t_max", "stride"):
-        if cfg.get(key) is not None and cfg[key] < 1:
-            raise UsageError(f"{key} must be positive, got {cfg[key]}")
-    for key in ("max_iterations", "mc_trials"):
-        if cfg.get(key) is not None and cfg[key] < 0:
-            raise UsageError(f"{key} must be non-negative, got {cfg[key]}")
+    for key in _OPTIONS:
+        if key in cfg:
+            _check_domain(key, cfg[key])
     if "lam" in cfg and not 0.5 < cfg["lam"] < 1.0:
         raise UsageError(f"lam must lie in (1/2, 1), got {cfg['lam']}")
     if "mus" in cfg and cfg.get("grid") != "wide":
@@ -246,11 +212,9 @@ def _params_from(cfg: dict) -> GaParams:
         raise UsageError(str(e)) from None
 
 
-def _parse_mus(raw) -> tuple[int, ...]:
-    if isinstance(raw, tuple):
-        return raw
+def _parse_mus(raw: str) -> tuple[int, ...]:
     try:
-        mus = tuple(int(part) for part in str(raw).split(",") if part.strip())
+        mus = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise UsageError(f"invalid population-size list: {raw!r}") from None
     if not mus:
@@ -269,6 +233,20 @@ def write_resolved_config(cfg: dict, out_dir: Path) -> None:
 # subcommand handlers
 
 
+_RUN_COLUMNS = ("replicate", "seed", "iterations", "evaluations", "stop_reason")
+
+
+def _write_replicates(records, seed: int, path: Path, header: tuple[str, ...]) -> None:
+    """One CSV row per replicate record: its fields in order, the base seed second."""
+    rows = [(rec.replicate, seed, *astuple(rec)[1:]) for rec in records]
+    write_series_csv(rows, path, header)
+
+
+def _fields_except(record, *skip: str) -> dict:
+    """A result record's fields as a JSON object, without ``skip``."""
+    return {key: value for key, value in vars(record).items() if key not in skip}
+
+
 def _cmd_run(cfg: dict, out: Path) -> int:
     params = _params_from(cfg)
     stop = StopCondition(
@@ -276,26 +254,16 @@ def _cmd_run(cfg: dict, out: Path) -> int:
         full_plateau=cfg["stop"] == "plateau",
         max_iterations=cfg["max_iterations"],
     )
-    rows = []
-    for r in range(cfg["replicates"]):
-        rng = make_rng(params.seed, stream=r)
-        pop = init_uniform(params, rng)
-        res = run(pop, params, stop, rng)
-        rows.append((r, params.seed, res.iterations, res.evaluations, res.stop_reason))
-    write_series_csv(rows, out / "runs.csv", ("replicate", "seed", "iterations", "evaluations", "stop_reason"))
+    records = run_replicates(params, cfg["replicates"], stop)
+    _write_replicates(records, params.seed, out / "runs.csv", _RUN_COLUMNS)
     return 0
 
 
 def _cmd_takeover(cfg: dict, out: Path) -> int:
     params = _params_from(cfg)
-    config = ExperimentConfig(
-        params, replicates=cfg["replicates"], max_iterations=cfg["max_iterations"]
-    )
-    summary = run_takeover(config)
-    rows = [
-        (rr.replicate, params.seed, rr.hitting_time, rr.censored) for rr in summary.replicates
-    ]
-    write_series_csv(rows, out / "takeover.csv", ("replicate", "seed", "hitting_time", "censored"))
+    summary = run_takeover(params, cfg["replicates"], max_iterations=cfg["max_iterations"])
+    header = ("replicate", "seed", "hitting_time", "censored")
+    _write_replicates(summary.replicates, params.seed, out / "takeover.csv", header)
     write_json(
         {
             "mean_hitting_time": summary.mean_hitting_time,
@@ -313,29 +281,16 @@ def _cmd_takeover(cfg: dict, out: Path) -> int:
 
 def _cmd_survival(cfg: dict, out: Path) -> int:
     params = _params_from(cfg)
-    config = ExperimentConfig(
+    summary = run_survival(
         params,
-        replicates=cfg["replicates"],
-        max_iterations=cfg["max_iterations"],
+        cfg["replicates"],
         lam=cfg["lam"],
         t_max=cfg["t_max"],
+        max_iterations=cfg["max_iterations"],
     )
-    summary = run_survival(config)
-    rows = [
-        (
-            rr.replicate,
-            params.seed,
-            rr.takeover_time,
-            rr.takeover_censored,
-            rr.monitored,
-            rr.focal_hit_time,
-            rr.max_hit_time,
-            rr.optimum_interrupted,
-        )
-        for rr in summary.replicates
-    ]
-    write_series_csv(
-        rows,
+    _write_replicates(
+        summary.replicates,
+        params.seed,
         out / "survival.csv",
         (
             "replicate",
@@ -348,32 +303,15 @@ def _cmd_survival(cfg: dict, out: Path) -> int:
             "optimum_interrupted",
         ),
     )
-    write_json(
-        {
-            "threshold": summary.threshold,
-            "monitored_replicates": summary.monitored_replicates,
-            "focal_excursions": summary.focal_excursions,
-            "max_excursions": summary.max_excursions,
-            "focal_excursion_frequency": summary.focal_excursion_frequency,
-            "max_excursion_frequency": summary.max_excursion_frequency,
-            "analytic_tail": summary.analytic_tail,
-            "tail_is_vacuous": summary.tail_is_vacuous,
-            "t_max": summary.t_max,
-        },
-        out / "survival_summary.json",
-    )
+    write_json(_fields_except(summary, "replicates"), out / "survival_summary.json")
     return 0
 
 
 def _cmd_figure1(cfg: dict, out: Path) -> int:
     params = _params_from(cfg)
-    config = ExperimentConfig(
-        params,
-        replicates=cfg["replicates"],
-        max_iterations=cfg["max_iterations"],
-        snapshot_stride=cfg["stride"],
+    runs = run_figure1(
+        params, cfg["replicates"], stride=cfg["stride"], max_iterations=cfg["max_iterations"]
     )
-    runs = run_figure1(config)
     header = ("iteration",) + tuple(f"d{d}" for d in runs[0].distances)
     for dr in runs:
         rows = [(t,) + freqs for t, freqs in dr.rows]
@@ -386,16 +324,7 @@ def _cmd_figure1(cfg: dict, out: Path) -> int:
                 title=f"pairwise distance frequencies (stream {dr.replicate})",
             )
     write_json(
-        {
-            "runs": [
-                {
-                    "replicate": dr.replicate,
-                    "iterations": dr.iterations,
-                    "found_optimum": dr.found_optimum,
-                }
-                for dr in runs
-            ]
-        },
+        {"runs": [_fields_except(dr, "distances", "rows") for dr in runs]},
         out / "figure1_summary.json",
     )
     return 0
@@ -403,31 +332,12 @@ def _cmd_figure1(cfg: dict, out: Path) -> int:
 
 def _cmd_compare(cfg: dict, out: Path) -> int:
     params = _params_from(cfg)
-    config = ExperimentConfig(
-        params, replicates=cfg["replicates"], max_iterations=cfg["max_iterations"]
-    )
-    summary = run_comparison(config)
+    summary = run_comparison(params, cfg["replicates"], max_iterations=cfg["max_iterations"])
     for arm in summary.arms:
-        rows = [
-            (rec.replicate, params.seed, rec.iterations, rec.evaluations, rec.stop_reason)
-            for rec in arm.records
-        ]
-        write_series_csv(
-            rows,
-            out / f"compare_{arm.label}.csv",
-            ("replicate", "seed", "iterations", "evaluations", "stop_reason"),
-        )
+        _write_replicates(arm.records, params.seed, out / f"compare_{arm.label}.csv", _RUN_COLUMNS)
     write_json(
         {
-            "arms": {
-                arm.label: {
-                    "p_c": arm.p_c,
-                    "mean_evaluations": arm.mean_evaluations,
-                    "median_evaluations": arm.median_evaluations,
-                    "censored": arm.censored,
-                }
-                for arm in summary.arms
-            },
+            "arms": {arm.label: _fields_except(arm, "label", "records") for arm in summary.arms},
             "evaluation_ratio_mutation_only_to_crossover": summary.evaluation_ratio,
             "cap": summary.cap,
         },
@@ -489,8 +399,7 @@ def _cmd_bounds(cfg: dict, out: Path) -> int:
 
 def _cmd_sweep(cfg: dict, out: Path) -> int:
     params = _params_from(cfg)
-    config = ExperimentConfig(params, trials=cfg["trials"], mus=_parse_mus(cfg["mus"]))
-    result = run_bound_sweep(config)
+    result = run_bound_sweep(params, _parse_mus(cfg["mus"]), trials=cfg["trials"])
     rows = []
     for cell in result.cells:
         est = cell.estimate
@@ -534,16 +443,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
                     "accepted_trials": cell.estimate.trials,
                     "attempts": cell.estimate.attempts,
                     "satisfied": cell.satisfied,
-                    "checks": [
-                        {
-                            "name": ch.name,
-                            "analytic_value": ch.analytic_value,
-                            "estimate": ch.estimate,
-                            "stderr": ch.stderr,
-                            "satisfied": ch.satisfied,
-                        }
-                        for ch in cell.checks
-                    ],
+                    "checks": [_fields_except(ch, "samples") for ch in cell.checks],
                 }
                 for cell in result.cells
             ],

@@ -45,28 +45,11 @@ from .ga import (
 )
 
 
-@dataclass
-class ExperimentConfig:
-    """Shared experiment knobs; runners ignore fields they do not use."""
-
-    params: GaParams
-    replicates: int = 10
-    trials: int = 100_000  # accepted-trial target for conditioned estimates
-    max_iterations: int | None = None
-    lam: float = 0.75
-    t_max: int = 100_000
-    snapshot_stride: int | None = None
-    mus: tuple[int, ...] = (4, 8, 16)
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be positive, got {self.replicates}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be positive, got {self.snapshot_stride}")
+def _check_at_least(low: int, **values: int | None) -> None:
+    """Raise ValueError for the first value below ``low`` (1 or 0); None passes."""
+    for name, value in values.items():
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be {'positive' if low else 'non-negative'}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +301,22 @@ def _take_over(
     return pop, tracker, None
 
 
-def run_takeover(config: ExperimentConfig) -> TakeoverSummary:
-    """From a monomorphic plateau start, time until largest species <= mu/2."""
-    p = config.params
-    cap = config.max_iterations
-    if cap is None:
-        cap = math.ceil(100 * takeover_reference(p))
+def run_takeover(
+    params: GaParams, replicates: int, max_iterations: int | None = None
+) -> TakeoverSummary:
+    """From a monomorphic plateau start, time until largest species <= mu/2
+    (cap default: 100 times the takeover reference)."""
+    _check_at_least(1, replicates=replicates)
+    _check_at_least(0, max_iterations=max_iterations)
+    cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
     reps: list[TakeoverReplicate] = []
-    for r in range(config.replicates):
-        rng = make_rng(p.seed, stream=r)
-        _, _, hit = _take_over(init_monomorphic_plateau(p, rng), p, rng, cap)
+    for r in range(replicates):
+        rng = make_rng(params.seed, stream=r)
+        _, _, hit = _take_over(init_monomorphic_plateau(params, rng), params, rng, cap)
         reps.append(TakeoverReplicate(r, hit, hit is None))
     times = [rr.hitting_time for rr in reps]
     mean, median = _censored_stats(times)
-    reference = takeover_reference(p)
+    reference = takeover_reference(params)
     return TakeoverSummary(
         tuple(reps),
         mean,
@@ -372,27 +357,28 @@ class SurvivalSummary:
     t_max: int
 
 
-def run_survival(config: ExperimentConfig) -> SurvivalSummary:
+def run_survival(
+    params: GaParams, replicates: int, lam: float, t_max: int, max_iterations: int | None = None
+) -> SurvivalSummary:
     """After takeover (largest species first <= mu/2), monitor for t_max steps
     whether the species that was largest at that moment -- and separately the
     running maximum over all species -- ever regrows to lam*mu.
 
     Monitoring stops early once the focal outcome is decided or if the
     optimum is created (the plateau regime of interest ends there); such
-    replicates are flagged, not dropped.
+    replicates are flagged, not dropped.  ``max_iterations`` caps the takeover
+    phase as in :func:`run_takeover`.
     """
-    p = config.params
-    lam = config.lam
+    _check_at_least(1, replicates=replicates, t_max=t_max)
+    _check_at_least(0, max_iterations=max_iterations)
     if not 0.5 < lam < 1.0:
         raise ValueError(f"lam must lie in (1/2, 1), got {lam}")
-    threshold = math.ceil(lam * p.mu - 1e-9)
-    takeover_cap = config.max_iterations
-    if takeover_cap is None:
-        takeover_cap = math.ceil(100 * takeover_reference(p))
+    threshold = math.ceil(lam * params.mu - 1e-9)
+    cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
     reps: list[SurvivalReplicate] = []
-    for r in range(config.replicates):
-        rng = make_rng(p.seed, stream=r)
-        pop, tracker, hit = _take_over(init_monomorphic_plateau(p, rng), p, rng, takeover_cap)
+    for r in range(replicates):
+        rng = make_rng(params.seed, stream=r)
+        pop, tracker, hit = _take_over(init_monomorphic_plateau(params, rng), params, rng, cap)
         if hit is None:
             reps.append(SurvivalReplicate(r, None, True, 0, None, None, False))
             continue
@@ -400,7 +386,7 @@ def run_survival(config: ExperimentConfig) -> SurvivalSummary:
         focal_hit = max_hit = None
         interrupted = False
         m = 0
-        for m, _, trace in steps(pop, p, rng, config.t_max):
+        for m, _, trace in steps(pop, params, rng, t_max):
             if trace.optimum_created:
                 interrupted = True
                 break
@@ -414,8 +400,8 @@ def run_survival(config: ExperimentConfig) -> SurvivalSummary:
     monitored = [rr for rr in reps if not rr.takeover_censored]
     focal_exc = sum(rr.focal_hit_time is not None for rr in monitored)
     max_exc = sum(rr.max_hit_time is not None for rr in monitored)
-    c_surv = survival_constant(lam, p.chi, p.p_c)
-    tail = config.t_max * config.t_max * math.exp(-c_surv * p.mu)
+    c_surv = survival_constant(lam, params.chi, params.p_c)
+    tail = t_max * t_max * math.exp(-c_surv * params.mu)
     return SurvivalSummary(
         tuple(reps),
         threshold,
@@ -426,7 +412,7 @@ def run_survival(config: ExperimentConfig) -> SurvivalSummary:
         max_exc / len(monitored) if monitored else None,
         tail,
         tail >= 1.0,
-        config.t_max,
+        t_max,
     )
 
 
@@ -443,29 +429,33 @@ class DistanceSeriesRun:
     rows: tuple[tuple[int, tuple[float, ...]], ...]
 
 
-def run_figure1(config: ExperimentConfig) -> list[DistanceSeriesRun]:
+def run_figure1(
+    params: GaParams, replicates: int, stride: int | None = None, max_iterations: int | None = None
+) -> list[DistanceSeriesRun]:
     """Relative frequencies of pairwise Hamming distances over time.
 
     Each replicate starts from a monomorphic plateau population and runs until
     the optimum is created (or the iteration cap).  Rows snapshot the
     population *before* the optimum appears, so every pairwise distance is
-    even and at most 2k; row 0 is the initial population.
+    even and at most 2k; row 0 is the initial population.  Rows come every
+    ``stride`` steps (default 1 up to mu = 64, else 10); the cap defaults to
+    10**7 iterations.
     """
-    p = config.params
-    distances = tuple(range(0, 2 * p.k + 1, 2))
-    stride = config.snapshot_stride
+    _check_at_least(1, replicates=replicates, stride=stride)
+    _check_at_least(0, max_iterations=max_iterations)
+    distances = tuple(range(0, 2 * params.k + 1, 2))
     if stride is None:
-        stride = 1 if p.mu <= 64 else 10
-    cap = 10_000_000 if config.max_iterations is None else config.max_iterations
+        stride = 1 if params.mu <= 64 else 10
+    cap = 10_000_000 if max_iterations is None else max_iterations
     out: list[DistanceSeriesRun] = []
-    for r in range(config.replicates):
-        rng = make_rng(p.seed, stream=r)
-        pop = init_monomorphic_plateau(p, rng)
+    for r in range(replicates):
+        rng = make_rng(params.seed, stream=r)
+        pop = init_monomorphic_plateau(params, rng)
         tracker = PairwiseDistanceTracker(pop)
         rows = [(0, tracker.frequencies(distances))]
         found = False
         t = 0
-        for t, _, trace in steps(pop, p, rng, cap):
+        for t, _, trace in steps(pop, params, rng, cap):
             if trace.optimum_created:
                 found = True
                 break
@@ -505,31 +495,40 @@ class ComparisonSummary:
     cap: int
 
 
-def run_comparison(config: ExperimentConfig) -> ComparisonSummary:
+def run_replicates(params: GaParams, replicates: int, stop: StopCondition) -> tuple[RunRecord, ...]:
+    """Runs from uniform random starts until ``stop``; replicate r uses stream r."""
+    _check_at_least(1, replicates=replicates)
+    records = []
+    for r in range(replicates):
+        rng = make_rng(params.seed, stream=r)
+        res = run(init_uniform(params, rng), params, stop, rng)
+        records.append(RunRecord(r, res.iterations, res.evaluations, res.stop_reason))
+    return tuple(records)
+
+
+def run_comparison(
+    params: GaParams, replicates: int, max_iterations: int | None = None
+) -> ComparisonSummary:
     """Paired comparison: configured-p_c arm vs mutation-only arm (p_c = 0).
 
     Replicate i of both arms uses stream i, so the arms face the same
     initialization randomness.  Runs start from uniform random populations
     and stop at the optimum or at the cap (default 50 * n^k iterations).
     """
-    p = config.params
-    cap = 50 * p.n**p.k if config.max_iterations is None else config.max_iterations
+    _check_at_least(1, replicates=replicates)
+    _check_at_least(0, max_iterations=max_iterations)
+    cap = 50 * params.n**params.k if max_iterations is None else max_iterations
+    stop = StopCondition(optimum=True, max_iterations=cap)
     arms: list[ComparisonArm] = []
-    for label, pc in (("crossover", p.p_c), ("mutation_only", 0.0)):
-        arm_params = replace(p, p_c=pc)
-        records = []
-        for r in range(config.replicates):
-            rng = make_rng(p.seed, stream=r)
-            pop = init_uniform(arm_params, rng)
-            res = run(pop, arm_params, StopCondition(optimum=True, max_iterations=cap), rng)
-            records.append(RunRecord(r, res.iterations, res.evaluations, res.stop_reason))
+    for label, pc in (("crossover", params.p_c), ("mutation_only", 0.0)):
+        records = run_replicates(replace(params, p_c=pc), replicates, stop)
         evals = [rec.evaluations if rec.stop_reason == "optimum_found" else None for rec in records]
         mean, median = _censored_stats(evals)
         arms.append(
             ComparisonArm(
                 label,
                 pc,
-                tuple(records),
+                records,
                 mean,
                 median,
                 sum(v is None for v in evals),
@@ -581,18 +580,19 @@ def sweep_grid_ys(mu: int) -> tuple[int, ...]:
     return tuple(sorted({math.ceil(mu / 2), math.ceil(3 * mu / 4), mu - 1}))
 
 
-def run_bound_sweep(config: ExperimentConfig) -> SweepResult:
+def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> SweepResult:
     """Monte Carlo check of every per-event transition bound over a (mu, y) grid.
 
     Cells (in stream order): for each mu -- close-crossover decrease cells at
     distance 2, distant-crossover ratio cells at distance 4, mutation-only
     cells at distance 2, and one monomorphic close-crossover cell reporting
-    the decrease scale p_minus * n / k.
+    the decrease scale p_minus * n / k.  Each cell targets ``trials``
+    accepted steps.
     """
-    p0 = config.params
+    _check_at_least(1, trials=trials)
     margin = 3.0
     plan: list[tuple[str, int, int, int, float]] = []
-    for mu in config.mus:
+    for mu in mus:
         if mu < 4:
             raise ValueError(f"sweep grid needs mu >= 4, got {mu}")
         ys = sweep_grid_ys(mu)
@@ -606,26 +606,26 @@ def run_bound_sweep(config: ExperimentConfig) -> SweepResult:
 
     cells: list[SweepCell] = []
     for idx, (kind, mu, y, delta, pc) in enumerate(plan):
-        rng = make_rng(p0.seed, stream=idx)
-        params = replace(p0, mu=mu, p_c=pc)
+        rng = make_rng(params.seed, stream=idx)
+        cell_params = replace(params, mu=mu, p_c=pc)
         if kind == "monomorphic":
-            pop = init_monomorphic_plateau(params, rng)
+            pop = init_monomorphic_plateau(cell_params, rng)
             focal = pop.members[0]
             event = EventClass.CROSSOVER_CLOSE
         else:
-            pop, focal, _ = two_species_population(params, y, delta, rng)
+            pop, focal, _ = two_species_population(cell_params, y, delta, rng)
             event = {
                 "close": EventClass.CROSSOVER_CLOSE,
                 "distant": EventClass.CROSSOVER_DISTANT,
                 "mutation": EventClass.MUTATION_ONLY,
             }[kind]
-        descriptor = f"kind={kind} mu={mu} y={y} delta={delta} pc={pc} n={p0.n} k={p0.k} chi={p0.chi}"
+        descriptor = f"kind={kind} mu={mu} y={y} delta={delta} pc={pc} n={params.n} k={params.k} chi={params.chi}"
         est = estimate_transition(
-            params, pop, focal, event, config.trials, rng, config_descriptor=descriptor
+            cell_params, pop, focal, event, trials, rng, config_descriptor=descriptor
         )
         checks: list[BoundReport] = []
         if kind == "close":
-            bound = close_crossover_decrease_bound(y, mu, p0.chi, p0.n)
+            bound = close_crossover_decrease_bound(y, mu, params.chi, params.n)
             checks.append(
                 BoundReport(
                     f"close_decrease mu={mu} y={y}",
@@ -652,8 +652,8 @@ def run_bound_sweep(config: ExperimentConfig) -> SweepResult:
             )
             primary = required
         elif kind == "mutation":
-            lead, lower = mutation_only_transition_bounds(y, mu, p0.chi, p0.n)
-            oscale = mutation_only_increase_oscale(y, mu, p0.n)
+            lead, lower = mutation_only_transition_bounds(y, mu, params.chi, params.n)
+            oscale = mutation_only_increase_oscale(y, mu, params.n)
             checks.append(
                 BoundReport(
                     f"mutation_decrease mu={mu} y={y}",
@@ -676,7 +676,7 @@ def run_bound_sweep(config: ExperimentConfig) -> SweepResult:
             )
             primary = lower
         else:  # monomorphic: decrease scale reported, only positivity asserted
-            scale_ref = p0.k / p0.n
+            scale_ref = params.k / params.n
             checks.append(
                 BoundReport(
                     f"monomorphic_decrease_scale mu={mu}",

@@ -29,7 +29,6 @@ from conftest import record_acceptance
 
 from jumpga import (
     EventClass,
-    ExperimentConfig,
     GaParams,
     Genotype,
     close_crossover_decrease_bound,
@@ -61,7 +60,7 @@ from jumpga.experiments import SurvivalReplicate
 def bound_sweep():
     """One 27-cell transition sweep shared by checks 03, 04, and 05."""
     params = GaParams(n=100, k=3, mu=4, p_c=0.5, chi=1.0, seed=1)
-    return run_bound_sweep(ExperimentConfig(params=params, trials=100_000, mus=(4, 8, 16)))
+    return run_bound_sweep(params, mus=(4, 8, 16), trials=100_000)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +73,7 @@ def distance_series_runs():
     thousands of samples per run.
     """
     params = GaParams(n=100, k=5, mu=20, p_c=1.0, chi=1.0, seed=1)
-    return run_figure1(ExperimentConfig(params=params, replicates=10, snapshot_stride=20))
+    return run_figure1(params, replicates=10, stride=20)
 
 
 def _fmt(x: float) -> str:
@@ -345,8 +344,7 @@ def test_07_species_regrowth_vanishes_at_large_population():
     lines: list[str] = []
     for mu in (16, 32, 64):
         params = GaParams(n=200, k=3, mu=mu, p_c=0.5, chi=1.0, seed=1)
-        s = run_survival(ExperimentConfig(
-            params=params, replicates=30, lam=0.75, t_max=100_000))
+        s = run_survival(params, replicates=30, lam=0.75, t_max=100_000)
         events, exposure = _regrowth_exposure(s.replicates)
         hazards.append((events, exposure))
         cut = sum(r.optimum_interrupted for r in s.replicates)
@@ -374,7 +372,7 @@ def test_07_species_regrowth_vanishes_at_large_population():
 
 def test_08_takeover_always_completes_within_budget():
     params = GaParams(n=100, k=3, mu=20, p_c=0.5, chi=1.0, seed=1)
-    s = run_takeover(ExperimentConfig(params=params, replicates=50))
+    s = run_takeover(params, replicates=50)
     times = [r.hitting_time for r in s.replicates]
     ok = (
         s.censored == 0
@@ -440,7 +438,7 @@ def test_09_distance_spread_runs_show_collapse_and_ordered_passages(distance_ser
 
 def test_10_crossover_beats_mutation_only_by_factor_five():
     params = GaParams(n=40, k=3, mu=12, p_c=0.5, chi=1.0, seed=1)
-    s = run_comparison(ExperimentConfig(params=params, replicates=20))
+    s = run_comparison(params, replicates=20)
     arms = {arm.label: arm for arm in s.arms}
     cx, mut = arms["crossover"], arms["mutation_only"]
     ok = (

@@ -17,17 +17,15 @@ from jumpga import (
     Population,
     SpeciesTracker,
     StepTrace,
-    census,
     ga_step,
-    hamming_histogram,
     init_monomorphic_plateau,
     init_uniform,
     jump_fitness,
-    largest_species_series,
     make_rng,
     steps,
     two_species_population,
 )
+from jumpga.diversity import census, hamming_histogram, largest_species_series
 
 
 def population_of(n: int, k: int, *bits: int) -> Population:

@@ -11,10 +11,8 @@ from jumpga import (
     ConditionedEstimate,
     DriftEstimate,
     EventClass,
-    ExperimentConfig,
     GaParams,
     Genotype,
-    census,
     estimate_transition,
     estimate_unconditioned_drift,
     exact_optimum_probability,
@@ -35,6 +33,8 @@ from jumpga import (
     two_species_population,
     uniform_crossover,
 )
+from jumpga import experiments
+from jumpga.diversity import census
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_takeover_times_are_stable_across_dimension():
     ratios = []
     for n in (100, 200, 400):
         p = GaParams(n=n, k=3, mu=20, p_c=0.5, chi=1.0, seed=2)
-        s = run_takeover(ExperimentConfig(p, replicates=10))
+        s = run_takeover(p, replicates=10)
         assert s.censored == 0
         assert len(s.replicates) == 10
         assert all(r.hitting_time is not None and r.hitting_time <= s.cap for r in s.replicates)
@@ -216,8 +216,8 @@ def test_takeover_times_are_stable_across_dimension():
 
 def test_takeover_is_deterministic():
     p = GaParams(n=60, k=3, mu=12, p_c=0.5, chi=1.0, seed=3)
-    a = run_takeover(ExperimentConfig(p, replicates=5))
-    b = run_takeover(ExperimentConfig(p, replicates=5))
+    a = run_takeover(p, replicates=5)
+    b = run_takeover(p, replicates=5)
     assert a == b
 
 
@@ -227,7 +227,7 @@ def test_takeover_is_deterministic():
 
 def test_survival_monitoring_small_run():
     p = GaParams(n=30, k=3, mu=4, p_c=0.5, chi=1.0, seed=9)
-    s = run_survival(ExperimentConfig(p, replicates=3, t_max=2000))
+    s = run_survival(p, replicates=3, lam=0.75, t_max=2000)
     assert s.threshold == 3  # ceil(0.75 * 4)
     assert s.monitored_replicates == 3
     assert s.focal_excursions <= s.max_excursions <= 3
@@ -250,7 +250,7 @@ def test_survival_monitoring_small_run():
 def test_survival_rejects_bad_threshold_fraction():
     p = GaParams(n=30, k=3, mu=4, p_c=0.5, chi=1.0, seed=9)
     with pytest.raises(ValueError):
-        run_survival(ExperimentConfig(p, replicates=2, lam=0.5, t_max=100))
+        run_survival(p, replicates=2, lam=0.5, t_max=100)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,8 @@ def test_survival_rejects_bad_threshold_fraction():
 
 def test_distance_series_structure_and_determinism():
     p = GaParams(n=60, k=3, mu=12, p_c=1.0, chi=1.0, seed=5)
-    cfg = ExperimentConfig(p, replicates=2, snapshot_stride=12, max_iterations=2_000_000)
-    runs = run_figure1(cfg)
+    cfg = dict(replicates=2, stride=12, max_iterations=2_000_000)
+    runs = run_figure1(p, **cfg)
     assert len(runs) == 2
     for dr in runs:
         assert dr.distances == (0, 2, 4, 6)
@@ -273,21 +273,21 @@ def test_distance_series_structure_and_determinism():
             assert all(f >= 0 for f in freqs)
         assert dr.found_optimum
         assert dr.rows[-1][0] <= dr.iterations
-    assert run_figure1(cfg) == runs
+    assert run_figure1(p, **cfg) == runs
 
 
 def test_distance_series_default_stride_follows_mu():
     # Without a stride, rows come every step up to mu = 64 and every 10th beyond.
     for mu, stride in ((64, 1), (65, 10)):
         p = GaParams(n=100, k=3, mu=mu, p_c=0.5, chi=1.0, seed=7)
-        (dr,) = run_figure1(ExperimentConfig(p, replicates=1, snapshot_stride=None, max_iterations=30))
+        (dr,) = run_figure1(p, replicates=1, stride=None, max_iterations=30)
         assert (dr.iterations, dr.found_optimum) == (30, False)
         assert [t for t, _ in dr.rows] == list(range(0, 31, stride))
 
 
 def test_distance_series_distinct_replicates_differ():
     p = GaParams(n=60, k=3, mu=12, p_c=1.0, chi=1.0, seed=5)
-    runs = run_figure1(ExperimentConfig(p, replicates=2, snapshot_stride=12))
+    runs = run_figure1(p, replicates=2, stride=12)
     assert runs[0].iterations != runs[1].iterations or runs[0].rows != runs[1].rows
 
 
@@ -297,7 +297,7 @@ def test_distance_series_distinct_replicates_differ():
 
 def test_comparison_pairs_arms_and_reports_ratio():
     p = GaParams(n=30, k=1, mu=6, p_c=0.5, chi=1.0, seed=3)
-    s = run_comparison(ExperimentConfig(p, replicates=10))
+    s = run_comparison(p, replicates=10)
     labels = [arm.label for arm in s.arms]
     assert labels == ["crossover", "mutation_only"]
     assert s.arms[0].p_c == 0.5
@@ -320,26 +320,44 @@ def test_comparison_pairs_arms_and_reports_ratio():
 
 def test_a_cap_of_zero_means_zero_iterations_in_every_runner():
     p = GaParams(n=20, k=2, mu=6, p_c=0.5, chi=1.0, seed=8)
-    cfg = ExperimentConfig(p, replicates=2, max_iterations=0, t_max=50)
-    takeover = run_takeover(cfg)
+    takeover = run_takeover(p, replicates=2, max_iterations=0)
     assert takeover.cap == 0
     assert [(r.hitting_time, r.censored) for r in takeover.replicates] == [(None, True)] * 2
-    survival = run_survival(cfg)
+    survival = run_survival(p, replicates=2, lam=0.75, t_max=50, max_iterations=0)
     assert survival.monitored_replicates == 0
     assert all(r.takeover_censored for r in survival.replicates)
-    for dr in run_figure1(cfg):
+    for dr in run_figure1(p, replicates=2, max_iterations=0):
         assert (dr.iterations, dr.found_optimum, len(dr.rows)) == (0, False, 1)
-    comparison = run_comparison(cfg)
+    comparison = run_comparison(p, replicates=2, max_iterations=0)
     assert comparison.cap == 0
     for arm in comparison.arms:
         assert [(r.iterations, r.stop_reason) for r in arm.records] == [(0, "max_iterations")] * 2
+
+
+@pytest.mark.parametrize(
+    "runner, kwargs",
+    [
+        (run_takeover, {}),
+        (run_survival, {"lam": 0.75, "t_max": 50}),
+        (run_figure1, {}),
+        (run_comparison, {}),
+    ],
+)
+def test_a_negative_cap_is_rejected_before_any_draw(monkeypatch, runner, kwargs):
+    def no_stream(*args, **kw):
+        raise AssertionError("a random stream was made before the cap was checked")
+
+    monkeypatch.setattr(experiments, "make_rng", no_stream)
+    p = GaParams(n=20, k=2, mu=6, p_c=0.5, chi=1.0, seed=8)
+    with pytest.raises(ValueError, match="max_iterations must be non-negative"):
+        runner(p, replicates=2, max_iterations=-5, **kwargs)
 
 
 def test_snapshot_stride_must_be_positive():
     p = GaParams(n=20, k=2, mu=6, p_c=0.5, chi=1.0, seed=8)
     for stride in (0, -3):
         with pytest.raises(ValueError):
-            ExperimentConfig(p, snapshot_stride=stride)
+            run_figure1(p, replicates=10, stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +372,7 @@ def test_sweep_witness_sizes():
 
 def test_bound_sweep_cell_plan_and_verdicts():
     p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
-    result = run_bound_sweep(ExperimentConfig(p, trials=2000, mus=(4,)))
+    result = run_bound_sweep(p, mus=(4,), trials=2000)
     cells = result.cells
     plan = [(c.event, c.y, c.delta) for c in cells]
     assert plan == [
@@ -381,7 +399,7 @@ def test_bound_sweep_cell_plan_and_verdicts():
 
 def test_bound_sweep_marks_scarce_cells_inconclusive_without_failing():
     p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
-    result = run_bound_sweep(ExperimentConfig(p, trials=50, mus=(4,)))
+    result = run_bound_sweep(p, mus=(4,), trials=50)
     assert len(result.inconclusive) == len(result.cells) == 7
     assert result.failures == ()
     assert all(c.satisfied is None for c in result.cells)
@@ -390,7 +408,7 @@ def test_bound_sweep_marks_scarce_cells_inconclusive_without_failing():
 def test_bound_sweep_rejects_tiny_populations():
     p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
     with pytest.raises(ValueError):
-        run_bound_sweep(ExperimentConfig(p, trials=100, mus=(2,)))
+        run_bound_sweep(p, mus=(2,), trials=100)
 
 
 def test_monomorphic_decrease_scale_tracks_k_over_n():

@@ -18,8 +18,6 @@ from jumpga import (
     IntegrityError,
     Population,
     StopCondition,
-    census,
-    check_population,
     estimate_transition,
     ga_step,
     hamming_distance,
@@ -34,6 +32,8 @@ from jumpga import (
     two_species_population,
     uniform_crossover,
 )
+from jumpga.diversity import census
+from jumpga.ga import check_population
 
 
 def population_of(params: GaParams, *bits: int) -> Population:

@@ -3,6 +3,7 @@ exit codes, and byte-level determinism of emitted artifacts."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -20,7 +21,7 @@ from jumpga import (
     exact_optimum_probability,
     optimum_creation_lower_bound,
 )
-from jumpga.cli import ENV_OUTPUT_DIR, main, parse_cli
+from jumpga.cli import ENV_OUTPUT_DIR, main, parse_cli, write_resolved_config
 from jumpga.output import format_value, render_svg, write_json, write_series_csv
 
 
@@ -118,6 +119,46 @@ def test_config_file_overrides_defaults_and_flags_override_file(tmp_path):
     assert cfg["seed"] == 9
 
 
+# sha256 of config.resolved for `<sub> --out o`, and for a [common] section,
+# a [survival] section and two flags combined.
+_RESOLVED_PINS = {
+    "run": "dbd9ef1f97b752dd70cff8f90dacaae7c36c9cf07415a51634d890796a63ec8e",
+    "takeover": "e988ce718b1d24d7bade146b4e769e5b12de7a9eaa7a6f2698171d8636a989bb",
+    "survival": "a0846b420cfc35378e65ce3a40a2947a0200ac597983293ef9109f0991925988",
+    "figure1": "1235877a5d7b39eb4eb7f2c8c943031e0082a51940cf9e48e3cc2ea3ce5af157",
+    "compare": "f42a6a3bbbfb1cf1d018b24a612a08697e74a84900c9c1cb0e0d088b108156a9",
+    "bounds": "e84545838e17df0437882d039d820f38c621880a385a1474ff02fb738a0cc2ff",
+    "sweep": "84e51b47494f8bd88fc944d8d44cd25b81400c15fcb1a2a3cd060affc242607c",
+    "oracle": "f36ec6ce8304d1e4a845f07f61454e8b69bbaedc86d3803159bcb940341b3ab4",
+    "combined": "373e1a3a22301f4562c1b4aeedd7826cc26164fd8f23cfd6a9e63961dad1b639",
+}
+
+
+def _resolved_digest(cfg, tmp_path):
+    write_resolved_config(cfg, tmp_path)
+    return hashlib.sha256((tmp_path / "config.resolved").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("sub", [s for s in _RESOLVED_PINS if s != "combined"])
+def test_resolved_config_of_each_subcommand_is_pinned(tmp_path, monkeypatch, sub):
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    assert _resolved_digest(parse_cli([sub, "--out", "o"]), tmp_path) == _RESOLVED_PINS[sub]
+
+
+def test_resolved_config_of_file_sections_and_flags_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    ini = tmp_path / "c.ini"
+    ini.write_text(
+        "[common]\nmu = 6\nseed = 9\npc = 0.25\n\n"
+        "[survival]\nreplicates = 4\nlam = 0.8\nt_max = 300\n"
+    )
+    cfg = parse_cli(
+        ["survival", "--config", str(ini), "--out", "o", "--t-max", "700", "--chi", "1.5"]
+    )
+    assert (cfg["mu"], cfg["lam"], cfg["t_max"], cfg["chi"]) == (6, 0.8, 700, 1.5)
+    assert _resolved_digest(cfg, tmp_path) == _RESOLVED_PINS["combined"]
+
+
 def test_environment_sets_output_dir_and_flags_beat_it(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path / "envdir"))
     cfg = parse_cli(["run"])
@@ -171,6 +212,53 @@ def test_invalid_parameter_combinations_exit_2(tmp_path):
 )
 def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "sub, key, value", [("run", "stop", "sometimes"), ("bounds", "format", "xml"), ("bounds", "grid", "huge")]
+)
+def test_config_file_value_outside_the_choices_exits_2(tmp_path, capsys, sub, key, value):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{sub}]\n{key} = {value}\n")
+    assert main([sub, "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and key in err
+    # The file is checked as it is read, as for a wrong type, even where a flag
+    # would override the value.
+    valid = cli._defaults(sub)[key]
+    argv = [sub, "--config", str(ini), "--out", str(tmp_path / "o"), f"--{key}", valid]
+    assert main(argv) == 2
+    capsys.readouterr()
+
+
+def _other_value(default, typ, domain):
+    """A value of the setting's type and domain that differs from its default."""
+    if isinstance(domain, tuple):
+        return next(choice for choice in domain if choice != default)
+    if typ is bool:
+        return not default
+    if typ is str:
+        return f"{default}5,6"
+    return typ((default or 1) * 2)
+
+
+@pytest.mark.parametrize(
+    "sub, key",
+    [(sub, key) for sub in cli._SECTIONS if sub != "common" for key in cli._defaults(sub)],
+)
+def test_every_setting_resolves_alike_from_flag_and_config_file(tmp_path, monkeypatch, sub, key):
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    typ, _, domain = cli._OPTIONS[key]
+    default = cli._defaults(sub)[key]
+    value = _other_value(default, typ, domain)
+    flag = "--" + ("" if value is not False else "no-") + key.replace("_", "-")
+    by_flag = parse_cli([sub, flag] if typ is bool else [sub, flag, str(value)])
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{sub}]\n{key} = {value}\n")
+    by_file = parse_cli([sub, "--config", str(ini)])
+    assert by_flag[key] == value and type(by_flag[key]) is typ
+    assert by_file == by_flag
 
 
 def test_max_iterations_zero_caps_takeover_at_zero_steps(tmp_path):
@@ -388,7 +476,7 @@ def test_sweep_subcommand_exits_3_when_a_bound_check_fails(tmp_path, monkeypatch
     )
     report = BoundReport("synthetic-check", 0.2, 0.01, 0.001, 1000, False)
     cell = SweepCell(4, 2, 1, EventClass.CROSSOVER_CLOSE, est, 0.2, (report,))
-    monkeypatch.setattr(cli, "run_bound_sweep", lambda config: SweepResult((cell,)))
+    monkeypatch.setattr(cli, "run_bound_sweep", lambda params, mus, trials: SweepResult((cell,)))
     rc = main(["sweep", "--out", str(tmp_path / "fail"), "--n", "60"])
     assert rc == 3
     lines = read_lines(tmp_path / "fail" / "transitions.csv")
