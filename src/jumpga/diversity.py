@@ -3,7 +3,8 @@
 A species is the set of population members sharing one genotype.  Besides the
 one-shot measurements there are incremental trackers that consume step traces,
 so long runs can maintain species sizes and distance histograms in O(mu) per
-iteration instead of O(mu^2) recomputation.
+iteration that changes the population (O(1) for one that does not) instead of
+O(mu^2) recomputation.
 """
 
 from __future__ import annotations
@@ -129,13 +130,22 @@ def largest_species_series(traces, initial: Population) -> list[int]:
 
 
 class PairwiseDistanceTracker:
-    """Incrementally maintained pairwise-distance histogram (O(mu) per step)."""
+    """Incrementally maintained pairwise-distance histogram.
+
+    A step that changes the multiset costs O(mu); one that leaves it unchanged
+    (offspring discarded, or a member replaced by an identical copy) costs O(1)
+    and keeps the cached :meth:`frequencies` answer.
+    """
 
     def __init__(self, pop: Population):
         self._members = [g.bits for g in pop.members]
         hist = hamming_histogram(pop)
         self.counts = dict(hist.counts)
         self.total_pairs = hist.total_pairs
+        # The last frequencies() answer and the distances it was asked for;
+        # dropped by the next apply() that changes ``counts``.
+        self._freq_distances: tuple[int, ...] | None = None
+        self._freqs: tuple[float, ...] = ()
 
     def apply(self, trace: StepTrace) -> None:
         members = self._members
@@ -146,6 +156,9 @@ class PairwiseDistanceTracker:
         if old != trace.removed_genotype.bits:
             raise IntegrityError("trace removal index does not match tracked member")
         new = trace.offspring.bits
+        if new == old:
+            return  # one copy replaced by an identical one
+        self._freq_distances = None
         counts = self.counts
         for idx, mbits in enumerate(members):
             if idx == r:
@@ -161,5 +174,10 @@ class PairwiseDistanceTracker:
         members[r] = new
 
     def frequencies(self, distances) -> tuple[float, ...]:
-        tp = self.total_pairs
-        return tuple(self.counts.get(d, 0) / tp for d in distances)
+        """Share of pairs at each distance; the same tuple while the multiset is unchanged."""
+        if distances != self._freq_distances:
+            key = tuple(distances)
+            tp = self.total_pairs
+            self._freqs = tuple(self.counts.get(d, 0) / tp for d in key)
+            self._freq_distances = key
+        return self._freqs

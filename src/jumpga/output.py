@@ -25,13 +25,26 @@ def format_value(v) -> str:
 
 
 def write_series_csv(rows, path, header) -> None:
-    """Write one table; every cell goes through :func:`format_value`."""
+    """Write one table; every cell reads as :func:`format_value` gives it.
+
+    Each distinct float is formatted once per file.  The memo holds exact
+    floats only, and no zero, so values that compare equal but format apart
+    (``1``/``True``/``1.0``, ``0.0``/``-0.0``) never share an entry.
+    """
+    memo: dict[float, str] = {}
+    get = memo.get
+
+    def cell(v) -> str:
+        s = format_value(v)
+        if type(v) is float and v:
+            memo[v] = s
+        return s
+
     path = Path(path)
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([format_value(v) for v in row])
+        w.writerows([type(v) is float and get(v) or cell(v) for v in row] for row in rows)
 
 
 def write_json(obj, path) -> None:
@@ -122,15 +135,17 @@ def render_svg(rows, path, distances, title: str = "") -> None:
         f'<text x="{_fmt(_ML + plot_w / 2)}" y="{_fmt(_H - 8)}" font-family="monospace" '
         f'font-size="12" text-anchor="middle">iteration</text>'
     )
-    xs = [sx(t) for t, _ in rows]
+    # x is formatted once per plot and each distinct y once per series (equal
+    # frequencies give equal sy(f)); "%.2f" rounds exactly as _fmt does.
+    xs = ["%.2f" % sx(t) for t, _ in rows]
     for ci, d in enumerate(distances):
         color = _PALETTE[ci % len(_PALETTE)]
-        ys = [sy(freqs[ci]) for _, freqs in rows]
+        fs = [freqs[ci] for _, freqs in rows]
+        ys = {f: "%.2f" % sy(f) for f in set(fs)}
         if len(rows) == 1:
-            parts.append(f'<circle cx="{_fmt(xs[0])}" cy="{_fmt(ys[0])}" r="3" fill="{color}"/>')
+            parts.append(f'<circle cx="{xs[0]}" cy="{ys[fs[0]]}" r="3" fill="{color}"/>')
         else:
-            # "%.2f" rounds exactly as _fmt does; one map keeps the per-point cost in C.
-            pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
+            pts = " ".join(map(",".join, zip(xs, map(ys.__getitem__, fs))))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

@@ -180,6 +180,8 @@ def test_trackers_reject_inconsistent_traces():
     # An offspring equal to the absent genotype it claims to replace.
     with pytest.raises(IntegrityError):
         SpeciesTracker(pop).apply(replace(bogus, offspring=absent))
+    with pytest.raises(IntegrityError):
+        PairwiseDistanceTracker(pop).apply(replace(bogus, offspring=absent))
 
 
 def test_offspring_discard_leaves_trackers_unchanged():

@@ -463,6 +463,25 @@ def test_run_iteration_cap():
     assert res.evaluations == 54
 
 
+def test_plateau_runtime_without_crossover_is_exactly_geometric():
+    # With p_c = 0 every child of a plateau point is the optimum with
+    # probability q = p_m^k (1 - p_m)^(n - k), and every other child is a
+    # plateau point or worse, so the population stays on the plateau and the
+    # iteration count is geometric with mean 1/q.
+    params = GaParams(n=8, k=2, mu=5, p_c=0.0, chi=1.0, seed=8)
+    q = params.p_m**params.k * (1 - params.p_m) ** (params.n - params.k)
+    reps = 1000
+    iterations = []
+    for r in range(reps):
+        rng = make_rng(params.seed, r)
+        res = run(init_monomorphic_plateau(params, rng), params, StopCondition(), rng)
+        assert res.stop_reason == "optimum_found"
+        iterations.append(res.iterations)
+    sigma = math.sqrt((1 - q) / q**2 / reps)
+    z = (statistics.fmean(iterations) - 1 / q) / sigma
+    assert abs(z) <= 3, (statistics.fmean(iterations), 1 / q, z)
+
+
 def test_crossover_probability_boundaries_control_event_mix():
     base = dict(n=16, k=2, mu=5, chi=1.0, seed=6)
     for p_c, expected_parents in ((1.0, 2), (0.0, 1)):

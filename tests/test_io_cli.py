@@ -64,6 +64,20 @@ def test_write_series_csv_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_write_series_csv_never_merges_equal_values_that_format_apart(tmp_path):
+    # 1 == True == 1.0 and 0.0 == -0.0, yet each formats differently.
+    rows = [
+        (1, True, 1.0, 0.0, -0.0, None),
+        (1.0, 1, True, -0.0, 0.0, 1),
+        (True, 1.0, 1, None, -0.0, 0.0),
+        (-0.0, 0.0, None, 1.0, True, 1),
+    ]
+    path = tmp_path / "mixed.csv"
+    write_series_csv(iter(rows), path, tuple("abcdef"))
+    cells = "".join(",".join(format_value(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == ("a,b,c,d,e,f\n" + cells).encode()
+
+
 def test_write_json_sorted_and_deterministic(tmp_path):
     payload = {"zeta": 1, "alpha": [1, 2], "mid": {"b": 2, "a": 1}}
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
