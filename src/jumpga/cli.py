@@ -111,7 +111,11 @@ def _defaults(subcommand: str) -> dict:
     return {**_SECTIONS["common"][1], **_SECTIONS[subcommand][1]}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv`` (default ``sys.argv[1:]``): every subcommand with its help
+    line, and the options of the subcommand ``argv`` names, or of all when it names none."""
+    first = (sys.argv[1:] if argv is None else argv)[:1]
+    only = first[0] if first and first[0] in _HANDLERS else None
     parser = argparse.ArgumentParser(
         prog="jumpga",
         description="Steady-state (mu+1) GA laboratory on jump fitness functions",
@@ -121,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         if sub_help is None:
             continue
         sp = subs.add_parser(sub, help=sub_help, description=sub_help)
+        if only not in (None, sub):
+            continue
         sp.add_argument("--config", help="config file (ini-style key=value sections)")
         for key, default in _defaults(sub).items():
             typ, help_text, domain = _OPTIONS[key]
@@ -508,13 +514,12 @@ _HANDLERS = {
 
 def parse_cli(argv=None) -> dict:
     """Parse argv and resolve the effective configuration (no side effects)."""
-    args = build_parser().parse_args(argv)
-    return resolve_config(args)
+    return resolve_config(build_parser(argv).parse_args(argv))
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

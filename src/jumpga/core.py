@@ -3,7 +3,7 @@
 A genotype is a fixed-length bit string packed into a Python integer (bit ``i``
 holds position ``i``), so counting ones is a hardware popcount via
 ``int.bit_count`` and species identity is plain integer equality.  All scalar
-randomness is served by :class:`RandomStream`, a buffered view over a
+randomness is served by :class:`RandomStream`, one iterator over blocks of a
 counter-seeded PCG64 generator with explicit ``(seed, stream)`` indexing, so
 every run is replayable and independent replicates/grid cells get provably
 disjoint streams.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -81,78 +82,58 @@ class GaParams:
 
 
 class RandomStream:
-    """Deterministic random stream: buffered scalar uniforms over PCG64.
+    """Deterministic random stream: scalar uniforms over PCG64, one iterator.
 
     Every scalar draw used by the GA (coins, indices, bit masks, binomial
     counts) is derived from consecutive uniforms of this stream, which makes
     the draw order of a step easy to state and replay exactly.  Vectorized
     consumers can use the underlying numpy ``generator`` directly; mixing the
-    two is still deterministic because buffer refills happen at fixed points
-    in the consumption sequence.
+    two is still deterministic because blocks are fetched at fixed points in
+    the consumption sequence: the next block of ``BLOCK`` uniforms comes from
+    ``generator`` when a draw finds the current one used up.
 
-    Each block is kept twice, as floats ``u`` and as the integers ``j = u * 2**53``
-    (exact: numpy's doubles are ``j * 2**-53``).  ``random_bits`` reads the
-    integers, the other draws the floats, and all advance one position.
+    The uniforms are served by one C-level iterator chained over the blocks
+    (as Python floats), so each draw is one ``__next__`` call.  The stream
+    holds that iterator and therefore cannot be pickled or deep-copied.
     """
 
-    __slots__ = ("generator", "_buf", "_bits", "_pos", "_walk")
+    __slots__ = ("generator", "_next", "_block", "_walk", "__weakref__")
 
     BLOCK = 4096
 
     def __init__(self, generator: np.random.Generator):
         self.generator = generator
-        self._buf: list[float] = []
-        self._bits: list[int] = []
-        self._pos = 0
+        self._block: list = [None]  # the current block's list iterator, once drawn from
+        self._next = chain.from_iterable(_blocks(generator, self.BLOCK, self._block)).__next__
         # (n, p, (1-p)^n, p/(1-p)) of the last binomial walk, reused while (n, p) repeats
         self._walk = (0, 0.0, 1.0, 0.0)
 
-    def _refill(self) -> list[float]:
-        block = self.generator.random(self.BLOCK)
-        self._bits = (block * _TWO53).astype(np.int64).tolist()
-        self._buf = buf = block.tolist()
-        return buf
+    @property
+    def _pos(self) -> int:
+        """Uniforms drawn from the current block: 0 before the first draw."""
+        block = self._block[0]
+        return 0 if block is None else self.BLOCK - block.__length_hint__()
 
     def uniform(self) -> float:
         """Next uniform float in [0, 1)."""
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos]
+        return self._next()
 
     def index(self, bound: int) -> int:
         """Uniform integer in [0, bound): the next uniform times ``bound``, rounded down."""
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._refill()
-            pos = 0
-        self._pos = pos + 1
-        i = int(buf[pos] * bound)
+        i = int(self._next() * bound)
         return i if i < bound else bound - 1
 
     def random_bits(self, nbits: int) -> int:
         """Integer whose low ``nbits`` bits are independent fair coin flips.
 
-        Takes the next ceil(nbits / 53) uniforms, 53 bits from each, lowest
+        Takes the next ceil(nbits / 53) uniforms and the word ``int(u * 2**53)``
+        of each (exact: numpy's doubles are multiples of ``2**-53``), lowest
         bits from the first.
         """
-        pos = self._pos
-        end = pos + (nbits + 52) // 53
-        bits = self._bits
-        if end <= len(bits):
-            self._pos = end
-            draws = bits[pos:end]
-        else:  # a refill falls inside the range
-            draws = [int(self.uniform() * _TWO53) for _ in range(end - pos)]
+        draw = self._next
         out = 0
-        shift = 0
-        for j in draws:
-            out |= j << shift
-            shift += 53
+        for shift in range(0, nbits, 53):
+            out |= int(draw() * _TWO53) << shift
         return out & ((1 << nbits) - 1)
 
     def binomial(self, n: int, p: float) -> int:
@@ -169,7 +150,7 @@ class RandomStream:
             # (1-p)^n underflowed; fall back to the generator's own sampler.
             return int(self.generator.binomial(n, p))
         ratio = walk[3]
-        u = self.uniform()
+        u = self._next()
         c = start
         cum = start
         m = 0
@@ -178,6 +159,15 @@ class RandomStream:
             c *= ratio * (n - m + 1) / m
             cum += c
         return m
+
+
+def _blocks(generator: np.random.Generator, size: int, current: list):
+    """Endless list iterators over blocks of ``size`` uniforms, each also stored as
+    ``current[0]``.  It holds no reference to a stream, so that a stream is freed
+    without the cyclic garbage collector."""
+    while True:
+        current[0] = block = iter(generator.random(size).tolist())
+        yield block
 
 
 def make_rng(seed: int, stream: int = 0) -> RandomStream:
@@ -198,12 +188,15 @@ def _floyd_mask(rng: RandomStream, n: int, m: int) -> int:
     """Bitmask of a uniform random m-subset of range(n) (Floyd's sampling algorithm).
 
     Draws exactly ``m`` uniforms, one per element, for ``j`` ranging over
-    ``n-m .. n-1`` in ascending order: ``t = rng.index(j + 1)`` joins the
+    ``n-m .. n-1`` in ascending order: ``t``, the uniform turned into an
+    index below ``j + 1`` as :meth:`RandomStream.index` does, joins the
     subset, or ``j`` does when ``t`` is already in it.
     """
+    draw = rng._next
     mask = 0
     for j in range(n - m, n):
-        bit = 1 << rng.index(j + 1)
+        t = int(draw() * (j + 1))
+        bit = 1 << (t if t <= j else j)  # the rounding and clamp of RandomStream.index(j + 1)
         mask |= (1 << j) if mask & bit else bit
     return mask
 

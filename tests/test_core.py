@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -300,6 +302,40 @@ def test_draws_equal_the_float_buffer_reconstruction(nbits):
             assert rng.index(7) == ref.index(7)
             assert rng.index(1_000_003) == ref.index(1_000_003)
         assert rng._pos == ref.pos
+
+
+def test_cursor_counts_the_draws_of_the_current_block_as_the_float_buffer_does():
+    block = RandomStream.BLOCK
+    rng, ref = make_rng(116), FloatBufferStream(116)
+    assert rng._pos == ref.pos == 0
+    for _ in range(block):
+        assert rng.uniform() == ref.uniform()
+    assert rng._pos == ref.pos == block
+    assert rng.uniform() == ref.uniform()
+    assert rng._pos == ref.pos == 1
+
+
+def test_random_bits_of_zero_width_draws_nothing():
+    rng, twin = make_rng(117), make_rng(117)
+    assert rng.random_bits(0) == 0
+    assert rng._pos == 0
+    assert rng.uniform() == twin.uniform()
+
+
+def test_a_stream_is_freed_without_the_cyclic_collector():
+    # A stream that held itself through its block source would stay alive
+    # until the next collection, with its block of uniforms.
+    rng = make_rng(118)
+    for _ in range(RandomStream.BLOCK + 3):
+        rng.uniform()
+    assert rng._pos == 3
+    ref = weakref.ref(rng)
+    gc.disable()
+    try:
+        del rng
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def floyd_reference(rng, n: int, m: int) -> tuple[set[int], int]:

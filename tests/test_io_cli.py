@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -200,6 +201,26 @@ def test_argparse_failures_exit_2_and_help_exits_0(capsys):
     assert main(["run", "--bogus"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+_CLI_SUBCOMMANDS = (
+    "run", "takeover", "survival", "figure1", "compare", "bounds", "sweep", "oracle"
+)
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for sub in _CLI_SUBCOMMANDS:
+        assert f"    {sub} " in out
+
+
+@pytest.mark.parametrize("sub", _CLI_SUBCOMMANDS)
+def test_subcommand_help_lists_its_options(sub, capsys):
+    assert main([sub, "--help"]) == 0
+    out = capsys.readouterr().out
+    for key in ("config", *cli._defaults(sub)):
+        assert re.search(f"--{key.replace('_', '-')}[ ,]", out), key
 
 
 def test_invalid_parameter_combinations_exit_2(tmp_path):
