@@ -42,6 +42,7 @@ from .experiments import (
     run_takeover,
     sample_optimum_creation_frequency,
     sweep_grid_ys,
+    sweep_plan,
 )
 from .ga import StopCondition
 from .output import format_value, render_svg, write_json, write_series_csv
@@ -200,22 +201,27 @@ def _params_from(cfg: dict) -> GaParams:
 
     Every out-of-domain value is a UsageError here, so that a ValueError raised
     later, during the experiment, is a runtime failure and not a usage error.
+    Settings a runner judges itself go through the runner's own check, which
+    draws nothing: ``survival_constant`` for survival, ``sweep_plan`` for sweep.
     """
     for key in _OPTIONS:
         if key in cfg:
             _check_domain(key, cfg[key])
-    if "lam" in cfg and not 0.5 < cfg["lam"] < 1.0:
-        raise UsageError(f"lam must lie in (1/2, 1), got {cfg['lam']}")
     if "mus" in cfg and cfg.get("grid") != "wide":
         small = [mu for mu in _parse_mus(cfg["mus"]) if mu < 4]
         if small:
             raise UsageError(f"population-size list needs every mu >= 4, got {small[0]}")
     try:
-        return GaParams(
+        params = GaParams(
             n=cfg["n"], k=cfg["k"], mu=cfg["mu"], p_c=cfg["pc"], chi=cfg["chi"], seed=cfg["seed"]
         )
+        if cfg["subcommand"] == "survival":
+            survival_constant(cfg["lam"], params.chi, params.p_c)
+        elif cfg["subcommand"] == "sweep":
+            sweep_plan(params, _parse_mus(cfg["mus"]))
     except ValueError as e:
         raise UsageError(str(e)) from None
+    return params
 
 
 def _parse_mus(raw: str) -> tuple[int, ...]:
@@ -253,20 +259,14 @@ def _fields_except(record, *skip: str) -> dict:
     return {key: value for key, value in vars(record).items() if key not in skip}
 
 
-def _cmd_run(cfg: dict, out: Path) -> int:
-    params = _params_from(cfg)
-    stop = StopCondition(
-        optimum=True,
-        full_plateau=cfg["stop"] == "plateau",
-        max_iterations=cfg["max_iterations"],
-    )
+def _cmd_run(params: GaParams, cfg: dict, out: Path) -> int:
+    stop = StopCondition(full_plateau=cfg["stop"] == "plateau", max_iterations=cfg["max_iterations"])
     records = run_replicates(params, cfg["replicates"], stop)
     _write_replicates(records, params.seed, out / "runs.csv", _RUN_COLUMNS)
     return 0
 
 
-def _cmd_takeover(cfg: dict, out: Path) -> int:
-    params = _params_from(cfg)
+def _cmd_takeover(params: GaParams, cfg: dict, out: Path) -> int:
     summary = run_takeover(params, cfg["replicates"], max_iterations=cfg["max_iterations"])
     header = ("replicate", "seed", "hitting_time", "censored")
     _write_replicates(summary.replicates, params.seed, out / "takeover.csv", header)
@@ -285,8 +285,7 @@ def _cmd_takeover(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_survival(cfg: dict, out: Path) -> int:
-    params = _params_from(cfg)
+def _cmd_survival(params: GaParams, cfg: dict, out: Path) -> int:
     summary = run_survival(
         params,
         cfg["replicates"],
@@ -313,8 +312,7 @@ def _cmd_survival(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_figure1(cfg: dict, out: Path) -> int:
-    params = _params_from(cfg)
+def _cmd_figure1(params: GaParams, cfg: dict, out: Path) -> int:
     runs = run_figure1(
         params, cfg["replicates"], stride=cfg["stride"], max_iterations=cfg["max_iterations"]
     )
@@ -336,8 +334,7 @@ def _cmd_figure1(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_compare(cfg: dict, out: Path) -> int:
-    params = _params_from(cfg)
+def _cmd_compare(params: GaParams, cfg: dict, out: Path) -> int:
     summary = run_comparison(params, cfg["replicates"], max_iterations=cfg["max_iterations"])
     for arm in summary.arms:
         _write_replicates(arm.records, params.seed, out / f"compare_{arm.label}.csv", _RUN_COLUMNS)
@@ -352,8 +349,7 @@ def _cmd_compare(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_bounds(cfg: dict, out: Path) -> int:
-    params = _params_from(cfg)
+def _cmd_bounds(params: GaParams, cfg: dict, out: Path) -> int:
     mus = (4, 8, 16, 32, 64) if cfg["grid"] == "wide" else _parse_mus(cfg["mus"])
     header = (
         "mu",
@@ -403,8 +399,7 @@ def _cmd_bounds(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: dict, out: Path) -> int:
-    params = _params_from(cfg)
+def _cmd_sweep(params: GaParams, cfg: dict, out: Path) -> int:
     result = run_bound_sweep(params, _parse_mus(cfg["mus"]), trials=cfg["trials"])
     rows = []
     for cell in result.cells:
@@ -445,7 +440,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
                     "mu": cell.mu,
                     "y": cell.y,
                     "event": cell.event.value,
-                    "descriptor": cell.estimate.config_descriptor,
+                    "descriptor": cell.descriptor,
                     "accepted_trials": cell.estimate.trials,
                     "attempts": cell.estimate.attempts,
                     "satisfied": cell.satisfied,
@@ -464,8 +459,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_oracle(cfg: dict, out: Path) -> int:
-    params = _params_from(cfg)
+def _cmd_oracle(params: GaParams, cfg: dict, out: Path) -> int:
     n, k, d = params.n, params.k, cfg["d"]
     if not 0 <= d <= k:
         raise UsageError(f"d must lie in [0, k], got {d}")
@@ -533,7 +527,7 @@ def main(argv=None) -> int:
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
         write_resolved_config(cfg, out)
-        return _HANDLERS[cfg["subcommand"]](cfg, out)
+        return _HANDLERS[cfg["subcommand"]](_params_from(cfg), cfg, out)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -140,7 +140,6 @@ class ConditionedEstimate:
     stderr_minus: float
     trials: int
     attempts: int
-    config_descriptor: str
     inconclusive: bool
 
 
@@ -153,7 +152,6 @@ def estimate_transition(
     rng: RandomStream,
     *,
     max_attempts: int | None = None,
-    config_descriptor: str = "",
 ) -> ConditionedEstimate:
     """Estimate one-step increase/decrease probabilities for ``species``
     conditioned on ``event``, by rejection sampling over the production step.
@@ -171,9 +169,7 @@ def estimate_transition(
         sm = math.sqrt(pm * (1 - pm) / accepted)
     else:
         pp = pm = sp = sm = 0.0
-    return ConditionedEstimate(
-        event, y, pp, pm, sp, sm, accepted, attempts, config_descriptor, accepted < 100
-    )
+    return ConditionedEstimate(event, y, pp, pm, sp, sm, accepted, attempts, accepted < 100)
 
 
 @dataclass(frozen=True)
@@ -367,12 +363,12 @@ def run_survival(
     Monitoring stops early once the focal outcome is decided or if the
     optimum is created (the plateau regime of interest ends there); such
     replicates are flagged, not dropped.  ``max_iterations`` caps the takeover
-    phase as in :func:`run_takeover`.
+    phase as in :func:`run_takeover`.  The analytic tail needs p_c > 0, so a
+    zero p_c is rejected, as is lam outside (1/2, 1), before the first draw.
     """
     _check_at_least(1, replicates=replicates, t_max=t_max)
     _check_at_least(0, max_iterations=max_iterations)
-    if not 0.5 < lam < 1.0:
-        raise ValueError(f"lam must lie in (1/2, 1), got {lam}")
+    c_surv = survival_constant(lam, params.chi, params.p_c)
     threshold = math.ceil(lam * params.mu - 1e-9)
     cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
     reps: list[SurvivalReplicate] = []
@@ -400,7 +396,6 @@ def run_survival(
     monitored = [rr for rr in reps if not rr.takeover_censored]
     focal_exc = sum(rr.focal_hit_time is not None for rr in monitored)
     max_exc = sum(rr.max_hit_time is not None for rr in monitored)
-    c_surv = survival_constant(lam, params.chi, params.p_c)
     tail = t_max * t_max * math.exp(-c_surv * params.mu)
     return SurvivalSummary(
         tuple(reps),
@@ -518,7 +513,7 @@ def run_comparison(
     _check_at_least(1, replicates=replicates)
     _check_at_least(0, max_iterations=max_iterations)
     cap = 50 * params.n**params.k if max_iterations is None else max_iterations
-    stop = StopCondition(optimum=True, max_iterations=cap)
+    stop = StopCondition(max_iterations=cap)
     arms: list[ComparisonArm] = []
     for label, pc in (("crossover", params.p_c), ("mutation_only", 0.0)):
         records = run_replicates(replace(params, p_c=pc), replicates, stop)
@@ -545,6 +540,16 @@ def run_comparison(
 # bound sweep over (mu, y, event) cells
 
 
+# kind -> (event the cell conditions on, half the distance between its two
+# species, p_c); a delta of 0 starts from a monomorphic plateau instead.
+_SWEEP_KINDS = {
+    "close": (EventClass.CROSSOVER_CLOSE, 1, 1.0),
+    "distant": (EventClass.CROSSOVER_DISTANT, 2, 1.0),
+    "mutation": (EventClass.MUTATION_ONLY, 1, 0.0),
+    "monomorphic": (EventClass.CROSSOVER_CLOSE, 0, 1.0),
+}
+
+
 @dataclass(frozen=True)
 class SweepCell:
     mu: int
@@ -552,8 +557,12 @@ class SweepCell:
     delta: int
     event: EventClass
     estimate: ConditionedEstimate
-    primary_bound: float
+    descriptor: str
     checks: tuple[BoundReport, ...]
+
+    @property
+    def primary_bound(self) -> float:
+        return self.checks[0].analytic_value
 
     @property
     def satisfied(self) -> bool | None:
@@ -580,113 +589,78 @@ def sweep_grid_ys(mu: int) -> tuple[int, ...]:
     return tuple(sorted({math.ceil(mu / 2), math.ceil(3 * mu / 4), mu - 1}))
 
 
-def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> SweepResult:
-    """Monte Carlo check of every per-event transition bound over a (mu, y) grid.
-
-    Cells (in stream order): for each mu -- close-crossover decrease cells at
-    distance 2, distant-crossover ratio cells at distance 4, mutation-only
-    cells at distance 2, and one monomorphic close-crossover cell reporting
-    the decrease scale p_minus * n / k.  Each cell targets ``trials``
-    accepted steps.
-    """
-    _check_at_least(1, trials=trials)
-    margin = 3.0
-    plan: list[tuple[str, int, int, int, float]] = []
+def sweep_plan(params: GaParams, mus: tuple[int, ...]) -> list[tuple[str, int, int]]:
+    """The sweep's cells ``(kind, mu, y)`` in stream order: for each mu, the
+    kinds of ``_SWEEP_KINDS`` in turn, each over the witness sizes, except
+    the monomorphic kind, whose one cell has y = mu.  Raises ValueError for a
+    mu below 4 or a k too small for the widest two-species cell."""
+    widest = max(delta for _, delta, _ in _SWEEP_KINDS.values())
+    if params.k < widest:
+        raise ValueError(f"sweep needs k >= {widest} for its distant cells, got k={params.k}")
+    plan = []
     for mu in mus:
         if mu < 4:
             raise ValueError(f"sweep grid needs mu >= 4, got {mu}")
-        ys = sweep_grid_ys(mu)
-        for y in ys:
-            plan.append(("close", mu, y, 1, 1.0))
-        for y in ys:
-            plan.append(("distant", mu, y, 2, 1.0))
-        for y in ys:
-            plan.append(("mutation", mu, y, 1, 0.0))
-        plan.append(("monomorphic", mu, mu, 0, 1.0))
+        for kind, (_, delta, _) in _SWEEP_KINDS.items():
+            plan += [(kind, mu, y) for y in (sweep_grid_ys(mu) if delta else (mu,))]
+    return plan
 
+
+def _sweep_checks(
+    kind: str, mu: int, y: int, params: GaParams, est: ConditionedEstimate
+) -> tuple[BoundReport, ...]:
+    """The bound checks of one sweep cell, the check of the cell's bound first."""
+    n, chi, margin = params.n, params.chi, 3.0
+    p_plus, p_minus = est.p_plus_hat, est.p_minus_hat
+    s_plus, s_minus = est.stderr_plus, est.stderr_minus
+
+    def report(name: str, bound: float, increase: bool, satisfied: bool) -> BoundReport:
+        hat, stderr = (p_plus, s_plus) if increase else (p_minus, s_minus)
+        return BoundReport(name, bound, hat, stderr, est.trials, satisfied)
+
+    at = f"mu={mu} y={y}"
+    if kind == "close":
+        bound = close_crossover_decrease_bound(y, mu, chi, n)
+        return (report(f"close_decrease {at}", bound, False, p_minus >= bound - margin * s_minus),)
+    if kind == "distant":
+        required = 2 * p_plus
+        tol = margin * (s_plus + s_minus)
+        return (
+            report(f"distant_decrease_vs_double_increase {at}", required, False, p_minus >= required - tol),
+        )
+    if kind == "mutation":
+        lead, lower = mutation_only_transition_bounds(y, mu, chi, n)
+        oscale = mutation_only_increase_oscale(y, mu, n)
+        return (
+            report(f"mutation_decrease {at}", lower, False, p_minus >= lower - margin * s_minus),
+            report(
+                f"mutation_increase_band {at}", lead, True,
+                abs(p_plus - lead) <= margin * s_plus + 10.0 * oscale,
+            ),
+        )
+    # monomorphic: the decrease scale k/n is reported, only positivity asserted
+    return (report(f"monomorphic_decrease_scale mu={mu}", params.k / n, False, p_minus > 0.0),)
+
+
+def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> SweepResult:
+    """Monte Carlo check of every per-event transition bound over a (mu, y) grid.
+
+    Cell i of :func:`sweep_plan` runs on stream i: it conditions on its kind's
+    event from its kind's start population (``_SWEEP_KINDS``), targets
+    ``trials`` accepted steps and carries the checks of its kind.
+    """
+    _check_at_least(1, trials=trials)
     cells: list[SweepCell] = []
-    for idx, (kind, mu, y, delta, pc) in enumerate(plan):
+    for idx, (kind, mu, y) in enumerate(sweep_plan(params, mus)):
+        event, delta, pc = _SWEEP_KINDS[kind]
         rng = make_rng(params.seed, stream=idx)
         cell_params = replace(params, mu=mu, p_c=pc)
-        if kind == "monomorphic":
+        if delta:
+            pop, focal, _ = two_species_population(cell_params, y, delta, rng)
+        else:
             pop = init_monomorphic_plateau(cell_params, rng)
             focal = pop.members[0]
-            event = EventClass.CROSSOVER_CLOSE
-        else:
-            pop, focal, _ = two_species_population(cell_params, y, delta, rng)
-            event = {
-                "close": EventClass.CROSSOVER_CLOSE,
-                "distant": EventClass.CROSSOVER_DISTANT,
-                "mutation": EventClass.MUTATION_ONLY,
-            }[kind]
+        est = estimate_transition(cell_params, pop, focal, event, trials, rng)
         descriptor = f"kind={kind} mu={mu} y={y} delta={delta} pc={pc} n={params.n} k={params.k} chi={params.chi}"
-        est = estimate_transition(
-            cell_params, pop, focal, event, trials, rng, config_descriptor=descriptor
-        )
-        checks: list[BoundReport] = []
-        if kind == "close":
-            bound = close_crossover_decrease_bound(y, mu, params.chi, params.n)
-            checks.append(
-                BoundReport(
-                    f"close_decrease mu={mu} y={y}",
-                    bound,
-                    est.p_minus_hat,
-                    est.stderr_minus,
-                    est.trials,
-                    est.p_minus_hat >= bound - margin * est.stderr_minus,
-                )
-            )
-            primary = bound
-        elif kind == "distant":
-            required = 2 * est.p_plus_hat
-            tol = margin * (est.stderr_plus + est.stderr_minus)
-            checks.append(
-                BoundReport(
-                    f"distant_decrease_vs_double_increase mu={mu} y={y}",
-                    required,
-                    est.p_minus_hat,
-                    est.stderr_minus,
-                    est.trials,
-                    est.p_minus_hat >= required - tol,
-                )
-            )
-            primary = required
-        elif kind == "mutation":
-            lead, lower = mutation_only_transition_bounds(y, mu, params.chi, params.n)
-            oscale = mutation_only_increase_oscale(y, mu, params.n)
-            checks.append(
-                BoundReport(
-                    f"mutation_decrease mu={mu} y={y}",
-                    lower,
-                    est.p_minus_hat,
-                    est.stderr_minus,
-                    est.trials,
-                    est.p_minus_hat >= lower - margin * est.stderr_minus,
-                )
-            )
-            checks.append(
-                BoundReport(
-                    f"mutation_increase_band mu={mu} y={y}",
-                    lead,
-                    est.p_plus_hat,
-                    est.stderr_plus,
-                    est.trials,
-                    abs(est.p_plus_hat - lead) <= margin * est.stderr_plus + 10.0 * oscale,
-                )
-            )
-            primary = lower
-        else:  # monomorphic: decrease scale reported, only positivity asserted
-            scale_ref = params.k / params.n
-            checks.append(
-                BoundReport(
-                    f"monomorphic_decrease_scale mu={mu}",
-                    scale_ref,
-                    est.p_minus_hat,
-                    est.stderr_minus,
-                    est.trials,
-                    est.p_minus_hat > 0.0,
-                )
-            )
-            primary = scale_ref
-        cells.append(SweepCell(mu, y, delta, event, est, primary, tuple(checks)))
+        cells.append(SweepCell(mu, y, delta, event, est, descriptor, _sweep_checks(kind, mu, y, params, est)))
     return SweepResult(tuple(cells))

@@ -10,7 +10,7 @@ created as an offspring.
 
 :func:`ga_step` takes one iteration.  :func:`steps` chains it and is the one
 loop through which every runner steps a population forward; :func:`run` is
-that loop with the stop conditions of a :class:`StopCondition`.
+that loop until the optimum or a stop condition of a :class:`StopCondition`.
 """
 
 from __future__ import annotations
@@ -131,23 +131,20 @@ class StepTrace:
 
 @dataclass(frozen=True)
 class StopCondition:
-    """Run termination: any enabled condition stops the run.
+    """Run termination beyond the optimum, at which every run stops (including
+    when the initial population holds it).
 
-    ``optimum`` stops once the optimum has been evaluated (including in the
-    initial population), ``full_plateau`` stops once every member has fitness
-    at least n (plateau or optimum), ``max_iterations`` caps the iteration
-    count (reaching it flags non-convergence, not an error).
+    ``full_plateau`` also stops once every member has fitness at least n
+    (plateau or optimum), ``max_iterations`` caps the iteration count
+    (reaching it flags non-convergence, not an error).
     """
 
-    optimum: bool = True
     full_plateau: bool = False
     max_iterations: int | None = None
 
     def __post_init__(self):
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError(f"max_iterations must be non-negative, got {self.max_iterations}")
-        if not (self.optimum or self.full_plateau or self.max_iterations is not None):
-            raise ValueError("at least one stop condition must be enabled")
 
 
 @dataclass
@@ -272,15 +269,16 @@ def steps(
 
 
 def run(pop: Population, params: GaParams, stop: StopCondition, rng: RandomStream) -> RunResult:
-    """Step through :func:`steps` until a stop condition triggers (after 0
-    iterations when ``pop`` already meets it); evaluations are mu + iterations."""
-    if stop.optimum and params.optimum_fitness in pop.fitnesses:
+    """Step through :func:`steps` until the optimum or a condition of ``stop``
+    (after 0 iterations when ``pop`` already meets one); evaluations are mu +
+    iterations."""
+    if params.optimum_fitness in pop.fitnesses:
         return RunResult(pop, 0, params.mu, "optimum_found")
     if stop.full_plateau and pop.low >= params.n:
         return RunResult(pop, 0, params.mu, "full_plateau")
     t = 0
     for t, pop, trace in steps(pop, params, rng, stop.max_iterations):
-        if stop.optimum and trace.optimum_created:
+        if trace.optimum_created:
             return RunResult(pop, t, params.mu + t, "optimum_found")
         if stop.full_plateau and pop.low >= params.n:
             return RunResult(pop, t, params.mu + t, "full_plateau")

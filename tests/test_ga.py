@@ -443,13 +443,13 @@ def test_run_full_plateau_stop():
     params = GaParams(n=14, k=3, mu=4, p_c=0.5, chi=1.0, seed=9)
     pop = init_uniform(params, make_rng(9, 0))
     res = run(
-        pop, params, StopCondition(optimum=True, full_plateau=True, max_iterations=10**6), make_rng(9, 1)
+        pop, params, StopCondition(full_plateau=True, max_iterations=10**6), make_rng(9, 1)
     )
     assert res.stop_reason in ("full_plateau", "optimum_found")
     assert min(res.population.fitnesses) >= params.n
     # Already-plateau populations stop before any iteration.
     mono = init_monomorphic_plateau(params, make_rng(9, 2))
-    res2 = run(mono, params, StopCondition(optimum=True, full_plateau=True), make_rng(9, 3))
+    res2 = run(mono, params, StopCondition(full_plateau=True), make_rng(9, 3))
     assert res2.stop_reason == "full_plateau"
     assert res2.iterations == 0
 

@@ -243,6 +243,8 @@ def test_invalid_parameter_combinations_exit_2(tmp_path):
         ["oracle", "--mc-trials", "-5"],
         ["oracle", "--n", "12", "--k", "2", "--chi", "12"],
         ["figure1", "--stride", "0"],
+        ["sweep", "--k", "1"],
+        ["survival", "--pc", "0"],
     ],
 )
 def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, argv):
@@ -306,7 +308,7 @@ def test_max_iterations_zero_caps_takeover_at_zero_steps(tmp_path):
 
 
 def test_value_error_raised_mid_run_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
-    def broken(cfg, out):
+    def broken(params, cfg, out):
         raise ValueError("bug inside the experiment")
 
     monkeypatch.setitem(cli._HANDLERS, "run", broken)
@@ -315,7 +317,7 @@ def test_value_error_raised_mid_run_is_a_runtime_failure(tmp_path, monkeypatch, 
 
 
 def test_runtime_failure_prints_the_traceback_before_the_failure_line(tmp_path, monkeypatch, capsys):
-    def handler_that_raises(cfg, out):
+    def handler_that_raises(params, cfg, out):
         raise ValueError("bug inside the experiment")
 
     monkeypatch.setitem(cli._HANDLERS, "run", handler_that_raises)
@@ -506,11 +508,10 @@ def test_sweep_subcommand_exits_3_when_a_bound_check_fails(tmp_path, monkeypatch
         stderr_minus=0.001,
         trials=1000,
         attempts=1200,
-        config_descriptor="synthetic",
         inconclusive=False,
     )
     report = BoundReport("synthetic-check", 0.2, 0.01, 0.001, 1000, False)
-    cell = SweepCell(4, 2, 1, EventClass.CROSSOVER_CLOSE, est, 0.2, (report,))
+    cell = SweepCell(4, 2, 1, EventClass.CROSSOVER_CLOSE, est, "synthetic", (report,))
     monkeypatch.setattr(cli, "run_bound_sweep", lambda params, mus, trials: SweepResult((cell,)))
     rc = main(["sweep", "--out", str(tmp_path / "fail"), "--n", "60"])
     assert rc == 3
