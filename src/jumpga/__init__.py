@@ -10,14 +10,11 @@ from .analysis import (
     close_crossover_decrease_bound,
     close_crossover_increase_bound,
     close_crossover_increase_oscale,
-    diversity_saturation_population,
-    drift_tail_bound,
     exact_optimum_probability,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,
     no_flip_probability,
     optimum_creation_lower_bound,
-    persistence_drift_params,
     runtime_bound,
     survival_constant,
 )
@@ -28,7 +25,6 @@ from .core import (
     hamming_distance,
     jump_fitness,
     make_rng,
-    ones_count,
     standard_bit_mutation,
     uniform_crossover,
 )
@@ -87,8 +83,6 @@ __all__ = [
     "close_crossover_decrease_bound",
     "close_crossover_increase_bound",
     "close_crossover_increase_oscale",
-    "diversity_saturation_population",
-    "drift_tail_bound",
     "estimate_transition",
     "estimate_unconditioned_drift",
     "exact_optimum_probability",
@@ -101,9 +95,7 @@ __all__ = [
     "mutation_only_increase_oscale",
     "mutation_only_transition_bounds",
     "no_flip_probability",
-    "ones_count",
     "optimum_creation_lower_bound",
-    "persistence_drift_params",
     "run",
     "run_bound_sweep",
     "run_comparison",

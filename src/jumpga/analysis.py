@@ -1,4 +1,4 @@
-"""Closed-form evaluators: transition-probability bounds, tail bounds, runtime bound.
+"""Closed-form evaluators: transition-probability bounds, the regrowth-tail constant, runtime bound.
 
 These functions evaluate the analytic side of every claim the Monte Carlo
 experiments test.  Notation used throughout: a focal plateau species of size
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import Genotype
 
@@ -152,6 +151,13 @@ def survival_constant(lam: float, chi: float, p_c: float) -> float:
 
     governing Pr[a species of size <= mu/2 regrows to lam*mu within t steps]
     <= t^2 * exp(-C*mu).
+
+    C comes from a negative-drift argument.  The recentred process
+    X_t = (species size) - mu/2 starts at a = 0, must travel to
+    b = (lam - 1/2)*mu, moves by steps bounded by c = 1, and has one-sided
+    drift at most epsilon = -(1 + (1+lam)*chi) * p_c / (64*e).  The drift
+    theorem bounds the chance of reaching b within t steps by
+    t^2 * exp(-b*|epsilon| / (2*c^2)), and b*|epsilon| / (2*c^2) = C*mu.
     """
     if not 0.5 < lam < 1.0:
         raise ValueError(f"lam must lie in (1/2, 1), got {lam}")
@@ -162,50 +168,6 @@ def survival_constant(lam: float, chi: float, p_c: float) -> float:
     return (2 * lam - 1) * (1 + (1 + lam) * chi) / (256 * _E) * p_c
 
 
-class DriftParams(NamedTuple):
-    """Negative-drift witness parameters for the species-regrowth process."""
-
-    a: float
-    b: float
-    c: float
-    epsilon: float
-
-
-def persistence_drift_params(lam: float, mu: int, chi: float, p_c: float) -> DriftParams:
-    """Drift-theorem parameters certifying non-regrowth from mu/2 to lam*mu.
-
-    The recentred process X_t = (species size) - mu/2 starts at a = 0, must
-    travel to b = (lam - 1/2)*mu, moves by steps bounded by c = 1, and has
-    one-sided drift at most epsilon = -(1 + (1+lam)*chi) * p_c / (64*e).
-    """
-    if not 0.5 < lam < 1.0:
-        raise ValueError(f"lam must lie in (1/2, 1), got {lam}")
-    if mu < 2:
-        raise ValueError(f"mu must be at least 2, got {mu}")
-    if chi <= 0.0:
-        raise ValueError(f"chi must be positive, got {chi}")
-    if not 0.0 < p_c <= 1.0:
-        raise ValueError(f"p_c must lie in (0, 1], got {p_c}")
-    epsilon = -(1 + (1 + lam) * chi) * p_c / (64 * _E)
-    return DriftParams(0.0, (lam - 0.5) * mu, 1.0, epsilon)
-
-
-def drift_tail_bound(t: float, b: float, epsilon: float, c: float) -> float:
-    """Tail bound ``t^2 * exp(-b*|epsilon| / (2*c^2))`` for a process with
-    drift at most epsilon < 0, step bound c, started at or below 0, to reach b
-    within t steps.  Requires b > 0 and 0 < c < b.
-    """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b}")
-    if epsilon >= 0:
-        raise ValueError(f"epsilon must be negative, got {epsilon}")
-    if not 0 < c < b:
-        raise ValueError(f"c must lie in (0, b), got c={c}, b={b}")
-    return t * t * math.exp(-b * abs(epsilon) / (2 * c * c))
-
-
 def runtime_bound(n: int, k: int, mu: int, chi: float, p_c: float) -> float:
     """Expected-evaluation upper bound (all hidden constants set to 1):
 
@@ -213,9 +175,10 @@ def runtime_bound(n: int, k: int, mu: int, chi: float, p_c: float) -> float:
         + (mu*n + mu^2*ln(mu)) / (n^(1-k) * min(exp(C*mu/2), n^(k-1)))
         + n^(k-1)
 
-    with C = survival_constant(3/4, chi, p_c).  The middle term is evaluated
-    in log space so large ``exp(C*mu/2)`` values cannot overflow before the
-    min is applied.
+    with C = survival_constant(3/4, chi, p_c).  The min is taken between
+    exponents, so ``exp(C*mu/2)`` is never formed; the powers of n are not
+    kept in log space, and when one leaves the double range (n^(k-1) for a
+    deep gap) the bound is ``math.inf``.
     """
     if not (3 <= k and 2 * k <= n):
         raise ValueError(f"need 3 <= k <= n/2, got k={k}, n={n}")
@@ -225,18 +188,12 @@ def runtime_bound(n: int, k: int, mu: int, chi: float, p_c: float) -> float:
     log_n = math.log(n)
     term_plateau = n * math.sqrt(k) * (mu * math.log(mu) + log_n)
     log_min = min(c_surv * mu / 2, (k - 1) * log_n)
-    term_jump = (mu * n + mu * mu * math.log(mu)) * math.exp((k - 1) * log_n - log_min)
-    term_direct = math.exp((k - 1) * log_n)
+    try:
+        term_jump = (mu * n + mu * mu * math.log(mu)) * math.exp((k - 1) * log_n - log_min)
+        term_direct = math.exp((k - 1) * log_n)
+    except OverflowError:
+        return math.inf
     return term_plateau + term_jump + term_direct
-
-
-def diversity_saturation_population(n: int, k: int, chi: float, p_c: float) -> float:
-    """Population size where exp(C*mu/2) overtakes n^(k-1) inside the runtime
-    bound's min, i.e. mu* = 2*(k-1)*ln(n) / C with C = survival_constant(3/4, chi, p_c).
-    """
-    if not (2 <= k and 2 * k <= n):
-        raise ValueError(f"need 2 <= k <= n/2, got k={k}, n={n}")
-    return 2 * (k - 1) * math.log(n) / survival_constant(0.75, chi, p_c)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import configparser
 import os
 import sys
 import traceback
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from .analysis import (
@@ -245,11 +245,13 @@ def write_resolved_config(cfg: dict, out_dir: Path) -> None:
 # subcommand handlers
 
 
-_RUN_COLUMNS = ("replicate", "seed", "iterations", "evaluations", "stop_reason")
+def _write_replicates(records, seed: int, path: Path) -> None:
+    """One CSV row per replicate record: its fields in order, the base seed second.
 
-
-def _write_replicates(records, seed: int, path: Path, header: tuple[str, ...]) -> None:
-    """One CSV row per replicate record: its fields in order, the base seed second."""
+    The header is the record's field names with ``seed`` inserted second, so
+    every record type declares its columns once, as its fields.
+    """
+    header = ("replicate", "seed", *(f.name for f in fields(records[0])[1:]))
     rows = [(rec.replicate, seed, *astuple(rec)[1:]) for rec in records]
     write_series_csv(rows, path, header)
 
@@ -262,14 +264,13 @@ def _fields_except(record, *skip: str) -> dict:
 def _cmd_run(params: GaParams, cfg: dict, out: Path) -> int:
     stop = StopCondition(full_plateau=cfg["stop"] == "plateau", max_iterations=cfg["max_iterations"])
     records = run_replicates(params, cfg["replicates"], stop)
-    _write_replicates(records, params.seed, out / "runs.csv", _RUN_COLUMNS)
+    _write_replicates(records, params.seed, out / "runs.csv")
     return 0
 
 
 def _cmd_takeover(params: GaParams, cfg: dict, out: Path) -> int:
     summary = run_takeover(params, cfg["replicates"], max_iterations=cfg["max_iterations"])
-    header = ("replicate", "seed", "hitting_time", "censored")
-    _write_replicates(summary.replicates, params.seed, out / "takeover.csv", header)
+    _write_replicates(summary.replicates, params.seed, out / "takeover.csv")
     write_json(
         {
             "mean_hitting_time": summary.mean_hitting_time,
@@ -293,21 +294,7 @@ def _cmd_survival(params: GaParams, cfg: dict, out: Path) -> int:
         t_max=cfg["t_max"],
         max_iterations=cfg["max_iterations"],
     )
-    _write_replicates(
-        summary.replicates,
-        params.seed,
-        out / "survival.csv",
-        (
-            "replicate",
-            "seed",
-            "takeover_time",
-            "takeover_censored",
-            "monitored_iterations",
-            "focal_hit_time",
-            "max_hit_time",
-            "optimum_interrupted",
-        ),
-    )
+    _write_replicates(summary.replicates, params.seed, out / "survival.csv")
     write_json(_fields_except(summary, "replicates"), out / "survival_summary.json")
     return 0
 
@@ -337,7 +324,7 @@ def _cmd_figure1(params: GaParams, cfg: dict, out: Path) -> int:
 def _cmd_compare(params: GaParams, cfg: dict, out: Path) -> int:
     summary = run_comparison(params, cfg["replicates"], max_iterations=cfg["max_iterations"])
     for arm in summary.arms:
-        _write_replicates(arm.records, params.seed, out / f"compare_{arm.label}.csv", _RUN_COLUMNS)
+        _write_replicates(arm.records, params.seed, out / f"compare_{arm.label}.csv")
     write_json(
         {
             "arms": {arm.label: _fields_except(arm, "label", "records") for arm in summary.arms},

@@ -209,11 +209,6 @@ def random_index_subset(rng: RandomStream, n: int, m: int) -> set[int]:
     return {i for i in range(n) if mask >> i & 1}
 
 
-def ones_count(g: Genotype) -> int:
-    """Number of one-bits."""
-    return g.bits.bit_count()
-
-
 def hamming_distance(a: Genotype, b: Genotype) -> int:
     """Number of differing positions."""
     if a.n != b.n:

@@ -119,16 +119,6 @@ class SpeciesTracker:
         return min((g for g, c in self.counts.items() if c == self.largest), key=lambda g: g.bits)
 
 
-def largest_species_series(traces, initial: Population) -> list[int]:
-    """Largest species size before any step and after each step of ``traces``."""
-    tracker = SpeciesTracker(initial)
-    series = [tracker.largest]
-    for trace in traces:
-        tracker.apply(trace)
-        series.append(tracker.largest)
-    return series
-
-
 class PairwiseDistanceTracker:
     """Incrementally maintained pairwise-distance histogram.
 

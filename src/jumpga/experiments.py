@@ -333,7 +333,7 @@ class SurvivalReplicate:
     replicate: int
     takeover_time: int | None
     takeover_censored: bool
-    monitored: int
+    monitored_iterations: int
     focal_hit_time: int | None
     max_hit_time: int | None
     optimum_interrupted: bool

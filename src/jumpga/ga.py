@@ -79,14 +79,6 @@ class Population:
             self.low = low = min(fits)
             self.tied = fits.count(low)
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def n(self) -> int:
-        return self.members[0].n
-
 
 class IntegrityError(Exception):
     """Cached or tracked state (population caches, diversity trackers) disagrees with the population."""

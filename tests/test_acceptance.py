@@ -255,7 +255,7 @@ def _regrowth_exposure(replicates) -> tuple[int, int]:
     window that the optimum cut short counts only what it watched and a
     replicate whose takeover never completed (monitored 0) adds nothing."""
     events = sum(r.max_hit_time is not None for r in replicates)
-    exposure = sum(r.monitored if r.max_hit_time is None else r.max_hit_time
+    exposure = sum(r.monitored_iterations if r.max_hit_time is None else r.max_hit_time
                    for r in replicates)
     return events, exposure
 

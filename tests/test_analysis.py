@@ -1,4 +1,4 @@
-"""Closed-form probability bounds, drift parameters, and runtime estimates.
+"""Closed-form probability bounds, the survival constant, and runtime estimates.
 
 Derived quantities are checked against independently re-derived oracles
 (case decompositions, algebraic identities, direct formula transcriptions)
@@ -16,14 +16,11 @@ from jumpga import (
     close_crossover_decrease_bound,
     close_crossover_increase_bound,
     close_crossover_increase_oscale,
-    diversity_saturation_population,
-    drift_tail_bound,
     exact_optimum_probability,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,
     no_flip_probability,
     optimum_creation_lower_bound,
-    persistence_drift_params,
     runtime_bound,
     survival_constant,
 )
@@ -277,45 +274,20 @@ def test_survival_constant_domain():
             survival_constant(*bad)
 
 
-def test_persistence_drift_params_values():
-    dp = persistence_drift_params(0.75, 100, 1.0, 1.0)
-    assert dp.a == 0.0
-    assert dp.c == 1.0
-    assert dp.b == pytest.approx(25.0, rel=1e-12)
-    assert dp.epsilon == pytest.approx(-2.75 / (64 * math.e), rel=1e-12)
-    with pytest.raises(ValueError):
-        persistence_drift_params(0.75, 1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        persistence_drift_params(0.4, 100, 1.0, 1.0)
-
-
-def test_drift_tail_bound_values_and_domain():
-    assert drift_tail_bound(0.0, 10.0, -0.1, 1.0) == 0.0
-    assert drift_tail_bound(10.0, 10.0, -0.1, 1.0) == pytest.approx(
-        100 * math.exp(-0.5), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        drift_tail_bound(-1.0, 10.0, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        drift_tail_bound(1.0, 0.0, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        drift_tail_bound(1.0, 10.0, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        drift_tail_bound(1.0, 10.0, -0.1, 20.0)
-
-
 def test_drift_tail_equals_survival_tail():
-    # Feeding the drift parameters into the tail bound must reproduce
-    # t^2 exp(-C mu) with C the survival constant: b|eps| / (2 c^2) = C mu.
-    t = 50.0
+    # The drift theorem's exponent, from the recentred regrowth process
+    # (start a = 0, target b, step bound c, one-sided drift epsilon), must
+    # equal C*mu with C the survival constant: b|eps| / (2 c^2) = C mu.
     for lam in (0.6, 0.75, 0.9):
         for mu in (16, 64, 256):
             for chi in (0.5, 1.0, 2.0):
                 for p_c in (0.5, 1.0):
-                    dp = persistence_drift_params(lam, mu, chi, p_c)
-                    via_params = drift_tail_bound(t, dp.b, dp.epsilon, dp.c)
-                    direct = t * t * math.exp(-survival_constant(lam, chi, p_c) * mu)
-                    assert via_params == pytest.approx(direct, rel=1e-12)
+                    b = (lam - 0.5) * mu
+                    epsilon = -(1 + (1 + lam) * chi) * p_c / (64 * math.e)
+                    c = 1.0
+                    exponent = b * abs(epsilon) / (2 * c * c)
+                    expected = survival_constant(lam, chi, p_c) * mu
+                    assert exponent == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +340,16 @@ def test_runtime_bound_small_populations_overshoot_polynomial_scale():
     assert runtime_bound(n, 3, mu, 1.0, 0.5) / n**2 > 50
 
 
+def test_runtime_bound_is_infinite_once_a_power_of_n_leaves_the_double_range():
+    # n^(k-1) = 1000^109 exceeds the largest double, at valid GaParams settings.
+    for mu in (2, 64, 20_000):
+        assert runtime_bound(1000, 110, mu, 1.0, 0.5) == math.inf
+    assert math.isfinite(runtime_bound(1000, 100, 64, 1.0, 0.5))
+
+
 def test_runtime_bound_domain():
     with pytest.raises(ValueError):
         runtime_bound(100, 2, 10, 1.0, 0.5)
     with pytest.raises(ValueError):
         runtime_bound(100, 3, 1, 1.0, 0.5)
 
-
-def test_diversity_saturation_population_matches_closed_form():
-    n, k, chi, p_c = 1000, 3, 1.0, 1.0
-    c = survival_constant(0.75, chi, p_c)
-    val = diversity_saturation_population(n, k, chi, p_c)
-    assert val == pytest.approx(2 * (k - 1) * math.log(n) / c, rel=1e-12)
-    assert val == pytest.approx(1.4e4, rel=0.01)

@@ -16,7 +16,6 @@ from jumpga import (
     hamming_distance,
     jump_fitness,
     make_rng,
-    ones_count,
     standard_bit_mutation,
     uniform_crossover,
 )
@@ -87,13 +86,7 @@ def test_jump_fitness_rejects_bad_width():
 
 
 # ---------------------------------------------------------------------------
-# ones count and Hamming distance
-
-
-def test_ones_count_examples():
-    assert ones_count(from_string("00000000")) == 0
-    assert ones_count(from_string("11111111")) == 8
-    assert ones_count(from_string("10110000")) == 3
+# Hamming distance
 
 
 def test_hamming_distance_examples():

@@ -25,7 +25,7 @@ from jumpga import (
     steps,
     two_species_population,
 )
-from jumpga.diversity import census, hamming_histogram, largest_species_series
+from jumpga.diversity import census, hamming_histogram
 
 
 def population_of(n: int, k: int, *bits: int) -> Population:
@@ -146,15 +146,6 @@ def test_pairwise_tracker_matches_full_histogram_after_every_step():
         got = tracker.frequencies(distances)
         assert got == pytest.approx(expected, abs=1e-12)
         assert sum(got) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_largest_species_series_matches_stepwise_recount():
-    params = GaParams(n=15, k=3, mu=10, p_c=0.5, chi=1.0, seed=47)
-    history, traces = run_with_traces(params, 1000)
-    series = largest_species_series(traces, history[0])
-    assert len(series) == len(traces) + 1
-    assert series == [census(pop).largest_size for pop in history]
-    assert all(1 <= v <= params.mu for v in series)
 
 
 def test_trackers_reject_inconsistent_traces():

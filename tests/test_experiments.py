@@ -21,7 +21,6 @@ from jumpga import (
     init_monomorphic_plateau,
     jump_fitness,
     make_rng,
-    ones_count,
     run_bound_sweep,
     run_comparison,
     run_figure1,
@@ -46,11 +45,11 @@ def test_two_species_population_geometry():
     params = GaParams(n=40, k=3, mu=10, p_c=1.0, chi=1.0, seed=8)
     for y, delta in ((1, 1), (5, 2), (9, 3)):
         pop, focal, other = two_species_population(params, y, delta, make_rng(8, 0))
-        assert pop.size == 10
+        assert len(pop.members) == 10
         assert sum(g == focal for g in pop.members) == y
         assert sum(g == other for g in pop.members) == 10 - y
         assert hamming_distance(focal, other) == 2 * delta
-        assert ones_count(focal) == ones_count(other) == 37
+        assert focal.bits.bit_count() == other.bits.bit_count() == 37
         assert all(f == 40 for f in pop.fitnesses)
 
 
@@ -235,11 +234,11 @@ def test_survival_monitoring_small_run():
     assert s.focal_excursion_frequency == s.focal_excursions / 3
     assert s.max_excursion_frequency == s.max_excursions / 3
     for r in s.replicates:
-        assert r.monitored <= 2000
+        assert r.monitored_iterations <= 2000
         if r.focal_hit_time is not None:
-            assert r.focal_hit_time <= r.monitored
+            assert r.focal_hit_time <= r.monitored_iterations
         if r.max_hit_time is not None:
-            assert r.max_hit_time <= r.monitored
+            assert r.max_hit_time <= r.monitored_iterations
     # The tail bound t_max^2 exp(-C mu) is hopeless at this scale and must be
     # flagged as vacuous rather than reported as meaningful.
     assert s.analytic_tail == pytest.approx(

@@ -25,7 +25,6 @@ from jumpga import (
     init_uniform,
     jump_fitness,
     make_rng,
-    ones_count,
     run,
     standard_bit_mutation,
     steps,
@@ -55,9 +54,9 @@ def test_init_uniform_is_deterministic_and_unbiased():
     total = 0
     for seed in range(100):
         pop = init_uniform(p, make_rng(seed, 0))
-        assert pop.size == 50
+        assert len(pop.members) == 50
         assert pop.fitnesses == tuple(jump_fitness(g, p.k) for g in pop.members)
-        total += sum(ones_count(g) for g in pop.members)
+        total += sum(g.bits.bit_count() for g in pop.members)
     mean = total / (100 * 50)
     sigma_mean = math.sqrt(100 / 4) / math.sqrt(100 * 50)
     assert abs(mean - 50.0) <= 3 * sigma_mean
@@ -70,7 +69,7 @@ def test_init_monomorphic_plateau_is_one_species_at_plateau_fitness():
     assert c.species_count == 1
     assert c.largest_size == 7
     assert all(f == 20 for f in pop.fitnesses)
-    assert all(ones_count(g) == 16 for g in pop.members)
+    assert all(g.bits.bit_count() == 16 for g in pop.members)
 
 
 def test_init_monomorphic_plateau_is_uniform_over_plateau_strings():
@@ -363,7 +362,7 @@ def test_step_trace_bookkeeping_matches_population_change():
         pop, trace = ga_step(pop, params, rng)
         assert trace.t == t
         assert pop.generation == t
-        assert pop.size == params.mu
+        assert len(pop.members) == params.mu
         assert trace.offspring_fitness == jump_fitness(trace.offspring, params.k)
         assert trace.optimum_created == (trace.offspring_fitness == params.n + params.k)
         after = multiset(pop)

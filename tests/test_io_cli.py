@@ -457,6 +457,13 @@ def test_bounds_subcommand_text_and_csv(tmp_path, capsys):
     lines = read_lines(out2 / "bounds.csv")
     mus = sorted({int(line.split(",")[0]) for line in lines[1:]})
     assert mus == [4, 8, 16, 32, 64]
+    # n^(k-1) = 1000^109 leaves the double range at these valid settings.
+    out3 = tmp_path / "bounds3"
+    assert main(["bounds", "--out", str(out3), "--format", "csv", "--n", "1000", "--k", "110"]) == 0
+    lines = read_lines(out3 / "bounds.csv")
+    assert lines[0].endswith(",runtime_bound")
+    assert len(lines) > 1
+    assert all(line.endswith(",inf") for line in lines[1:])
 
 
 def test_takeover_survival_compare_artifacts(tmp_path):
