@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Genotype
+from .core import Genotype, SettingError
 
 _E = math.e
 
@@ -57,11 +57,11 @@ def optimum_creation_lower_bound(n: int, k: int, d: int, p_m: float) -> float:
     everything else).
     """
     if not (1 <= k and 2 * k <= n):
-        raise ValueError(f"k must satisfy 1 <= k <= n/2, got k={k}, n={n}")
+        raise SettingError(f"k must satisfy 1 <= k <= n/2, got k={k}, n={n}")
     if not 0 <= d <= k:
-        raise ValueError(f"d must lie in [0, k], got {d}")
+        raise SettingError(f"d must lie in [0, k], got {d}")
     if not 0.0 < p_m < 1.0:
-        raise ValueError(f"p_m must lie in (0, 1), got {p_m}")
+        raise SettingError(f"p_m must lie in (0, 1), got {p_m}")
     return _power_product(((1.0 - p_m, n - k + d), (p_m, k - d), (0.5, 2 * d)))
 
 
@@ -160,11 +160,11 @@ def survival_constant(lam: float, chi: float, p_c: float) -> float:
     t^2 * exp(-b*|epsilon| / (2*c^2)), and b*|epsilon| / (2*c^2) = C*mu.
     """
     if not 0.5 < lam < 1.0:
-        raise ValueError(f"lam must lie in (1/2, 1), got {lam}")
+        raise SettingError(f"lam must lie in (1/2, 1), got {lam}")
     if chi <= 0.0:
-        raise ValueError(f"chi must be positive, got {chi}")
+        raise SettingError(f"chi must be positive, got {chi}")
     if not 0.0 < p_c <= 1.0:
-        raise ValueError(f"p_c must lie in (0, 1], got {p_c}")
+        raise SettingError(f"p_c must lie in (0, 1], got {p_c}")
     return (2 * lam - 1) * (1 + (1 + lam) * chi) / (256 * _E) * p_c
 
 

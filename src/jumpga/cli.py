@@ -7,8 +7,9 @@ command-line flags.  Each invocation writes the effective configuration to
 ``<out>/config.resolved`` before any data file, and reruns with identical
 configuration and seed produce byte-identical outputs.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 bound-sweep cell
-failure.
+Exit codes: 0 success, 1 runtime failure, 2 usage error (a SettingError:
+a parse error here, or a setting its user judged out of domain before the
+first draw), 3 bound-sweep cell failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import configparser
 import os
 import sys
 import traceback
-from dataclasses import astuple, fields
 from pathlib import Path
 
 from .analysis import (
@@ -32,7 +32,7 @@ from .analysis import (
     runtime_bound,
     survival_constant,
 )
-from .core import GaParams, Genotype, make_rng
+from .core import GaParams, Genotype, SettingError
 from .experiments import (
     run_bound_sweep,
     run_comparison,
@@ -42,7 +42,6 @@ from .experiments import (
     run_takeover,
     sample_optimum_creation_frequency,
     sweep_grid_ys,
-    sweep_plan,
 )
 from .ga import StopCondition
 from .output import format_value, render_svg, write_json, write_series_csv
@@ -50,15 +49,12 @@ from .output import format_value, render_svg, write_json, write_series_csv
 ENV_OUTPUT_DIR = "JUMPGA_OUTPUT_DIR"
 
 
-class UsageError(Exception):
-    pass
-
-
-# Every setting once: key -> (type, help, domain).  The flag is ``--`` plus
-# the key with ``_`` as ``-``; the config-file key is the key itself.  The
-# domain is a lower bound (1: positive, 0: non-negative), a tuple of choices,
-# or None where GaParams or an explicit check in ``_params_from`` or a handler
-# judges the value.
+# Every setting once: key -> (type, help, choices).  The flag is ``--`` plus
+# the key with ``_`` as ``-``; the config-file key is the key itself.  Only
+# the type and the choices (a tuple, or None) are judged here, as the value is
+# read.  Every other domain is judged once, by the code that uses the value,
+# before its first draw: GaParams, StopCondition, a runner or a bound.  That
+# check raises SettingError, which ``main`` turns into exit 2.
 _OPTIONS = {
     "out": (str, "output directory", None),
     "seed": (int, "base seed for all random streams", None),
@@ -67,22 +63,22 @@ _OPTIONS = {
     "mu": (int, "population size", None),
     "pc": (float, "crossover probability", None),
     "chi": (float, "mutation strength (per-bit rate chi/n)", None),
-    "replicates": (int, "independent replicates; replicate r uses random stream r", 1),
-    "max_iterations": (int, "iteration cap (survival: on the takeover); None: scaled to the run", 0),
+    "replicates": (int, "independent replicates; replicate r uses random stream r", None),
+    "max_iterations": (int, "iteration cap (survival: on the takeover); None: scaled to the run", None),
     "stop": (str, "stop at the optimum, or also once all members are on the plateau",
              ("optimum", "plateau")),
     "lam": (float, "regrowth threshold as a fraction of mu, in (1/2, 1)", None),
-    "t_max": (int, "monitoring horizon in iterations", 1),
-    "stride": (int, "snapshot stride in iterations; None means 1 up to mu = 64, else 10", 1),
+    "t_max": (int, "monitoring horizon in iterations", None),
+    "stride": (int, "snapshot stride in iterations; None means 1 up to mu = 64, else 10", None),
     "svg": (bool, "also draw each distance series as SVG", None),
-    "trials": (int, "accepted-trial target per cell", 1),
+    "trials": (int, "accepted-trial target per cell", None),
     "mus": (str, "comma-separated population sizes, each at least 4", None),
     "format": (str, "'text' also prints the table, 'csv' only writes bounds.csv",
                ("text", "csv")),
     "grid": (str, "named population-size grid: 'default' uses --mus, 'wide' uses 4..64",
              ("default", "wide")),
     "d": (int, "half the parent Hamming distance, in [0, k]", None),
-    "mc_trials": (int, "Monte Carlo trials for an optional cross-check (0: none)", 0),
+    "mc_trials": (int, "Monte Carlo trials for an optional cross-check (0: none)", None),
 }
 
 # Config-file section -> (subcommand help, defaults of the section's settings);
@@ -130,33 +126,25 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             continue
         sp.add_argument("--config", help="config file (ini-style key=value sections)")
         for key, default in _defaults(sub).items():
-            typ, help_text, domain = _OPTIONS[key]
+            typ, help_text, choices = _OPTIONS[key]
             kwargs = {"dest": key, "help": f"{help_text} (default: {default})"}
             if typ is bool:
                 kwargs["action"] = argparse.BooleanOptionalAction
             else:
-                kwargs.update(type=typ, choices=domain if isinstance(domain, tuple) else None)
+                kwargs.update(type=typ, choices=choices)
             sp.add_argument("--" + key.replace("_", "-"), **kwargs)
     return parser
 
 
-def _check_domain(key: str, value) -> None:
-    domain = _OPTIONS[key][2]
-    if isinstance(domain, tuple):
-        if value not in domain:
-            raise UsageError(f"{key} must be one of {', '.join(domain)}, got {value!r}")
-    elif domain is not None and value is not None and value < domain:
-        raise UsageError(f"{key} must be {'positive' if domain else 'non-negative'}, got {value}")
-
-
 def _coerce(key: str, raw: str):
-    """A config-file value as its setting's type, checked against its domain."""
-    typ = _OPTIONS[key][0]
+    """A config-file value as its setting's type, checked against its choices."""
+    typ, _, choices = _OPTIONS[key]
     try:
         value = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if typ is bool else typ(raw)
     except (KeyError, ValueError):
-        raise UsageError(f"config value for '{key}' is not a valid {typ.__name__}: {raw!r}") from None
-    _check_domain(key, value)
+        raise SettingError(f"config value for '{key}' is not a valid {typ.__name__}: {raw!r}") from None
+    if choices is not None and value not in choices:
+        raise SettingError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -164,7 +152,7 @@ def _read_config_file(path: str, subcommand: str) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
-        raise UsageError(f"config file not found: {path}")
+        raise SettingError(f"config file not found: {path}")
     allowed = _defaults(subcommand)
     out: dict = {}
     for section in ("common", subcommand):
@@ -172,11 +160,11 @@ def _read_config_file(path: str, subcommand: str) -> dict:
             continue
         for key, raw in parser.items(section):
             if key not in allowed:
-                raise UsageError(f"unknown config key '{key}' in section [{section}]")
+                raise SettingError(f"unknown config key '{key}' in section [{section}]")
             out[key] = _coerce(key, raw)
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise UsageError(f"unknown config section [{section}]")
+            raise SettingError(f"unknown config section [{section}]")
     return out
 
 
@@ -196,41 +184,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _params_from(cfg: dict) -> GaParams:
-    """GaParams of a resolved configuration, after checking every setting's domain.
-
-    Every out-of-domain value is a UsageError here, so that a ValueError raised
-    later, during the experiment, is a runtime failure and not a usage error.
-    Settings a runner judges itself go through the runner's own check, which
-    draws nothing: ``survival_constant`` for survival, ``sweep_plan`` for sweep.
-    """
-    for key in _OPTIONS:
-        if key in cfg:
-            _check_domain(key, cfg[key])
-    if "mus" in cfg and cfg.get("grid") != "wide":
-        small = [mu for mu in _parse_mus(cfg["mus"]) if mu < 4]
-        if small:
-            raise UsageError(f"population-size list needs every mu >= 4, got {small[0]}")
-    try:
-        params = GaParams(
-            n=cfg["n"], k=cfg["k"], mu=cfg["mu"], p_c=cfg["pc"], chi=cfg["chi"], seed=cfg["seed"]
-        )
-        if cfg["subcommand"] == "survival":
-            survival_constant(cfg["lam"], params.chi, params.p_c)
-        elif cfg["subcommand"] == "sweep":
-            sweep_plan(params, _parse_mus(cfg["mus"]))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    return params
-
-
 def _parse_mus(raw: str) -> tuple[int, ...]:
     try:
         mus = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise UsageError(f"invalid population-size list: {raw!r}") from None
+        raise SettingError(f"invalid population-size list: {raw!r}") from None
     if not mus:
-        raise UsageError("population-size list is empty")
+        raise SettingError("population-size list is empty")
     return mus
 
 
@@ -245,20 +205,24 @@ def write_resolved_config(cfg: dict, out_dir: Path) -> None:
 # subcommand handlers
 
 
-def _write_replicates(records, seed: int, path: Path) -> None:
-    """One CSV row per replicate record: its fields in order, the base seed second.
-
-    The header is the record's field names with ``seed`` inserted second, so
-    every record type declares its columns once, as its fields.
-    """
-    header = ("replicate", "seed", *(f.name for f in fields(records[0])[1:]))
-    rows = [(rec.replicate, seed, *astuple(rec)[1:]) for rec in records]
-    write_series_csv(rows, path, header)
+def _write_rows(rows: list[dict], path: Path) -> tuple[str, ...]:
+    """One CSV row per dict, its values in order; returns the header, the first
+    dict's keys, so that each column is named where its value is computed."""
+    header = tuple(rows[0])
+    write_series_csv([tuple(row.values()) for row in rows], path, header)
+    return header
 
 
 def _fields_except(record, *skip: str) -> dict:
     """A result record's fields as a JSON object, without ``skip``."""
     return {key: value for key, value in vars(record).items() if key not in skip}
+
+
+def _write_replicates(records, seed: int, path: Path) -> None:
+    """One CSV row per replicate record: its fields in order, the base seed
+    second, so every record type declares its columns once, as its fields."""
+    rows = [{"replicate": rec.replicate, "seed": seed, **_fields_except(rec, "replicate")} for rec in records]
+    _write_rows(rows, path)
 
 
 def _cmd_run(params: GaParams, cfg: dict, out: Path) -> int:
@@ -338,51 +302,37 @@ def _cmd_compare(params: GaParams, cfg: dict, out: Path) -> int:
 
 def _cmd_bounds(params: GaParams, cfg: dict, out: Path) -> int:
     mus = (4, 8, 16, 32, 64) if cfg["grid"] == "wide" else _parse_mus(cfg["mus"])
-    header = (
-        "mu",
-        "y",
-        "n",
-        "k",
-        "chi",
-        "p_c",
-        "close_increase_leading",
-        "close_increase_oscale",
-        "close_decrease_lower",
-        "mutation_leading",
-        "mutation_oscale",
-        "survival_constant_3_4",
-        "runtime_bound",
-    )
     rows = []
     n, k, chi, pc = params.n, params.k, params.chi, params.p_c
     c34 = survival_constant(0.75, chi, pc) if pc > 0 else None
     for mu in mus:
+        ys = sweep_grid_ys(mu)  # the check of mu, so before runtime_bound
         rb = runtime_bound(n, k, mu, chi, pc) if (k >= 3 and pc > 0) else None
-        for y in sweep_grid_ys(mu):
+        for y in ys:
             mut_lead, _ = mutation_only_transition_bounds(y, mu, chi, n)
             rows.append(
-                (
-                    mu,
-                    y,
-                    n,
-                    k,
-                    chi,
-                    pc,
-                    close_crossover_increase_bound(y, mu, chi, n),
-                    close_crossover_increase_oscale(y, mu, n),
-                    close_crossover_decrease_bound(y, mu, chi, n),
-                    mut_lead,
-                    mutation_only_increase_oscale(y, mu, n),
-                    c34,
-                    rb,
-                )
+                {
+                    "mu": mu,
+                    "y": y,
+                    "n": n,
+                    "k": k,
+                    "chi": chi,
+                    "p_c": pc,
+                    "close_increase_leading": close_crossover_increase_bound(y, mu, chi, n),
+                    "close_increase_oscale": close_crossover_increase_oscale(y, mu, n),
+                    "close_decrease_lower": close_crossover_decrease_bound(y, mu, chi, n),
+                    "mutation_leading": mut_lead,
+                    "mutation_oscale": mutation_only_increase_oscale(y, mu, n),
+                    "survival_constant_3_4": c34,
+                    "runtime_bound": rb,
+                }
             )
-    write_series_csv(rows, out / "bounds.csv", header)
+    header = _write_rows(rows, out / "bounds.csv")
     if cfg["format"] == "text":
         widths = [max(len(h), 14) for h in header]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
         for row in rows:
-            print("  ".join(format_value(v).ljust(w) for v, w in zip(row, widths)))
+            print("  ".join(format_value(v).ljust(w) for v, w in zip(row.values(), widths)))
     return 0
 
 
@@ -391,35 +341,20 @@ def _cmd_sweep(params: GaParams, cfg: dict, out: Path) -> int:
     rows = []
     for cell in result.cells:
         est = cell.estimate
-        satisfied = "inconclusive" if cell.satisfied is None else format_value(cell.satisfied)
         rows.append(
-            (
-                est.event.value,
-                est.y,
-                est.trials,
-                est.p_plus_hat,
-                est.p_minus_hat,
-                est.stderr_plus,
-                est.stderr_minus,
-                cell.primary_bound,
-                satisfied,
-            )
+            {
+                "event": est.event.value,
+                "y": est.y,
+                "trials": est.trials,
+                "p_plus": est.p_plus_hat,
+                "p_minus": est.p_minus_hat,
+                "stderr_plus": est.stderr_plus,
+                "stderr_minus": est.stderr_minus,
+                "bound": cell.primary_bound,
+                "satisfied": "inconclusive" if cell.satisfied is None else format_value(cell.satisfied),
+            }
         )
-    write_series_csv(
-        rows,
-        out / "transitions.csv",
-        (
-            "event",
-            "y",
-            "trials",
-            "p_plus",
-            "p_minus",
-            "stderr_plus",
-            "stderr_minus",
-            "bound",
-            "satisfied",
-        ),
-    )
+    _write_rows(rows, out / "transitions.csv")
     write_json(
         {
             "cells": [
@@ -448,16 +383,13 @@ def _cmd_sweep(params: GaParams, cfg: dict, out: Path) -> int:
 
 def _cmd_oracle(params: GaParams, cfg: dict, out: Path) -> int:
     n, k, d = params.n, params.k, cfg["d"]
-    if not 0 <= d <= k:
-        raise UsageError(f"d must lie in [0, k], got {d}")
-    if params.p_m >= 1.0:
-        raise UsageError(f"the oracle needs chi < n, got chi={params.chi}, n={n}")
+    # first: the bound judges d and p_m before the pair is built from them
+    bound = optimum_creation_lower_bound(n, k, d, params.p_m)
     # canonical plateau pair at Hamming distance 2d: zero blocks 0..k-1 and d..k+d-1
     full = (1 << n) - 1
     a = Genotype(full ^ ((1 << k) - 1), n)
     b = Genotype(full ^ (((1 << k) - 1) << d), n)
     exact = exact_optimum_probability(a, b, params.p_m)
-    bound = optimum_creation_lower_bound(n, k, d, params.p_m)
     payload = {
         "n": n,
         "k": k,
@@ -467,9 +399,7 @@ def _cmd_oracle(params: GaParams, cfg: dict, out: Path) -> int:
         "closed_form_lower_bound": bound,
     }
     if cfg["mc_trials"]:
-        mc = sample_optimum_creation_frequency(
-            a, b, params.p_m, cfg["mc_trials"], make_rng(params.seed, stream=0)
-        )
+        mc = sample_optimum_creation_frequency(a, b, params.p_m, cfg["mc_trials"], params.seed)
         payload["mc_frequency"] = mc.frequency
         payload["mc_stderr"] = mc.stderr
         payload["mc_trials"] = mc.trials
@@ -514,8 +444,11 @@ def main(argv=None) -> int:
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
         write_resolved_config(cfg, out)
-        return _HANDLERS[cfg["subcommand"]](_params_from(cfg), cfg, out)
-    except UsageError as e:
+        params = GaParams(
+            n=cfg["n"], k=cfg["k"], mu=cfg["mu"], p_c=cfg["pc"], chi=cfg["chi"], seed=cfg["seed"]
+        )
+        return _HANDLERS[cfg["subcommand"]](params, cfg, out)
+    except SettingError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

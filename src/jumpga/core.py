@@ -21,6 +21,23 @@ import numpy as np
 _TWO53 = 2.0**53
 
 
+class SettingError(ValueError):
+    """A setting outside its domain.
+
+    Raised only by the check in the code that uses the value, and only before
+    that code's first draw; that check is the value's one check.  The CLI
+    turns it into a usage error (exit 2).  A check that can fail only on a
+    bug in the calling code raises plain ValueError.
+    """
+
+
+def check_at_least(low: int, **values: int | None) -> None:
+    """Raise SettingError for the first value below ``low`` (1 or 0); None passes."""
+    for name, value in values.items():
+        if value is not None and value < low:
+            raise SettingError(f"{name} must be {'positive' if low else 'non-negative'}, got {value}")
+
+
 class Genotype(NamedTuple):
     """Fixed-length bit string; ``bits`` packs positions ``0..n-1``."""
 
@@ -59,17 +76,17 @@ class GaParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+            raise SettingError(f"n must be positive, got {self.n}")
         if not (1 <= self.k and 2 * self.k <= self.n):
-            raise ValueError(f"k must satisfy 1 <= k <= n/2, got k={self.k}, n={self.n}")
+            raise SettingError(f"k must satisfy 1 <= k <= n/2, got k={self.k}, n={self.n}")
         if self.mu < 2:
-            raise ValueError(f"mu must be at least 2, got {self.mu}")
+            raise SettingError(f"mu must be at least 2, got {self.mu}")
         if not 0.0 <= self.p_c <= 1.0:
-            raise ValueError(f"p_c must lie in [0, 1], got {self.p_c}")
+            raise SettingError(f"p_c must lie in [0, 1], got {self.p_c}")
         if not 0.0 < self.chi <= self.n:
-            raise ValueError(f"chi must lie in (0, n], got {self.chi}")
+            raise SettingError(f"chi must lie in (0, n], got {self.chi}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
+            raise SettingError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
 
     @property
     def p_m(self) -> float:

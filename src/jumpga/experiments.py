@@ -31,7 +31,16 @@ from .analysis import (
     mutation_only_transition_bounds,
     survival_constant,
 )
-from .core import GaParams, Genotype, RandomStream, jump_fitness, make_rng, random_index_subset
+from .core import (
+    GaParams,
+    Genotype,
+    RandomStream,
+    SettingError,
+    check_at_least,
+    jump_fitness,
+    make_rng,
+    random_index_subset,
+)
 from .diversity import PairwiseDistanceTracker, SpeciesTracker
 from .ga import (
     EventClass,
@@ -43,13 +52,6 @@ from .ga import (
     run,
     steps,
 )
-
-
-def _check_at_least(low: int, **values: int | None) -> None:
-    """Raise ValueError for the first value below ``low`` (1 or 0); None passes."""
-    for name, value in values.items():
-        if value is not None and value < low:
-            raise ValueError(f"{name} must be {'positive' if low else 'non-negative'}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +104,7 @@ def _count_moves(
     step when ``event`` is None).  Returns ``(accepted, attempts, ups, downs)``,
     ``ups``/``downs`` counting accepted steps that grow/shrink ``species``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    check_at_least(1, trials=trials)
     mu = params.mu
     accepted = attempts = ups = downs = 0
     while accepted < trials and attempts < cap:
@@ -157,8 +158,10 @@ def estimate_transition(
     conditioned on ``event``, by rejection sampling over the production step.
 
     Repeats single steps from the same start population until ``trials``
-    accepted samples or ``max_attempts`` total steps (default 50x target).
+    accepted samples or ``max_attempts`` total steps (default 50x target;
+    0 takes no step).
     """
+    check_at_least(0, max_attempts=max_attempts)
     cap = 50 * trials if max_attempts is None else max_attempts
     accepted, attempts, ups, downs = _count_moves(params, population, species, event, trials, cap, rng)
     y = population.members.count(species)
@@ -214,22 +217,23 @@ def sample_optimum_creation_frequency(
     b: Genotype,
     p_m: float,
     trials: int,
-    rng: RandomStream,
+    seed: int,
+    stream: int = 0,
     batch_size: int = 250_000,
 ) -> MonteCarloFrequency:
     """Monte Carlo frequency of reaching the all-ones string with one
     crossover-plus-mutation of parents ``(a, b)``.
 
     Vectorized across trials (bit matrices over the numpy generator backing
-    ``rng``); per trial the operator semantics match
+    ``make_rng(seed, stream)``, made once ``trials`` and ``batch_size`` pass
+    their check); per trial the operator semantics match
     ``standard_bit_mutation(uniform_crossover(a, b))`` exactly.
     """
     if a.n != b.n:
         raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    check_at_least(1, trials=trials, batch_size=batch_size)
     n = a.n
-    gen = rng.generator
+    gen = make_rng(seed, stream).generator
     a_row = np.array([(a.bits >> i) & 1 for i in range(n)], dtype=bool)
     b_row = np.array([(b.bits >> i) & 1 for i in range(n)], dtype=bool)
     hits = 0
@@ -302,8 +306,8 @@ def run_takeover(
 ) -> TakeoverSummary:
     """From a monomorphic plateau start, time until largest species <= mu/2
     (cap default: 100 times the takeover reference)."""
-    _check_at_least(1, replicates=replicates)
-    _check_at_least(0, max_iterations=max_iterations)
+    check_at_least(1, replicates=replicates)
+    check_at_least(0, max_iterations=max_iterations)
     cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
     reps: list[TakeoverReplicate] = []
     for r in range(replicates):
@@ -366,8 +370,8 @@ def run_survival(
     phase as in :func:`run_takeover`.  The analytic tail needs p_c > 0, so a
     zero p_c is rejected, as is lam outside (1/2, 1), before the first draw.
     """
-    _check_at_least(1, replicates=replicates, t_max=t_max)
-    _check_at_least(0, max_iterations=max_iterations)
+    check_at_least(1, replicates=replicates, t_max=t_max)
+    check_at_least(0, max_iterations=max_iterations)
     c_surv = survival_constant(lam, params.chi, params.p_c)
     threshold = math.ceil(lam * params.mu - 1e-9)
     cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
@@ -436,8 +440,8 @@ def run_figure1(
     ``stride`` steps (default 1 up to mu = 64, else 10); the cap defaults to
     10**7 iterations.
     """
-    _check_at_least(1, replicates=replicates, stride=stride)
-    _check_at_least(0, max_iterations=max_iterations)
+    check_at_least(1, replicates=replicates, stride=stride)
+    check_at_least(0, max_iterations=max_iterations)
     distances = tuple(range(0, 2 * params.k + 1, 2))
     if stride is None:
         stride = 1 if params.mu <= 64 else 10
@@ -492,7 +496,7 @@ class ComparisonSummary:
 
 def run_replicates(params: GaParams, replicates: int, stop: StopCondition) -> tuple[RunRecord, ...]:
     """Runs from uniform random starts until ``stop``; replicate r uses stream r."""
-    _check_at_least(1, replicates=replicates)
+    check_at_least(1, replicates=replicates)
     records = []
     for r in range(replicates):
         rng = make_rng(params.seed, stream=r)
@@ -509,9 +513,9 @@ def run_comparison(
     Replicate i of both arms uses stream i, so the arms face the same
     initialization randomness.  Runs start from uniform random populations
     and stop at the optimum or at the cap (default 50 * n^k iterations).
+    The cap is judged by StopCondition, and ``replicates`` by the first arm's
+    :func:`run_replicates`, before the first draw.
     """
-    _check_at_least(1, replicates=replicates)
-    _check_at_least(0, max_iterations=max_iterations)
     cap = 50 * params.n**params.k if max_iterations is None else max_iterations
     stop = StopCondition(max_iterations=cap)
     arms: list[ComparisonArm] = []
@@ -585,22 +589,24 @@ class SweepResult:
 
 
 def sweep_grid_ys(mu: int) -> tuple[int, ...]:
-    """Witness sizes ceil(mu/2), ceil(3mu/4), mu-1 (deduplicated, sorted)."""
+    """Witness sizes ceil(mu/2), ceil(3mu/4), mu-1 (deduplicated, sorted);
+    SettingError for a mu below 4, where ceil(3mu/4) would reach mu."""
+    if mu < 4:
+        raise SettingError(f"population-size grid needs every mu >= 4, got {mu}")
     return tuple(sorted({math.ceil(mu / 2), math.ceil(3 * mu / 4), mu - 1}))
 
 
 def sweep_plan(params: GaParams, mus: tuple[int, ...]) -> list[tuple[str, int, int]]:
     """The sweep's cells ``(kind, mu, y)`` in stream order: for each mu, the
     kinds of ``_SWEEP_KINDS`` in turn, each over the witness sizes, except
-    the monomorphic kind, whose one cell has y = mu.  Raises ValueError for a
-    mu below 4 or a k too small for the widest two-species cell."""
+    the monomorphic kind, whose one cell has y = mu.  Raises SettingError for
+    a k too small for the widest two-species cell, and :func:`sweep_grid_ys`
+    does for a mu below 4."""
     widest = max(delta for _, delta, _ in _SWEEP_KINDS.values())
     if params.k < widest:
-        raise ValueError(f"sweep needs k >= {widest} for its distant cells, got k={params.k}")
+        raise SettingError(f"sweep needs k >= {widest} for its distant cells, got k={params.k}")
     plan = []
     for mu in mus:
-        if mu < 4:
-            raise ValueError(f"sweep grid needs mu >= 4, got {mu}")
         for kind, (_, delta, _) in _SWEEP_KINDS.items():
             plan += [(kind, mu, y) for y in (sweep_grid_ys(mu) if delta else (mu,))]
     return plan
@@ -649,7 +655,7 @@ def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> Swee
     event from its kind's start population (``_SWEEP_KINDS``), targets
     ``trials`` accepted steps and carries the checks of its kind.
     """
-    _check_at_least(1, trials=trials)
+    check_at_least(1, trials=trials)
     cells: list[SweepCell] = []
     for idx, (kind, mu, y) in enumerate(sweep_plan(params, mus)):
         event, delta, pc = _SWEEP_KINDS[kind]

@@ -24,6 +24,7 @@ from .core import (
     GaParams,
     Genotype,
     RandomStream,
+    check_at_least,
     jump_fitness,
     random_index_subset,
     standard_bit_mutation,
@@ -135,8 +136,7 @@ class StopCondition:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be non-negative, got {self.max_iterations}")
+        check_at_least(0, max_iterations=self.max_iterations)
 
 
 @dataclass

@@ -95,7 +95,7 @@ def test_01_exact_event_probability_matches_simulation():
         b = Genotype(full ^ (((1 << k) - 1) << d), n)
         assert hamming_distance(a, b) == 2 * d
         exact = exact_optimum_probability(a, b, p_m)
-        mc = sample_optimum_creation_frequency(a, b, p_m, trials, make_rng(1, d))
+        mc = sample_optimum_creation_frequency(a, b, p_m, trials, 1, d)
         gap = abs(mc.frequency - exact)
         tol = 3 * mc.stderr
         ok = ok and gap <= tol

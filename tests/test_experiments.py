@@ -34,6 +34,7 @@ from jumpga import (
     uniform_crossover,
 )
 from jumpga import experiments
+from jumpga.core import SettingError
 from jumpga.diversity import census
 
 
@@ -116,6 +117,18 @@ def test_estimate_transition_impossible_event_is_inconclusive_not_an_error():
     assert est.p_plus_hat == est.p_minus_hat == 0.0
 
 
+def test_estimate_transition_rejects_a_negative_attempt_cap_before_any_draw():
+    params = GaParams(n=40, k=3, mu=6, p_c=1.0, chi=1.0, seed=5)
+    pop, focal, _ = two_species_population(params, 3, 1, make_rng(5, 0))
+    rng = make_rng(5, 1)
+    with pytest.raises(SettingError, match="max_attempts must be non-negative"):
+        estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 100, rng, max_attempts=-3)
+    assert rng.uniform() == make_rng(5, 1).uniform()
+    # A cap of 0 takes no step.
+    est = estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 100, rng, max_attempts=0)
+    assert (est.trials, est.attempts, est.inconclusive) == (0, 0, True)
+
+
 def test_estimate_unconditioned_drift_structure():
     params = GaParams(n=60, k=3, mu=8, p_c=0.5, chi=1.0, seed=6)
     pop, focal, _ = two_species_population(params, 6, 1, make_rng(6, 0))
@@ -170,7 +183,7 @@ def test_sampled_creation_frequency_matches_exact_probability_both_routes():
     trials = 100_000
     se = math.sqrt(exact * (1 - exact) / trials)
 
-    mc = sample_optimum_creation_frequency(a, b, pm, trials, make_rng(3, 0))
+    mc = sample_optimum_creation_frequency(a, b, pm, trials, 3, 0)
     assert mc.trials == trials
     assert mc.hits == round(mc.frequency * trials)
     assert abs(mc.frequency - exact) <= 3 * se
@@ -187,10 +200,23 @@ def test_sampled_creation_frequency_matches_exact_probability_both_routes():
 def test_sampled_creation_frequency_certain_event():
     n = 10
     opt = Genotype((1 << n) - 1, n)
-    mc = sample_optimum_creation_frequency(opt, opt, 0.0, 1000, make_rng(1, 0), batch_size=64)
+    mc = sample_optimum_creation_frequency(opt, opt, 0.0, 1000, 1, 0, batch_size=64)
     assert mc.frequency == 1.0
     assert mc.hits == 1000
     assert mc.stderr == 0.0
+
+
+@pytest.mark.parametrize("trials, batch_size", [(10, 0), (10, -4), (0, 64)])
+def test_sampled_creation_frequency_rejects_a_count_below_1_before_any_stream(
+    monkeypatch, trials, batch_size
+):
+    def no_stream(*args, **kw):
+        raise AssertionError("a random stream was made before the counts were checked")
+
+    monkeypatch.setattr(experiments, "make_rng", no_stream)
+    g = Genotype((1 << 10) - 1, 10)
+    with pytest.raises(SettingError, match="must be positive"):
+        sample_optimum_creation_frequency(g, g, 0.1, trials, 1, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +414,9 @@ def test_sweep_witness_sizes():
     assert sweep_grid_ys(4) == (2, 3)
     assert sweep_grid_ys(8) == (4, 6, 7)
     assert sweep_grid_ys(16) == (8, 12, 15)
+    for mu in (3, 2, 0):
+        with pytest.raises(SettingError, match="needs every mu >= 4"):
+            sweep_grid_ys(mu)
 
 
 def test_bound_sweep_cell_plan_and_verdicts():

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import jumpga.cli as cli
+import jumpga.core as core
 from jumpga import (
     BoundReport,
     ConditionedEstimate,
@@ -245,10 +246,24 @@ def test_invalid_parameter_combinations_exit_2(tmp_path):
         ["figure1", "--stride", "0"],
         ["sweep", "--k", "1"],
         ["survival", "--pc", "0"],
+        ["oracle", "--d", "-1"],
+        ["bounds", "--mus", "3"],
+        ["compare", "--max-iterations", "-3"],
+        ["run", "--config", "replicates_0.ini"],
+        ["compare", "--replicates", "0"],
     ],
 )
-def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, argv):
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, monkeypatch, argv):
+    # Each setting is judged by the code that uses it, before its first draw:
+    # no random stream is made, and config.resolved is the only file written.
+    def no_stream(*args, **kw):
+        raise AssertionError("a random stream was made before the settings were checked")
+
+    monkeypatch.setattr(core, "RandomStream", no_stream)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "replicates_0.ini").write_text("[run]\nreplicates = 0\n")
+    assert main(argv + ["--out", "o"]) == 2
+    assert [f.name for f in (tmp_path / "o").iterdir()] == ["config.resolved"]
 
 
 @pytest.mark.parametrize(
@@ -267,6 +282,16 @@ def test_config_file_value_outside_the_choices_exits_2(tmp_path, capsys, sub, ke
     argv = [sub, "--config", str(ini), "--out", str(tmp_path / "o"), f"--{key}", valid]
     assert main(argv) == 2
     capsys.readouterr()
+
+
+def test_config_file_value_a_flag_overrides_is_never_judged(tmp_path):
+    # Only the effective value reaches the check of the code that uses it.
+    ini = tmp_path / "c.ini"
+    ini.write_text("[run]\nreplicates = 0\n")
+    argv = ["run", "--config", str(ini), "--out", str(tmp_path / "o"), "--n", "12", "--k", "2",
+            "--mu", "4", "--replicates", "1"]
+    assert main(argv) == 0
+    assert len(read_lines(tmp_path / "o" / "runs.csv")) == 2
 
 
 def _other_value(default, typ, domain):
