@@ -75,8 +75,6 @@ _OPTIONS = {
     "mus": (str, "comma-separated population sizes, each at least 4", None),
     "format": (str, "'text' also prints the table, 'csv' only writes bounds.csv",
                ("text", "csv")),
-    "grid": (str, "named population-size grid: 'default' uses --mus, 'wide' uses 4..64",
-             ("default", "wide")),
     "d": (int, "half the parent Hamming distance, in [0, k]", None),
     "mc_trials": (int, "Monte Carlo trials for an optional cross-check (0: none)", None),
 }
@@ -96,7 +94,7 @@ _SECTIONS = {
     "compare": ("crossover arm vs mutation-only arm",
                 {"replicates": 20, "max_iterations": None}),
     "bounds": ("tabulate every closed-form bound over a grid",
-               {"mus": "4,8,16", "format": "text", "grid": "default"}),
+               {"mus": "4,8,16", "format": "text"}),
     "sweep": ("Monte Carlo bound checks over a (mu, y, event) grid",
               {"trials": 100_000, "mus": "4,8,16"}),
     "oracle": ("exact vs closed-form optimum-creation probability",
@@ -149,23 +147,22 @@ def _coerce(key: str, raw: str):
 
 
 def _read_config_file(path: str, subcommand: str) -> dict:
+    """The file's settings for ``subcommand``: ``[common]``, then its own section.
+    Every section is judged, so a file is valid or not whichever subcommand reads it."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise SettingError(f"config file not found: {path}")
-    allowed = _defaults(subcommand)
-    out: dict = {}
-    for section in ("common", subcommand):
-        if not parser.has_section(section):
-            continue
-        for key, raw in parser.items(section):
-            if key not in allowed:
-                raise SettingError(f"unknown config key '{key}' in section [{section}]")
-            out[key] = _coerce(key, raw)
+    sections: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise SettingError(f"unknown config section [{section}]")
-    return out
+        allowed = _defaults(section)
+        values = sections[section] = {}
+        for key, raw in parser.items(section):
+            if key not in allowed:
+                raise SettingError(f"unknown config key '{key}' in section [{section}]")
+            values[key] = _coerce(key, raw)
+    return {**sections.get("common", {}), **sections.get(subcommand, {})}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -301,11 +298,10 @@ def _cmd_compare(params: GaParams, cfg: dict, out: Path) -> int:
 
 
 def _cmd_bounds(params: GaParams, cfg: dict, out: Path) -> int:
-    mus = (4, 8, 16, 32, 64) if cfg["grid"] == "wide" else _parse_mus(cfg["mus"])
     rows = []
     n, k, chi, pc = params.n, params.k, params.chi, params.p_c
     c34 = survival_constant(0.75, chi, pc) if pc > 0 else None
-    for mu in mus:
+    for mu in _parse_mus(cfg["mus"]):
         ys = sweep_grid_ys(mu)  # the check of mu, so before runtime_bound
         rb = runtime_bound(n, k, mu, chi, pc) if (k >= 3 and pc > 0) else None
         for y in ys:

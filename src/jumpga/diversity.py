@@ -1,66 +1,22 @@
-"""Population diversity measurement: species censuses and pairwise Hamming statistics.
+"""Population diversity measurement: species sizes and pairwise Hamming distances.
 
-A species is the set of population members sharing one genotype.  Besides the
-one-shot measurements there are incremental trackers that consume step traces,
-so long runs can maintain species sizes and distance histograms in O(mu) per
-iteration that changes the population (O(1) for one that does not) instead of
-O(mu^2) recomputation.
+A species is the set of population members sharing one genotype.  Each
+tracker counts its quantity once, from a population, and then consumes step
+traces, so long runs maintain species sizes and distance histograms in O(mu)
+per iteration that changes the population (O(1) for one that does not)
+instead of O(mu^2) recomputation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import Genotype
 from .ga import IntegrityError, Population, StepTrace
 
 
-@dataclass
-class SpeciesCensus:
-    """Counts per distinct genotype."""
-
-    classes: dict[Genotype, int]
-    largest_size: int
-    species_count: int
-
-
-def census(pop: Population) -> SpeciesCensus:
-    counts = Counter(pop.members)
-    return SpeciesCensus(dict(counts), max(counts.values()), len(counts))
-
-
-@dataclass
-class HammingHistogram:
-    """Histogram of pairwise Hamming distances over unordered member pairs."""
-
-    counts: dict[int, int]
-    total_pairs: int
-
-    def frequencies(self, distances) -> tuple[float, ...]:
-        tp = self.total_pairs
-        return tuple(self.counts.get(d, 0) / tp for d in distances)
-
-    def mean_distance(self) -> float:
-        return sum(d * c for d, c in self.counts.items()) / self.total_pairs
-
-
-def hamming_histogram(pop: Population) -> HammingHistogram:
-    members = pop.members
-    mu = len(members)
-    if mu < 2:
-        raise ValueError("need at least two members for pairwise distances")
-    counts: dict[int, int] = {}
-    for i in range(mu - 1):
-        ai = members[i].bits
-        for j in range(i + 1, mu):
-            d = (ai ^ members[j].bits).bit_count()
-            counts[d] = counts.get(d, 0) + 1
-    return HammingHistogram(counts, mu * (mu - 1) // 2)
-
-
 class SpeciesTracker:
-    """Incrementally maintained census with O(1) largest-species updates.
+    """Incrementally maintained species sizes with O(1) largest-species updates.
 
     Keeps a histogram of class sizes so the maximum can be maintained under
     single add/remove updates without scanning (the largest size moves by at
@@ -128,10 +84,18 @@ class PairwiseDistanceTracker:
     """
 
     def __init__(self, pop: Population):
-        self._members = [g.bits for g in pop.members]
-        hist = hamming_histogram(pop)
-        self.counts = dict(hist.counts)
-        self.total_pairs = hist.total_pairs
+        members = self._members = [g.bits for g in pop.members]
+        mu = len(members)
+        if mu < 2:
+            raise ValueError("need at least two members for pairwise distances")
+        counts: dict[int, int] = {}
+        for i in range(mu - 1):
+            ai = members[i]
+            for j in range(i + 1, mu):
+                d = (ai ^ members[j]).bit_count()
+                counts[d] = counts.get(d, 0) + 1
+        self.counts = counts
+        self.total_pairs = mu * (mu - 1) // 2
         # The last frequencies() answer and the distances it was asked for;
         # dropped by the next apply() that changes ``counts``.
         self._freq_distances: tuple[int, ...] | None = None

@@ -2,9 +2,9 @@
 
 Conventions shared by every runner:
 
-* Replicates and grid cells are embarrassingly parallel; each owns the private
-  random stream ``make_rng(seed, stream=index)`` and results are folded in
-  index order, so outputs are bit-identical however the work is scheduled.
+* Replicates and grid cells run one after another.  Each owns the private
+  random stream ``make_rng(seed, stream=index)``, so its result depends only
+  on ``(seed, index)``, and results are folded in index order.
 * Conditioning on an event class is done by rejection: the production
   ``ga_step`` runs verbatim and trials whose realized event class differs from
   the target are discarded.  Configurations choose ``p_c`` per target event
@@ -212,6 +212,12 @@ class MonteCarloFrequency(NamedTuple):
     trials: int
 
 
+# Trials per vectorized batch: two (batch, n) float matrices at a time.  The
+# frequency depends on it, as each batch draws its crossover coins before its
+# mutation coins.
+_SAMPLE_BATCH = 250_000
+
+
 def sample_optimum_creation_frequency(
     a: Genotype,
     b: Genotype,
@@ -219,19 +225,18 @@ def sample_optimum_creation_frequency(
     trials: int,
     seed: int,
     stream: int = 0,
-    batch_size: int = 250_000,
 ) -> MonteCarloFrequency:
     """Monte Carlo frequency of reaching the all-ones string with one
     crossover-plus-mutation of parents ``(a, b)``.
 
     Vectorized across trials (bit matrices over the numpy generator backing
-    ``make_rng(seed, stream)``, made once ``trials`` and ``batch_size`` pass
-    their check); per trial the operator semantics match
-    ``standard_bit_mutation(uniform_crossover(a, b))`` exactly.
+    ``make_rng(seed, stream)``, made once ``trials`` passes its check, drawn
+    ``_SAMPLE_BATCH`` trials at a time); per trial the operator semantics
+    match ``standard_bit_mutation(uniform_crossover(a, b))`` exactly.
     """
     if a.n != b.n:
         raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
-    check_at_least(1, trials=trials, batch_size=batch_size)
+    check_at_least(1, trials=trials)
     n = a.n
     gen = make_rng(seed, stream).generator
     a_row = np.array([(a.bits >> i) & 1 for i in range(n)], dtype=bool)
@@ -239,7 +244,7 @@ def sample_optimum_creation_frequency(
     hits = 0
     left = trials
     while left:
-        m = min(batch_size, left)
+        m = min(_SAMPLE_BATCH, left)
         left -= m
         take_a = gen.random((m, n)) < 0.5
         child = np.where(take_a, a_row, b_row)

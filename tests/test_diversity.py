@@ -1,4 +1,5 @@
-"""Diversity telemetry: species census, distance histograms, incremental trackers."""
+"""Diversity telemetry: the species and pairwise-distance trackers, counted
+from a population and updated step by step."""
 
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from jumpga import (
     steps,
     two_species_population,
 )
-from jumpga.diversity import census, hamming_histogram
 
 
 def population_of(n: int, k: int, *bits: int) -> Population:
@@ -35,42 +35,42 @@ def population_of(n: int, k: int, *bits: int) -> Population:
 
 def test_census_counts_distinct_genotypes():
     pop = population_of(3, 1, 0b011, 0b011, 0b101)
-    c = census(pop)
-    assert c.classes == {Genotype(0b011, 3): 2, Genotype(0b101, 3): 1}
-    assert c.largest_size == 2
-    assert c.species_count == 2
+    tracker = SpeciesTracker(pop)
+    assert tracker.counts == {Genotype(0b011, 3): 2, Genotype(0b101, 3): 1}
+    assert tracker.largest == 2
+    assert tracker.largest_class() == Genotype(0b011, 3)
 
 
 def test_census_of_monomorphic_population():
     pop = population_of(4, 1, 0b0111, 0b0111, 0b0111)
-    c = census(pop)
-    assert c.species_count == 1
-    assert c.largest_size == 3
+    tracker = SpeciesTracker(pop)
+    assert len(tracker.counts) == 1
+    assert tracker.largest == 3
 
 
 def test_hamming_histogram_hand_example():
     pop = population_of(3, 1, 0b000, 0b011, 0b011)
-    h = hamming_histogram(pop)
-    assert h.counts == {2: 2, 0: 1}
-    assert h.total_pairs == 3
-    assert h.mean_distance() == pytest.approx(4 / 3, rel=1e-12)
-    assert h.frequencies((0, 2)) == pytest.approx((1 / 3, 2 / 3), rel=1e-12)
+    tracker = PairwiseDistanceTracker(pop)
+    assert tracker.counts == {2: 2, 0: 1}
+    assert tracker.total_pairs == 3
+    assert tracker.frequencies((0, 2)) == pytest.approx((1 / 3, 2 / 3), rel=1e-12)
 
 
 def test_hamming_histogram_two_member_population():
     pop = population_of(8, 2, 0b00001111, 0b11111111)
-    h = hamming_histogram(pop)
-    assert h.counts == {4: 1}
-    assert h.total_pairs == 1
-    assert h.mean_distance() == 4.0
+    tracker = PairwiseDistanceTracker(pop)
+    assert tracker.counts == {4: 1}
+    assert tracker.total_pairs == 1
+    with pytest.raises(ValueError, match="at least two members"):
+        PairwiseDistanceTracker(population_of(8, 2, 0b00001111))
 
 
 def test_histogram_and_census_ignore_member_order():
     bits = [0b0110, 0b1111, 0b0110, 0b0001, 0b1111]
     a = population_of(4, 1, *bits)
     b = population_of(4, 1, *reversed(bits))
-    assert census(a).classes == census(b).classes
-    assert hamming_histogram(a).counts == hamming_histogram(b).counts
+    assert SpeciesTracker(a).counts == SpeciesTracker(b).counts
+    assert PairwiseDistanceTracker(a).counts == PairwiseDistanceTracker(b).counts
 
 
 def test_mean_pairwise_distance_of_uniform_populations():
@@ -79,7 +79,8 @@ def test_mean_pairwise_distance_of_uniform_populations():
     means = []
     for seed in range(100):
         p = GaParams(n=30, k=3, mu=10, p_c=0.5, chi=1.0, seed=seed)
-        means.append(hamming_histogram(init_uniform(p, make_rng(seed, 0))).mean_distance())
+        tracker = PairwiseDistanceTracker(init_uniform(p, make_rng(seed, 0)))
+        means.append(sum(d * c for d, c in tracker.counts.items()) / tracker.total_pairs)
     grand = statistics.mean(means)
     se = statistics.stdev(means) / math.sqrt(len(means))
     assert abs(grand - 15.0) <= 3 * se + 0.05
@@ -105,12 +106,11 @@ def test_species_tracker_matches_full_census_after_every_step():
     tracker = SpeciesTracker(history[0])
     for pop, trace in zip(history[1:], traces):
         tracker.apply(trace)
-        c = census(pop)
-        assert tracker.largest == c.largest_size
-        for g, count in c.classes.items():
+        census_now = Counter(pop.members)
+        assert tracker.largest == max(census_now.values())
+        for g, count in census_now.items():
             assert tracker.count(g) == count
-        largest_class = tracker.largest_class()
-        assert c.classes[largest_class] == c.largest_size
+        assert census_now[tracker.largest_class()] == tracker.largest
 
 
 def test_species_tracker_state_equals_a_fresh_census_after_every_chained_step():
@@ -132,6 +132,7 @@ def test_species_tracker_state_equals_a_fresh_census_after_every_chained_step():
             assert tracker.counts == census_now, name
             assert tracker.largest == max(census_now.values()), name
             assert tracker._size_hist == Counter(census_now.values()), name
+            assert census_now[tracker.largest_class()] == tracker.largest, name
         assert same > 0, name
 
 
@@ -142,9 +143,10 @@ def test_pairwise_tracker_matches_full_histogram_after_every_step():
     distances = tuple(range(0, 13))
     for pop, trace in zip(history[1:], traces):
         tracker.apply(trace)
-        expected = hamming_histogram(pop).frequencies(distances)
+        fresh = PairwiseDistanceTracker(pop)
+        assert tracker.counts == fresh.counts
         got = tracker.frequencies(distances)
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert got == fresh.frequencies(distances)
         assert sum(got) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -143,7 +143,7 @@ _RESOLVED_PINS = {
     "survival": "a0846b420cfc35378e65ce3a40a2947a0200ac597983293ef9109f0991925988",
     "figure1": "1235877a5d7b39eb4eb7f2c8c943031e0082a51940cf9e48e3cc2ea3ce5af157",
     "compare": "f42a6a3bbbfb1cf1d018b24a612a08697e74a84900c9c1cb0e0d088b108156a9",
-    "bounds": "e84545838e17df0437882d039d820f38c621880a385a1474ff02fb738a0cc2ff",
+    "bounds": "e792d48c5bc032dafef20782c29015c862a76a7cf82569f8e66aa6839ebf2d82",
     "sweep": "84e51b47494f8bd88fc944d8d44cd25b81400c15fcb1a2a3cd060affc242607c",
     "oracle": "f36ec6ce8304d1e4a845f07f61454e8b69bbaedc86d3803159bcb940341b3ab4",
     "combined": "373e1a3a22301f4562c1b4aeedd7826cc26164fd8f23cfd6a9e63961dad1b639",
@@ -194,6 +194,19 @@ def test_unknown_config_keys_and_sections_are_usage_errors(tmp_path):
     bad_value.write_text("[common]\nmu = plenty\n")
     assert main(["run", "--config", str(bad_value)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
+
+
+def test_every_config_section_is_judged_whichever_subcommand_reads_it(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[sweep]\nbogus = 1\ntrials = abc\n")
+    # Read before the output directory is made, so nothing is written.
+    assert main(["run", "--config", str(bad), "--out", "o"]) == 2
+    assert not (tmp_path / "o").exists()
+    good = tmp_path / "good.ini"
+    good.write_text("[sweep]\ntrials = 7\nmus = 4,8\n")
+    assert parse_cli(["run", "--config", str(good)]) == parse_cli(["run"])
 
 
 def test_argparse_failures_exit_2_and_help_exits_0(capsys):
@@ -267,7 +280,7 @@ def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize(
-    "sub, key, value", [("run", "stop", "sometimes"), ("bounds", "format", "xml"), ("bounds", "grid", "huge")]
+    "sub, key, value", [("run", "stop", "sometimes"), ("bounds", "format", "xml")]
 )
 def test_config_file_value_outside_the_choices_exits_2(tmp_path, capsys, sub, key, value):
     ini = tmp_path / "c.ini"
@@ -477,7 +490,7 @@ def test_bounds_subcommand_text_and_csv(tmp_path, capsys):
     assert "close_decrease_lower" in table
     assert (out / "bounds.csv").exists()
     out2 = tmp_path / "bounds2"
-    assert main(["bounds", "--out", str(out2), "--format", "csv", "--grid", "wide",
+    assert main(["bounds", "--out", str(out2), "--format", "csv", "--mus", "4,8,16,32,64",
                  "--n", "50"]) == 0
     lines = read_lines(out2 / "bounds.csv")
     mus = sorted({int(line.split(",")[0]) for line in lines[1:]})
