@@ -212,9 +212,9 @@ class MonteCarloFrequency(NamedTuple):
     trials: int
 
 
-# Trials per vectorized batch: two (batch, n) float matrices at a time.  The
-# frequency depends on it, as each batch draws its crossover coins before its
-# mutation coins.
+# Trials per vectorized batch.  The frequency depends on it, as each batch
+# draws all its crossover coins (kept as bool) before its mutation coins; both
+# come in row slabs, which take the uniforms of one (batch, n) draw.
 _SAMPLE_BATCH = 250_000
 
 
@@ -241,15 +241,18 @@ def sample_optimum_creation_frequency(
     gen = make_rng(seed, stream).generator
     a_row = np.array([(a.bits >> i) & 1 for i in range(n)], dtype=bool)
     b_row = np.array([(b.bits >> i) & 1 for i in range(n)], dtype=bool)
+    slab = max(1, (1 << 20) // n)  # rows per draw: 8 MiB of uniforms at a time
     hits = 0
     left = trials
     while left:
         m = min(_SAMPLE_BATCH, left)
         left -= m
-        take_a = gen.random((m, n)) < 0.5
-        child = np.where(take_a, a_row, b_row)
-        flips = gen.random((m, n)) < p_m
-        hits += int((child ^ flips).all(axis=1).sum())
+        take_a = np.empty((m, n), dtype=bool)
+        for r in range(0, m, slab):
+            take_a[r : r + slab] = gen.random((min(slab, m - r), n)) < 0.5
+        for r in range(0, m, slab):
+            child = np.where(take_a[r : r + slab], a_row, b_row)
+            hits += int((child ^ (gen.random(child.shape) < p_m)).all(axis=1).sum())
     freq = hits / trials
     stderr = math.sqrt(freq * (1 - freq) / trials)
     return MonteCarloFrequency(freq, stderr, hits, trials)

@@ -24,11 +24,10 @@ from .core import (
     GaParams,
     Genotype,
     RandomStream,
+    _floyd_mask,
     check_at_least,
     jump_fitness,
     random_index_subset,
-    standard_bit_mutation,
-    uniform_crossover,
 )
 
 
@@ -171,13 +170,19 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     that traces replay exactly:
     (1) crossover coin ``u < p_c`` with ``u`` uniform on [0, 1),
     (2) parent index draws (two with crossover, else one; with replacement),
-    (3) crossover mask bits (crossover only),
+    (3) crossover mask bits, ceil(n/53) words (crossover only; equal parents
+        draw them and leave them unused, as their child is the parent),
     (4) mutation flip count, then flip positions (ascending Floyd draws),
     (5) removal tie-break index, drawn only when two or more candidates tie
         at the minimum fitness of the extended multiset.  The candidates are
         ordered with the offspring (index mu) first when it ties, then the
         tied members in ascending index; the draw picks a position in that
         order.
+
+    The step is one fused kernel on packed ints.  It makes the draws, and
+    returns the results, of its reference operators ``RandomStream.index``,
+    ``uniform_crossover``, ``standard_bit_mutation`` and ``jump_fitness``;
+    p_m >= 1 and an underflowing (1-p_m)^n go to ``RandomStream.binomial``.
 
     The minimum cache carries over: ``low`` and ``tied`` are read from ``pop``
     and passed to the new population.  They are unchanged when the offspring
@@ -186,21 +191,52 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     reaches 0 are the minimum and its count recomputed from the new fitnesses.
     """
     mu = params.mu
+    n = params.n
     members = pop.members
-    if rng.uniform() < params.p_c:
-        i = rng.index(mu)
-        j = rng.index(mu)
-        pa = members[i]
-        pb = members[j]
+    draw = rng._next
+    # Each index is RandomStream.index inline: int(u * bound), clamped below bound.
+    crossover = draw() < params.p_c
+    i = int(draw() * mu)
+    i = i if i < mu else mu - 1
+    bits = members[i].bits
+    if crossover:
+        j = int(draw() * mu)
+        j = j if j < mu else mu - 1
         parents = (i, j)
-        child = standard_bit_mutation(uniform_crossover(pa, pb, rng), params.p_m, rng)
-        event = _CLOSE if (pa.bits ^ pb.bits).bit_count() <= 2 else _DISTANT
+        b = members[j].bits
+        diff = bits ^ b
+        if diff:
+            mask = 0
+            for shift in range(0, n, 53):
+                mask |= int(draw() * 2.0**53) << shift  # RandomStream.random_bits's words
+            bits = b ^ (diff & mask)  # parent i's bit where the mask is set
+        else:
+            for _ in range(0, n, 53):
+                draw()
+        event = _CLOSE if diff.bit_count() <= 2 else _DISTANT
     else:
-        i = rng.index(mu)
         parents = (i,)
-        child = standard_bit_mutation(members[i], params.p_m, rng)
         event = _MUTATION
-    child_fit = jump_fitness(child, params.k)
+    p = params.chi / n
+    walk_n, walk_p, c, ratio = rng._walk
+    if walk_n == n and walk_p == p and c:  # RandomStream.binomial's walk, on its cache
+        u = draw()
+        cum = c
+        m = 0
+        while u > cum and m < n:
+            m += 1
+            c *= ratio * (n - m + 1) / m
+            cum += c
+    else:
+        m = rng.binomial(n, p)
+    if m == n:
+        bits ^= (1 << n) - 1
+    elif m:
+        bits ^= _floyd_mask(rng, n, m)
+    child = tuple.__new__(Genotype, (bits, n))
+    ones = bits.bit_count()
+    k = params.k
+    child_fit = k + ones if ones == n or ones <= n - k else n - ones
 
     # Worst of the extended multiset; the offspring participates as index mu.
     fits = pop.fitnesses
@@ -211,7 +247,8 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     else:
         child_ties = child_fit == low
         size = tied + child_ties
-        pos = rng.index(size) if size > 1 else 0
+        pos = int(draw() * size) if size > 1 else 0
+        pos = pos if pos < size else size - 1
         if child_ties:
             pos -= 1  # position 0 is the offspring
         if pos < 0:
@@ -243,7 +280,7 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
                 tied = fits.count(low)
         new_pop = Population(tuple(new_members), fits, t, low, tied)
     # Positional, in field order: keyword construction costs measurably more per step.
-    optimum = child_fit == params.n + params.k
+    optimum = child_fit == n + k
     return new_pop, StepTrace(t, event, parents, child, child_fit, removed, removed_genotype, optimum)
 
 

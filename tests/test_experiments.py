@@ -197,6 +197,16 @@ def test_sampled_creation_frequency_matches_exact_probability_both_routes():
     assert abs(hits / trials - exact) <= 3 * se
 
 
+def test_sampled_creation_frequency_is_pinned_across_batches_and_slabs():
+    # Three batches at n = 12, each drawn in several row slabs: the hit count
+    # is that of drawing each batch's two matrices whole.
+    n = 12
+    full = (1 << n) - 1
+    a, b = Genotype(full ^ 0b011, n), Genotype(full ^ 0b110, n)
+    mc = sample_optimum_creation_frequency(a, b, 0.1, 600_001, 5, 2)
+    assert (mc.hits, mc.trials) == (5844, 600_001)
+
+
 def test_sampled_creation_frequency_certain_event(monkeypatch):
     # A small batch runs the loop over many batches, the last one partial.
     monkeypatch.setattr(experiments, "_SAMPLE_BATCH", 64)

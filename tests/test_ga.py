@@ -17,6 +17,7 @@ from jumpga import (
     Genotype,
     IntegrityError,
     Population,
+    RandomStream,
     StopCondition,
     estimate_transition,
     ga_step,
@@ -170,23 +171,29 @@ def removal_branch(fits: tuple[int, ...], child_fit: int, removed: int) -> str:
 
 
 # Each cell names the case of the removal rule it must hit at least once; the
-# ids of the first four cells are their n-k-mu-p_c values.
+# ids of the first four cells are their n-k-mu-p_c values.  The last three
+# reach the kernel's edge paths: chi = n flips every bit with no draw, (1-p_m)^n
+# underflows at n = 1000, chi = 600 (the generator's own binomial), and equal
+# plateau parents at n = 120 draw and discard a three-word crossover mask.
 DRAW_ORDER_CELLS = [
-    pytest.param(2, 1, 2, 0.5, init_uniform, 200, "all_tie_child_ties", id="2-1-2-0.5"),
-    pytest.param(12, 3, 5, 0.7, init_uniform, 200, "unique_minimum", id="12-3-5-0.7"),
-    pytest.param(20, 2, 8, 0.0, init_uniform, 200, "partial_tie_later", id="20-2-8-0.0"),
-    pytest.param(16, 4, 6, 1.0, init_uniform, 200, "partial_tie_later", id="16-4-6-1.0"),
-    pytest.param(60, 3, 64, 0.5, init_monomorphic_plateau, 200, "all_tie_child_ties", id="plateau-mu64"),
-    pytest.param(8, 2, 4, 1.0, init_monomorphic_plateau, 200, "all_tie_child_better", id="plateau-optimum"),
-    pytest.param(30, 3, 16, 0.5, init_uniform, 1000, "partial_tie_later", id="uniform-mu16"),
-    pytest.param(60, 3, 8, 0.5, init_uniform, 200, "unique_minimum", id="uniform-distinct"),
-    pytest.param(12, 2, 4, 0.0, init_monomorphic_plateau, 200, "child_strictly_worst", id="plateau-gap-child"),
+    pytest.param(2, 1, 2, 0.5, 1.0, init_uniform, 200, "all_tie_child_ties", id="2-1-2-0.5"),
+    pytest.param(12, 3, 5, 0.7, 1.0, init_uniform, 200, "unique_minimum", id="12-3-5-0.7"),
+    pytest.param(20, 2, 8, 0.0, 1.0, init_uniform, 200, "partial_tie_later", id="20-2-8-0.0"),
+    pytest.param(16, 4, 6, 1.0, 1.0, init_uniform, 200, "partial_tie_later", id="16-4-6-1.0"),
+    pytest.param(60, 3, 64, 0.5, 1.0, init_monomorphic_plateau, 200, "all_tie_child_ties", id="plateau-mu64"),
+    pytest.param(8, 2, 4, 1.0, 1.0, init_monomorphic_plateau, 200, "all_tie_child_better", id="plateau-optimum"),
+    pytest.param(30, 3, 16, 0.5, 1.0, init_uniform, 1000, "partial_tie_later", id="uniform-mu16"),
+    pytest.param(60, 3, 8, 0.5, 1.0, init_uniform, 200, "unique_minimum", id="uniform-distinct"),
+    pytest.param(12, 2, 4, 0.0, 1.0, init_monomorphic_plateau, 200, "child_strictly_worst", id="plateau-gap-child"),
+    pytest.param(10, 2, 6, 0.5, 10.0, init_uniform, 200, "child_strictly_worst", id="chi-n-flips-all"),
+    pytest.param(1000, 3, 4, 0.5, 600.0, init_uniform, 100, "unique_minimum", id="binomial-underflow"),
+    pytest.param(120, 3, 8, 1.0, 1.0, init_monomorphic_plateau, 200, "all_tie_child_ties", id="plateau-three-words"),
 ]
 
 
-@pytest.mark.parametrize("n,k,mu,p_c,start,steps,branch", DRAW_ORDER_CELLS)
-def test_step_follows_documented_draw_order(n, k, mu, p_c, start, steps, branch):
-    params = GaParams(n=n, k=k, mu=mu, p_c=p_c, chi=1.0, seed=17)
+@pytest.mark.parametrize("n,k,mu,p_c,chi,start,steps,branch", DRAW_ORDER_CELLS)
+def test_step_follows_documented_draw_order(n, k, mu, p_c, chi, start, steps, branch):
+    params = GaParams(n=n, k=k, mu=mu, p_c=p_c, chi=chi, seed=17)
     pop_a = start(params, make_rng(17, 0))
     pop_b = pop_a
     rng_a = make_rng(17, 1)
@@ -213,6 +220,28 @@ def test_draw_order_cells_cover_every_removal_branch():
         "all_tie_child_better",
         "partial_tie_later",
     }
+
+
+@pytest.mark.parametrize("offset", [2, 3, 4, 5, 6, 7])
+def test_equal_parent_step_matches_manual_step_across_a_refill(offset):
+    # Coin, two indices, four unused mask words, then the flip count: started
+    # at BLOCK - 2 the block refills at the second index, at BLOCK - 3 to
+    # BLOCK - 6 inside the mask words that equal parents draw and discard.
+    params = GaParams(n=200, k=3, mu=4, p_c=1.0, chi=1.0, seed=19)
+    pop = init_monomorphic_plateau(params, make_rng(19, 0))
+    rng, twin = make_rng(19, 1), make_rng(19, 1)
+    for stream in (rng, twin):
+        for _ in range(RandomStream.BLOCK - offset):
+            stream.uniform()
+    new, trace = ga_step(pop, params, rng)
+    want, manual = manual_step(pop, params, twin)
+    assert trace.event is EventClass.CROSSOVER_CLOSE
+    assert trace.parent_indices == manual["parents"]
+    assert trace.offspring == manual["offspring"]
+    assert trace.removed_index == manual["removed"]
+    assert new == want
+    assert rng._pos == twin._pos
+    assert rng.uniform() == twin.uniform()
 
 
 # sha256 of 10^4-step trace streams: any change to a draw, a tie-break or a
