@@ -9,7 +9,6 @@ from .analysis import (
     BoundReport,
     close_crossover_decrease_bound,
     close_crossover_increase_bound,
-    close_crossover_increase_oscale,
     exact_optimum_probability,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,
@@ -82,7 +81,6 @@ __all__ = [
     "SweepResult",
     "close_crossover_decrease_bound",
     "close_crossover_increase_bound",
-    "close_crossover_increase_oscale",
     "estimate_transition",
     "estimate_unconditioned_drift",
     "exact_optimum_probability",

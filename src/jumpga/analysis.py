@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Genotype, SettingError
+from .core import Genotype, SettingError, _binomial_walk
 
 _E = math.e
 
@@ -37,14 +37,13 @@ def _power_product(factors) -> float:
 
 
 def no_flip_probability(chi: float, n: int) -> float:
-    """Probability that mutation at rate chi/n flips no bit: (1 - chi/n)^n."""
+    """Probability that mutation at rate chi/n flips no bit: (1 - chi/n)^n,
+    the start of the simulator's flip-count walk (``GaParams.mutation_walk``)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= chi <= n:
         raise ValueError(f"chi must lie in [0, n], got {chi}")
-    if chi == n:
-        return 0.0
-    return math.exp(n * math.log1p(-chi / n))
+    return _binomial_walk(n, chi / n)[0]
 
 
 def optimum_creation_lower_bound(n: int, k: int, d: int, p_m: float) -> float:
@@ -101,18 +100,12 @@ def close_crossover_increase_bound(y: int, mu: int, chi: float, n: int) -> float
 
         (mu-y) * y * (mu+y) / (2 * (mu+1) * mu^2) * (1 - chi/n)^n
 
-    The neglected additive error is O(((mu-y)/mu)^2 / n); its scale is
-    available from :func:`close_crossover_increase_oscale`.
+    The neglected additive error is O(((mu-y)/mu)^2 / n), the scale of
+    :func:`mutation_only_increase_oscale`.
     """
     _check_transition_args(y, mu, chi, n, mu)
     lead = (mu - y) * y * (mu + y) / (2 * (mu + 1) * mu * mu)
     return lead * no_flip_probability(chi, n)
-
-
-def close_crossover_increase_oscale(y: int, mu: int, n: int) -> float:
-    """Scale ((mu-y)/mu)^2 / n of the error term neglected by the increase bound."""
-    _check_transition_args(y, mu, 0.0, n, mu)
-    return ((mu - y) / mu) ** 2 / n
 
 
 def close_crossover_decrease_bound(y: int, mu: int, chi: float, n: int) -> float:
@@ -139,7 +132,8 @@ def mutation_only_transition_bounds(y: int, mu: int, chi: float, n: int) -> tupl
 
 
 def mutation_only_increase_oscale(y: int, mu: int, n: int) -> float:
-    """Scale (mu-y)^2 / (n*mu^2) of the error neglected by the mutation-only increase term."""
+    """Scale (mu-y)^2 / (n*mu^2) of the error neglected by the mutation-only
+    and the close-crossover increase terms."""
     _check_transition_args(y, mu, 0.0, n, mu)
     return (mu - y) ** 2 / (n * mu * mu)
 

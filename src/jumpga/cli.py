@@ -24,7 +24,6 @@ from pathlib import Path
 from .analysis import (
     close_crossover_decrease_bound,
     close_crossover_increase_bound,
-    close_crossover_increase_oscale,
     exact_optimum_probability,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,
@@ -306,6 +305,7 @@ def _cmd_bounds(params: GaParams, cfg: dict, out: Path) -> int:
         rb = runtime_bound(n, k, mu, chi, pc) if (k >= 3 and pc > 0) else None
         for y in ys:
             mut_lead, _ = mutation_only_transition_bounds(y, mu, chi, n)
+            oscale = mutation_only_increase_oscale(y, mu, n)  # both increase terms neglect this scale
             rows.append(
                 {
                     "mu": mu,
@@ -315,10 +315,10 @@ def _cmd_bounds(params: GaParams, cfg: dict, out: Path) -> int:
                     "chi": chi,
                     "p_c": pc,
                     "close_increase_leading": close_crossover_increase_bound(y, mu, chi, n),
-                    "close_increase_oscale": close_crossover_increase_oscale(y, mu, n),
+                    "close_increase_oscale": oscale,
                     "close_decrease_lower": close_crossover_decrease_bound(y, mu, chi, n),
                     "mutation_leading": mut_lead,
-                    "mutation_oscale": mutation_only_increase_oscale(y, mu, n),
+                    "mutation_oscale": oscale,
                     "survival_constant_3_4": c34,
                     "runtime_bound": rb,
                 }

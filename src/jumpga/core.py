@@ -12,7 +12,7 @@ disjoint streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
@@ -65,6 +65,9 @@ class GaParams:
         ``chi / n``.
     seed : int
         Base seed (64-bit, non-negative) from which all streams derive.
+    mutation_walk : tuple[float, float]
+        Derived, not settable: ``_binomial_walk(n, p_m)``, which ``ga_step``
+        runs inline, or leaves to ``RandomStream.binomial`` when its start is 0.
     """
 
     n: int
@@ -73,6 +76,7 @@ class GaParams:
     p_c: float
     chi: float
     seed: int = 1
+    mutation_walk: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -83,10 +87,11 @@ class GaParams:
             raise SettingError(f"mu must be at least 2, got {self.mu}")
         if not 0.0 <= self.p_c <= 1.0:
             raise SettingError(f"p_c must lie in [0, 1], got {self.p_c}")
-        if not 0.0 < self.chi <= self.n:
+        if not (0.0 < self.chi <= self.n and self.p_m):  # a subnormal chi can round p_m to 0
             raise SettingError(f"chi must lie in (0, n], got {self.chi}")
         if not 0 <= self.seed < 2**64:
             raise SettingError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
+        object.__setattr__(self, "mutation_walk", _binomial_walk(self.n, self.p_m))
 
     @property
     def p_m(self) -> float:
@@ -111,10 +116,11 @@ class RandomStream:
 
     The uniforms are served by one C-level iterator chained over the blocks
     (as Python floats), so each draw is one ``__next__`` call.  The stream
-    holds that iterator and therefore cannot be pickled or deep-copied.
+    holds that iterator, and no cache of any setting; it cannot be pickled
+    or deep-copied.
     """
 
-    __slots__ = ("generator", "_next", "_block", "_walk", "__weakref__")
+    __slots__ = ("generator", "_next", "_block", "__weakref__")
 
     BLOCK = 4096
 
@@ -122,8 +128,6 @@ class RandomStream:
         self.generator = generator
         self._block: list = [None]  # the current block's list iterator, once drawn from
         self._next = chain.from_iterable(_blocks(generator, self.BLOCK, self._block)).__next__
-        # (n, p, (1-p)^n, p/(1-p)) of the last binomial walk, reused while (n, p) repeats
-        self._walk = (0, 0.0, 1.0, 0.0)
 
     @property
     def _pos(self) -> int:
@@ -154,28 +158,31 @@ class RandomStream:
         return out & ((1 << nbits) - 1)
 
     def binomial(self, n: int, p: float) -> int:
-        """Binomial(n, p) variate via inverse-CDF walk on one uniform."""
+        """Binomial(n, p) variate via the walk of :func:`_binomial_walk` on one uniform."""
         if p <= 0.0:
             return 0
         if p >= 1.0:
             return n
-        walk = self._walk
-        if walk[0] != n or walk[1] != p:
-            self._walk = walk = (n, p, math.exp(n * math.log1p(-p)), p / (1.0 - p))
-        start = walk[2]
-        if start == 0.0:
+        c, ratio = _binomial_walk(n, p)
+        if c == 0.0:
             # (1-p)^n underflowed; fall back to the generator's own sampler.
             return int(self.generator.binomial(n, p))
-        ratio = walk[3]
         u = self._next()
-        c = start
-        cum = start
+        cum = c
         m = 0
         while u > cum and m < n:
             m += 1
             c *= ratio * (n - m + 1) / m
             cum += c
         return m
+
+
+def _binomial_walk(n: int, p: float) -> tuple[float, float]:
+    """Start (1-p)^n and ratio p/(1-p) of the Binomial(n, p) inverse-CDF walk
+    (start 0.0 at p = 1): the one evaluation of (1-p)^n, for walks and bounds."""
+    if p >= 1.0:
+        return 0.0, math.inf
+    return math.exp(n * math.log1p(-p)), p / (1.0 - p)
 
 
 def _blocks(generator: np.random.Generator, size: int, current: list):

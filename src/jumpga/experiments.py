@@ -213,7 +213,7 @@ class MonteCarloFrequency(NamedTuple):
 
 
 # Trials per vectorized batch.  The frequency depends on it, as each batch
-# draws all its crossover coins (kept as bool) before its mutation coins; both
+# draws all its crossover coins (kept packed) before its mutation coins; both
 # come in row slabs, which take the uniforms of one (batch, n) draw.
 _SAMPLE_BATCH = 250_000
 
@@ -247,11 +247,12 @@ def sample_optimum_creation_frequency(
     while left:
         m = min(_SAMPLE_BATCH, left)
         left -= m
-        take_a = np.empty((m, n), dtype=bool)
+        take_a = np.empty((m, (n + 7) // 8), dtype=np.uint8)  # packed, one bit per coin
         for r in range(0, m, slab):
-            take_a[r : r + slab] = gen.random((min(slab, m - r), n)) < 0.5
+            take_a[r : r + slab] = np.packbits(gen.random((min(slab, m - r), n)) < 0.5, axis=1)
         for r in range(0, m, slab):
-            child = np.where(take_a[r : r + slab], a_row, b_row)
+            coins = np.unpackbits(take_a[r : r + slab], axis=1, count=n).view(bool)
+            child = np.where(coins, a_row, b_row)
             hits += int((child ^ (gen.random(child.shape) < p_m)).all(axis=1).sum())
     freq = hits / trials
     stderr = math.sqrt(freq * (1 - freq) / trials)

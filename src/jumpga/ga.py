@@ -27,7 +27,6 @@ from .core import (
     _floyd_mask,
     check_at_least,
     jump_fitness,
-    random_index_subset,
 )
 
 
@@ -155,10 +154,7 @@ def init_uniform(params: GaParams, rng: RandomStream) -> Population:
 
 def init_monomorphic_plateau(params: GaParams, rng: RandomStream) -> Population:
     """mu copies of one plateau point drawn uniformly among strings with exactly k zeros."""
-    bits = (1 << params.n) - 1
-    for i in random_index_subset(rng, params.n, params.k):
-        bits ^= 1 << i
-    g = Genotype(bits, params.n)
+    g = Genotype(((1 << params.n) - 1) ^ _floyd_mask(rng, params.n, params.k), params.n)
     f = jump_fitness(g, params.k)
     return Population((g,) * params.mu, (f,) * params.mu, 0)
 
@@ -181,8 +177,9 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
 
     The step is one fused kernel on packed ints.  It makes the draws, and
     returns the results, of its reference operators ``RandomStream.index``,
-    ``uniform_crossover``, ``standard_bit_mutation`` and ``jump_fitness``;
-    p_m >= 1 and an underflowing (1-p_m)^n go to ``RandomStream.binomial``.
+    ``uniform_crossover``, ``standard_bit_mutation`` and ``jump_fitness``.
+    Every step of a run runs ``params.mutation_walk`` inline, or every one
+    calls ``RandomStream.binomial`` (p_m = 1, or (1-p_m)^n underflows).
 
     The minimum cache carries over: ``low`` and ``tied`` are read from ``pop``
     and passed to the new population.  They are unchanged when the offspring
@@ -217,9 +214,8 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     else:
         parents = (i,)
         event = _MUTATION
-    p = params.chi / n
-    walk_n, walk_p, c, ratio = rng._walk
-    if walk_n == n and walk_p == p and c:  # RandomStream.binomial's walk, on its cache
+    c, ratio = params.mutation_walk
+    if c:  # RandomStream.binomial's walk
         u = draw()
         cum = c
         m = 0
@@ -228,7 +224,7 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
             c *= ratio * (n - m + 1) / m
             cum += c
     else:
-        m = rng.binomial(n, p)
+        m = rng.binomial(n, params.p_m)
     if m == n:
         bits ^= (1 << n) - 1
     elif m:

@@ -15,7 +15,6 @@ from jumpga import (
     Genotype,
     close_crossover_decrease_bound,
     close_crossover_increase_bound,
-    close_crossover_increase_oscale,
     exact_optimum_probability,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,
@@ -236,10 +235,9 @@ def test_mutation_only_bound_formula_transcription():
 
 
 def test_neglected_term_scales():
-    # Both neglected-term scales equal (mu-y)^2 / (n mu^2).
+    # The neglected-term scale of both increase terms is (mu-y)^2 / (n mu^2).
     for mu, y, n in ((4, 2, 100), (16, 12, 50), (20, 15, 200)):
         ref = (mu - y) ** 2 / (n * mu * mu)
-        assert close_crossover_increase_oscale(y, mu, n) == pytest.approx(ref, rel=1e-12)
         assert mutation_only_increase_oscale(y, mu, n) == pytest.approx(ref, rel=1e-12)
 
 

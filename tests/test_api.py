@@ -36,7 +36,6 @@ _EXPORTS = [
     "SweepResult",
     "close_crossover_decrease_bound",
     "close_crossover_increase_bound",
-    "close_crossover_increase_oscale",
     "estimate_transition",
     "estimate_unconditioned_drift",
     "exact_optimum_probability",

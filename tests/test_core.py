@@ -434,6 +434,7 @@ def test_ga_params_validation_and_derived_rates():
         dict(n=10, k=2, mu=4, p_c=1.5, chi=1.0),
         dict(n=10, k=2, mu=4, p_c=0.5, chi=0.0),
         dict(n=10, k=2, mu=4, p_c=0.5, chi=11.0),
+        dict(n=10, k=2, mu=4, p_c=0.5, chi=5e-324),  # chi / n rounds to 0
         dict(n=10, k=2, mu=4, p_c=0.5, chi=1.0, seed=-1),
     ):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import math
 import random
 import statistics
 from collections import Counter
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -26,6 +27,7 @@ from jumpga import (
     init_uniform,
     jump_fitness,
     make_rng,
+    no_flip_probability,
     run,
     standard_bit_mutation,
     steps,
@@ -242,6 +244,51 @@ def test_equal_parent_step_matches_manual_step_across_a_refill(offset):
     assert new == want
     assert rng._pos == twin._pos
     assert rng.uniform() == twin.uniform()
+
+
+@pytest.mark.parametrize(
+    "n,chi,reaches_binomial",
+    [
+        pytest.param(40, 1.0, False, id="n40-chi1"),
+        pytest.param(12, 3.0, False, id="n12-chi3"),
+        pytest.param(200, 0.5, False, id="n200-chi0.5"),
+        pytest.param(10, 10.0, True, id="chi-n-flips-all"),
+        pytest.param(1000, 600.0, True, id="binomial-underflow"),
+    ],
+)
+def test_each_run_takes_one_mutation_path_fixed_by_its_params(monkeypatch, n, chi, reaches_binomial):
+    # Fresh streams, so each run's first step is covered too: the inline walk
+    # makes no RandomStream.binomial call, the two edge settings one per step.
+    calls = []
+    binomial = RandomStream.binomial
+
+    def counted(self, n, p):
+        calls.append((n, p))
+        return binomial(self, n, p)
+
+    monkeypatch.setattr(RandomStream, "binomial", counted)
+    params = GaParams(n=n, k=3, mu=4, p_c=0.5, chi=chi, seed=23)
+    pop = init_uniform(params, make_rng(23, 0))
+    for stream in (1, 2, 3):
+        for _ in steps(pop, params, make_rng(23, stream), 40):
+            pass
+    assert calls == ([(n, chi / n)] * 120 if reaches_binomial else [])
+
+
+def test_mutation_walk_is_the_no_flip_probability_and_follows_replace():
+    for n in (2, 10, 100, 1000):
+        for chi in (0.25, 1.0, 2.0, n / 2, n):
+            params = GaParams(n=n, k=1, mu=2, p_c=0.5, chi=chi)
+            start, ratio = params.mutation_walk
+            assert start == no_flip_probability(chi, n)  # bit for bit
+            if chi < n:
+                assert ratio == params.p_m / (1 - params.p_m)
+    params = GaParams(n=100, k=3, mu=4, p_c=0.5, chi=1.0)
+    moved = replace(params, chi=2.0)
+    assert moved.mutation_walk == (no_flip_probability(2.0, 100), 0.02 / 0.98)
+    assert moved.mutation_walk != params.mutation_walk
+    assert replace(moved, chi=1.0) == params  # the walk is derived, not compared
+    assert replace(params, chi=100.0).mutation_walk[0] == 0.0
 
 
 # sha256 of 10^4-step trace streams: any change to a draw, a tie-break or a

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -565,11 +566,14 @@ def test_sweep_subcommand_exits_3_when_a_bound_check_fails(tmp_path, monkeypatch
 
 
 def test_console_script_entry_point(tmp_path):
+    # The child imports the package this process imported, installed or not.
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "jumpga.cli", "oracle", "--out", str(tmp_path / "cli"),
          "--n", "12", "--k", "2", "--d", "0"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
     assert proc.returncode == 0
     assert "exact=" in proc.stdout
