@@ -265,8 +265,7 @@ def _cmd_figure1(params: GaParams, cfg: dict, out: Path) -> int:
     )
     header = ("iteration",) + tuple(f"d{d}" for d in runs[0].distances)
     for dr in runs:
-        rows = ((t,) + freqs for t, freqs in dr.rows)
-        write_series_csv(rows, out / f"figure1_seed{dr.replicate}.csv", header)
+        write_series_csv(dr.rows, out / f"figure1_seed{dr.replicate}.csv", header)
         if cfg["svg"]:
             render_svg(
                 dr.rows,

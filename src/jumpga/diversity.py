@@ -2,9 +2,10 @@
 
 A species is the set of population members sharing one genotype.  Each
 tracker counts its quantity once, from a population, and then consumes step
-traces, so long runs maintain species sizes and distance histograms in O(mu)
-per iteration that changes the population (O(1) for one that does not)
-instead of O(mu^2) recomputation.
+traces instead of recounting.  A step that changes the population costs O(1)
+for species sizes and O(species) for the distance histogram, which compares
+the replaced and the new genotype with each species once, weighted by its
+size; a step that leaves the multiset unchanged costs O(1).
 """
 
 from __future__ import annotations
@@ -78,9 +79,17 @@ class SpeciesTracker:
 class PairwiseDistanceTracker:
     """Incrementally maintained pairwise-distance histogram.
 
-    A step that changes the multiset costs O(mu); one that leaves it unchanged
-    (offspring discarded, or a member replaced by an identical copy) costs O(1)
-    and keeps the cached :meth:`frequencies` answer.
+    Members are grouped by genotype: ``_species`` maps packed bits to their
+    number of copies.  The c copies of one genotype form c(c-1)/2 pairs at
+    distance 0, and two genotypes with c_g and c_h copies form c_g*c_h pairs at
+    their distance, so building the histogram costs O(species^2) and a step
+    that changes the multiset costs O(species): the pairs of the replaced
+    genotype with each remaining species move to their distance from the new
+    one.  A step that leaves the multiset unchanged (offspring discarded, or a
+    member replaced by an identical copy) costs O(1) and keeps the cached
+    :meth:`frequencies` answer.  ``_members`` keeps the members in population
+    order, so each trace's removal index is checked against the member it
+    names.
     """
 
     def __init__(self, pop: Population):
@@ -88,12 +97,14 @@ class PairwiseDistanceTracker:
         mu = len(members)
         if mu < 2:
             raise ValueError("need at least two members for pairwise distances")
-        counts: dict[int, int] = {}
-        for i in range(mu - 1):
-            ai = members[i]
-            for j in range(i + 1, mu):
-                d = (ai ^ members[j]).bit_count()
-                counts[d] = counts.get(d, 0) + 1
+        species = self._species = dict(Counter(members))
+        groups = list(species.items())
+        same = sum(c * (c - 1) // 2 for _, c in groups)
+        counts: dict[int, int] = {0: same} if same else {}
+        for i, (a, ca) in enumerate(groups):
+            for b, cb in groups[i + 1 :]:
+                d = (a ^ b).bit_count()
+                counts[d] = counts.get(d, 0) + ca * cb
         self.counts = counts
         self.total_pairs = mu * (mu - 1) // 2
         # The last frequencies() answer and the distances it was asked for;
@@ -113,19 +124,25 @@ class PairwiseDistanceTracker:
         if new == old:
             return  # one copy replaced by an identical one
         self._freq_distances = None
-        counts = self.counts
-        for idx, mbits in enumerate(members):
-            if idx == r:
-                continue
-            d = (old ^ mbits).bit_count()
-            c = counts[d] - 1
-            if c:
-                counts[d] = c
-            else:
-                del counts[d]
-            d = (new ^ mbits).bit_count()
-            counts[d] = counts.get(d, 0) + 1
         members[r] = new
+        species = self._species
+        c = species[old] - 1
+        if c:
+            species[old] = c
+        else:
+            del species[old]
+        counts = self.counts
+        for g, copies in species.items():
+            d = (old ^ g).bit_count()
+            e = (new ^ g).bit_count()
+            if d != e:
+                left = counts[d] - copies
+                if left:
+                    counts[d] = left
+                else:
+                    del counts[d]
+                counts[e] = counts.get(e, 0) + copies
+        species[new] = species.get(new, 0) + 1
 
     def frequencies(self, distances) -> tuple[float, ...]:
         """Share of pairs at each distance; the same tuple while the multiset is unchanged."""

@@ -430,6 +430,11 @@ def run_survival(
 
 @dataclass(frozen=True)
 class DistanceSeriesRun:
+    """One replicate's series: ``rows`` holds ``(iteration, frequencies)``,
+    one frequency per entry of ``distances``.  Consecutive rows hold the same
+    frequency tuple object while the population's multiset is unchanged (the
+    tracker's cached answer), so a writer may format each object once."""
+
     replicate: int
     iterations: int
     found_optimum: bool

@@ -8,9 +8,7 @@ with no external assets.
 
 from __future__ import annotations
 
-import csv
 import json
-from pathlib import Path
 
 
 def format_value(v) -> str:
@@ -24,27 +22,67 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _quoted(s: str) -> str:
+    """``s`` as csv.writer's QUOTE_MINIMAL rule with a '\\n' line terminator
+    writes it: in double quotes, inner quotes doubled, when it holds a comma,
+    a double quote or a newline."""
+    if "," in s or '"' in s or "\n" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def write_series_csv(rows, path, header) -> None:
     """Write one table; every cell reads as :func:`format_value` gives it.
 
+    A cell that is a tuple fills one column per item.  Its text is built once
+    for each run of consecutive rows that hold that same tuple object: reuse
+    is by identity, never by equality, so equal tuples whose items format
+    apart (``(1.0, 0.0)`` and ``(True, -0.0)``) each get their own text.
     Each distinct float is formatted once per file.  The memo holds exact
     floats only, and no zero, so values that compare equal but format apart
-    (``1``/``True``/``1.0``, ``0.0``/``-0.0``) never share an entry.
+    (``1``/``True``/``1.0``, ``0.0``/``-0.0``) never share an entry.  Other
+    text is quoted as csv.writer quotes it (:func:`_quoted`), and a row of
+    one empty field is written as ``""``.
     """
     memo: dict[float, str] = {}
     get = memo.get
 
     def cell(v) -> str:
-        s = format_value(v)
-        if type(v) is float and v:
-            memo[v] = s
-        return s
+        t = type(v)
+        if t is float:
+            s = get(v)
+            if s is None:
+                s = format_value(v)
+                if v:
+                    memo[v] = s
+            return s
+        if t is int:
+            return str(v)
+        return _quoted(format_value(v))
 
-    path = Path(path)
+    def line(fields: list[str]) -> str:
+        text = ",".join(fields)
+        if not text and fields:
+            text = '""'
+        return text + "\n"
+
+    def lines():
+        held, held_text = None, ""
+        for row in rows:
+            fields = []
+            for v in row:
+                if type(v) is tuple:
+                    if v is not held:
+                        held, held_text = v, ",".join([cell(x) for x in v])
+                    if v:
+                        fields.append(held_text)
+                else:
+                    fields.append(cell(v))
+            yield line(fields)
+
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([type(v) is float and get(v) or cell(v) for v in row] for row in rows)
+        f.write(line([_quoted(h) for h in header]))
+        f.writelines(lines())
 
 
 def write_json(obj, path) -> None:

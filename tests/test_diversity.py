@@ -7,6 +7,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -148,6 +149,36 @@ def test_pairwise_tracker_matches_full_histogram_after_every_step():
         got = tracker.frequencies(distances)
         assert got == fresh.frequencies(distances)
         assert sum(got) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_pairwise_tracker_matches_a_fresh_tracker_at_figure1_shape():
+    # figure1's setting; the tracker groups members by genotype, so each start
+    # must both empty a species and add a copy to a species it already holds.
+    params = GaParams(n=100, k=4, mu=32, p_c=1.0, chi=1.0, seed=47)
+    starts = {
+        "plateau": lambda rng: init_monomorphic_plateau(params, rng),
+        "uniform": lambda rng: init_uniform(params, rng),
+        "two_species": lambda rng: two_species_population(params, 20, 2, rng)[0],
+    }
+    distances = tuple(range(0, 2 * params.k + 1, 2))
+    for name, start in starts.items():
+        rng = make_rng(47, 0)
+        pop = start(rng)
+        tracker = PairwiseDistanceTracker(pop)
+        emptied = grown = 0
+        for _, after, trace in steps(pop, params, rng, 1500):
+            before = Counter(pop.members)
+            tracker.apply(trace)
+            if trace.removed_index < params.mu and trace.offspring != trace.removed_genotype:
+                emptied += before[trace.removed_genotype] == 1
+                grown += before[trace.offspring] > 0
+            pop = after
+            bits = [g.bits for g in pop.members]
+            fresh = PairwiseDistanceTracker(pop)
+            assert tracker.counts == fresh.counts, name
+            assert tracker.counts == Counter((a ^ b).bit_count() for a, b in combinations(bits, 2)), name
+            assert tracker.frequencies(distances) == fresh.frequencies(distances), name
+        assert emptied > 0 and grown > 0, (name, emptied, grown)
 
 
 def test_trackers_reject_inconsistent_traces():

@@ -320,6 +320,17 @@ def test_distance_series_default_stride_follows_mu():
         assert [t for t, _ in dr.rows] == list(range(0, 31, stride))
 
 
+def test_distance_series_rows_share_one_frequency_tuple_per_unchanged_stretch():
+    # The CSV writer formats a tuple once per run of rows holding that object.
+    p = GaParams(n=100, k=4, mu=32, p_c=1.0, chi=1.0, seed=11)
+    (dr,) = run_figure1(p, replicates=1, max_iterations=3000)
+    freqs = [f for _, f in dr.rows]
+    starts = [f for i, f in enumerate(freqs) if i == 0 or f is not freqs[i - 1]]
+    # Each object fills one stretch of consecutive rows and no other row.
+    assert len({id(f) for f in starts}) == len(starts) == len({id(f) for f in freqs})
+    assert len(starts) < len(freqs)
+
+
 def test_distance_series_distinct_replicates_differ():
     p = GaParams(n=60, k=3, mu=12, p_c=1.0, chi=1.0, seed=5)
     runs = run_figure1(p, replicates=2, stride=12)

@@ -3,7 +3,9 @@ exit codes, and byte-level determinism of emitted artifacts."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,10 +21,12 @@ from jumpga import (
     BoundReport,
     ConditionedEstimate,
     EventClass,
+    GaParams,
     SweepCell,
     SweepResult,
     exact_optimum_probability,
     optimum_creation_lower_bound,
+    run_figure1,
 )
 from jumpga.cli import ENV_OUTPUT_DIR, main, parse_cli, write_resolved_config
 from jumpga.output import format_value, render_svg, write_json, write_series_csv
@@ -79,6 +83,57 @@ def test_write_series_csv_never_merges_equal_values_that_format_apart(tmp_path):
     write_series_csv(iter(rows), path, tuple("abcdef"))
     cells = "".join(",".join(format_value(v) for v in row) + "\n" for row in rows)
     assert path.read_bytes() == ("a,b,c,d,e,f\n" + cells).encode()
+
+
+def csv_reference(rows, header) -> bytes:
+    """The table as csv.writer writes the cells' format_value text, each tuple
+    cell spread over one column per item."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format_value(x) for v in row for x in (v if type(v) is tuple else (v,))])
+    return buf.getvalue().encode()
+
+
+def test_write_series_csv_tuple_cells_match_flattened_rows(tmp_path):
+    p = GaParams(n=40, k=3, mu=10, p_c=1.0, chi=1.0, seed=3)
+    (dr,) = run_figure1(p, replicates=1, max_iterations=500)
+    header = ("iteration",) + tuple(f"d{d}" for d in dr.distances)
+    path = tmp_path / "series.csv"
+    write_series_csv(dr.rows, path, header)
+    flat = [(t,) + f for t, f in dr.rows]
+    assert path.read_bytes() == csv_reference(flat, header)
+    shared = (0.25, None, True, "a,b", -0.0)
+    rows = [(1, shared, "x"), (2, shared, None), (3, (0.25, 0.0), shared), (4, (), 5)]
+    write_series_csv(rows, path, tuple("abcdefghi"))
+    assert path.read_bytes() == csv_reference(rows, tuple("abcdefghi"))
+
+
+def test_write_series_csv_reuses_tuple_text_by_identity_not_equality(tmp_path):
+    first, second = (1.0, 0.0), (True, -0.0)
+    assert first == second
+    path = tmp_path / "equal.csv"
+    write_series_csv([(1, first), (2, second)], path, ("t", "a", "b"))
+    assert path.read_bytes() == b"t,a,b\n1,1,0\n2,true,-0\n"
+
+
+def test_write_series_csv_quotes_text_as_csv_writer_does(tmp_path):
+    header = ("plain", "with,comma")
+    rows = [
+        ("a,b", 'say "hi"'),
+        ("cr\rhere", "lf\nhere"),
+        ("", None),
+        ('"', ",,"),
+        (("one", "tw,o"), "three"),
+    ]
+    path = tmp_path / "quoted.csv"
+    write_series_csv(rows, path, header)
+    assert path.read_bytes() == csv_reference(rows, header)
+    # A row of one empty field is quoted, so it differs from an empty row.
+    for rows in [("",)], [(None,)], [((None,),)], [("",), (1,), ((),), ("",)]:
+        write_series_csv(rows, path, ("",))
+        assert path.read_bytes() == csv_reference(rows, ("",))
 
 
 def test_write_json_sorted_and_deterministic(tmp_path):
