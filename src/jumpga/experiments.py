@@ -2,9 +2,10 @@
 
 Conventions shared by every runner:
 
-* Replicates and grid cells run one after another.  Each owns the private
-  random stream ``make_rng(seed, stream=index)``, so its result depends only
-  on ``(seed, index)``, and results are folded in index order.
+* Replicates and grid cells run one after another through :func:`_cells`.
+  Cell i owns the private random stream ``make_rng(seed, stream=i)``, so its
+  result depends only on ``(seed, i)``, results come back in index order, and
+  a run of fewer cells is a prefix of a longer one.
 * Conditioning on an event class is done by rejection: the production
   ``ga_step`` runs verbatim and trials whose realized event class differs from
   the target are discarded.  Configurations choose ``p_c`` per target event
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -52,6 +53,18 @@ from .ga import (
     run,
     steps,
 )
+
+
+# ---------------------------------------------------------------------------
+# the cell map: replicate or sweep cell i on stream i
+
+_T = TypeVar("_T")
+
+
+def _cells(seed: int, count: int, cell: Callable[[int, RandomStream], _T]) -> list[_T]:
+    """``cell(i, make_rng(seed, stream=i))`` for i = 0..count-1, in index order.
+    It judges no setting: each runner checks its own before calling it."""
+    return [cell(i, make_rng(seed, stream=i)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +331,12 @@ def run_takeover(
     check_at_least(1, replicates=replicates)
     check_at_least(0, max_iterations=max_iterations)
     cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
-    reps: list[TakeoverReplicate] = []
-    for r in range(replicates):
-        rng = make_rng(params.seed, stream=r)
+
+    def replicate(r: int, rng: RandomStream) -> TakeoverReplicate:
         _, _, hit = _take_over(init_monomorphic_plateau(params, rng), params, rng, cap)
-        reps.append(TakeoverReplicate(r, hit, hit is None))
+        return TakeoverReplicate(r, hit, hit is None)
+
+    reps = _cells(params.seed, replicates, replicate)
     times = [rr.hitting_time for rr in reps]
     mean, median = _censored_stats(times)
     reference = takeover_reference(params)
@@ -384,13 +398,11 @@ def run_survival(
     c_surv = survival_constant(lam, params.chi, params.p_c)
     threshold = math.ceil(lam * params.mu - 1e-9)
     cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
-    reps: list[SurvivalReplicate] = []
-    for r in range(replicates):
-        rng = make_rng(params.seed, stream=r)
+
+    def replicate(r: int, rng: RandomStream) -> SurvivalReplicate:
         pop, tracker, hit = _take_over(init_monomorphic_plateau(params, rng), params, rng, cap)
         if hit is None:
-            reps.append(SurvivalReplicate(r, None, True, 0, None, None, False))
-            continue
+            return SurvivalReplicate(r, None, True, 0, None, None, False)
         focal = tracker.largest_class()
         focal_hit = max_hit = None
         interrupted = False
@@ -405,7 +417,9 @@ def run_survival(
             if tracker.count(focal) >= threshold:
                 focal_hit = m
                 break
-        reps.append(SurvivalReplicate(r, hit, False, m, focal_hit, max_hit, interrupted))
+        return SurvivalReplicate(r, hit, False, m, focal_hit, max_hit, interrupted)
+
+    reps = _cells(params.seed, replicates, replicate)
     monitored = [rr for rr in reps if not rr.takeover_censored]
     focal_exc = sum(rr.focal_hit_time is not None for rr in monitored)
     max_exc = sum(rr.max_hit_time is not None for rr in monitored)
@@ -460,9 +474,8 @@ def run_figure1(
     if stride is None:
         stride = 1 if params.mu <= 64 else 10
     cap = 10_000_000 if max_iterations is None else max_iterations
-    out: list[DistanceSeriesRun] = []
-    for r in range(replicates):
-        rng = make_rng(params.seed, stream=r)
+
+    def replicate(r: int, rng: RandomStream) -> DistanceSeriesRun:
         pop = init_monomorphic_plateau(params, rng)
         tracker = PairwiseDistanceTracker(pop)
         rows = [(0, tracker.frequencies(distances))]
@@ -475,8 +488,9 @@ def run_figure1(
             tracker.apply(trace)
             if t % stride == 0:
                 rows.append((t, tracker.frequencies(distances)))
-        out.append(DistanceSeriesRun(r, t, found, distances, tuple(rows)))
-    return out
+        return DistanceSeriesRun(r, t, found, distances, tuple(rows))
+
+    return _cells(params.seed, replicates, replicate)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +525,12 @@ class ComparisonSummary:
 def run_replicates(params: GaParams, replicates: int, stop: StopCondition) -> tuple[RunRecord, ...]:
     """Runs from uniform random starts until ``stop``; replicate r uses stream r."""
     check_at_least(1, replicates=replicates)
-    records = []
-    for r in range(replicates):
-        rng = make_rng(params.seed, stream=r)
+
+    def replicate(r: int, rng: RandomStream) -> RunRecord:
         res = run(init_uniform(params, rng), params, stop, rng)
-        records.append(RunRecord(r, res.iterations, res.evaluations, res.stop_reason))
-    return tuple(records)
+        return RunRecord(r, res.iterations, res.evaluations, res.stop_reason)
+
+    return tuple(_cells(params.seed, replicates, replicate))
 
 
 def run_comparison(
@@ -670,10 +684,11 @@ def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> Swee
     ``trials`` accepted steps and carries the checks of its kind.
     """
     check_at_least(1, trials=trials)
-    cells: list[SweepCell] = []
-    for idx, (kind, mu, y) in enumerate(sweep_plan(params, mus)):
+    plan = sweep_plan(params, mus)
+
+    def cell(idx: int, rng: RandomStream) -> SweepCell:
+        kind, mu, y = plan[idx]
         event, delta, pc = _SWEEP_KINDS[kind]
-        rng = make_rng(params.seed, stream=idx)
         cell_params = replace(params, mu=mu, p_c=pc)
         if delta:
             pop, focal, _ = two_species_population(cell_params, y, delta, rng)
@@ -682,5 +697,6 @@ def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> Swee
             focal = pop.members[0]
         est = estimate_transition(cell_params, pop, focal, event, trials, rng)
         descriptor = f"kind={kind} mu={mu} y={y} delta={delta} pc={pc} n={params.n} k={params.k} chi={params.chi}"
-        cells.append(SweepCell(mu, y, delta, event, est, descriptor, _sweep_checks(kind, mu, y, params, est)))
-    return SweepResult(tuple(cells))
+        return SweepCell(mu, y, delta, event, est, descriptor, _sweep_checks(kind, mu, y, params, est))
+
+    return SweepResult(tuple(_cells(params.seed, len(plan), cell)))

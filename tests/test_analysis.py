@@ -114,6 +114,25 @@ def test_exact_equals_bound_for_identical_parents_bitwise():
             assert exact_optimum_probability(a, a, pm) == optimum_creation_lower_bound(n, k, 0, pm)
 
 
+def per_position_product(a: Genotype, b: Genotype, p_m: float) -> float:
+    """The docstring's product over positions of q*(1-p_m) + (1-q)*p_m, with
+    q the crossover's chance of a one there, in floats position by position."""
+    q = [(((a.bits >> i) & 1) + ((b.bits >> i) & 1)) / 2 for i in range(a.n)]
+    return math.prod(qi * (1 - p_m) + (1 - qi) * p_m for qi in q)
+
+
+def test_exact_optimum_probability_is_exactly_zero_at_a_certain_loss():
+    # Without mutation a position where both parents hold 0 stays 0, and certain
+    # mutation clears one where both hold 1: the log-space product's zero base.
+    a, b = Genotype(0b0111, 4), Genotype(0b1011, 4)  # both 1 at bits 0-1, differ at 2-3
+    assert exact_optimum_probability(a, b, 1.0) == per_position_product(a, b, 1.0) == 0.0
+    a, b = Genotype(0b0110, 4), Genotype(0b1010, 4)  # both 0 at bit 0
+    assert exact_optimum_probability(a, b, 0.0) == per_position_product(a, b, 0.0) == 0.0
+    # The same products away from the zero base are positive.
+    assert exact_optimum_probability(a, b, 0.5) == pytest.approx(per_position_product(a, b, 0.5))
+    assert per_position_product(a, b, 0.5) > 0.0
+
+
 def test_exact_optimum_probability_is_symmetric():
     for n, k, d in ((10, 2, 1), (20, 3, 2), (16, 4, 3)):
         a, b = plateau_pair(n, k, d)

@@ -15,6 +15,7 @@ from jumpga import (
     EventClass,
     GaParams,
     Genotype,
+    StopCondition,
     estimate_transition,
     estimate_unconditioned_drift,
     exact_optimum_probability,
@@ -575,3 +576,59 @@ def test_experiment_results_fit_population_invariants():
     pop, focal, other = two_species_population(p, 6, 2, make_rng(14, 0))
     assert Counter(pop.members) == {focal: 6, other: 2}
     assert jump_fitness(focal, p.k) == jump_fitness(other, p.k) == p.n
+
+
+# ---------------------------------------------------------------------------
+# streams: cell i owns stream i
+
+
+def record_streams(monkeypatch) -> list[tuple[int, int]]:
+    """Wraps the runners' stream factory; returns the list of ``(seed, stream)``
+    pairs it is asked for, in order."""
+    made: list[tuple[int, int]] = []
+
+    def recording(seed, stream=0):
+        made.append((seed, stream))
+        return make_rng(seed, stream)
+
+    monkeypatch.setattr(experiments, "make_rng", recording)
+    return made
+
+
+_CELL_PARAMS = GaParams(n=20, k=2, mu=6, p_c=0.5, chi=1.0, seed=8)
+_RECORDS = {
+    "run": lambda r: experiments.run_replicates(_CELL_PARAMS, r, StopCondition(max_iterations=300)),
+    "takeover": lambda r: run_takeover(_CELL_PARAMS, r).replicates,
+    "survival": lambda r: run_survival(_CELL_PARAMS, r, lam=0.75, t_max=50).replicates,
+    "figure1": lambda r: tuple(run_figure1(_CELL_PARAMS, r, max_iterations=200)),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_RECORDS))
+def test_replicate_r_owns_stream_r_and_a_shorter_run_is_a_prefix(monkeypatch, runner):
+    # Resuming or splitting a run relies on both: each replicate's record
+    # depends only on (seed, r), and fewer replicates give the leading records.
+    made = record_streams(monkeypatch)
+    five = _RECORDS[runner](5)
+    assert made == [(8, r) for r in range(5)]
+    assert [rec.replicate for rec in five] == list(range(5))
+    made.clear()
+    three = _RECORDS[runner](3)
+    assert made == [(8, r) for r in range(3)]
+    assert five[:3] == three
+
+
+def test_sweep_cell_i_owns_stream_i_and_a_shorter_mu_list_is_a_prefix(monkeypatch):
+    p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
+    made = record_streams(monkeypatch)
+    both = run_bound_sweep(p, mus=(4, 6), trials=20).cells
+    assert len(both) == len(experiments.sweep_plan(p, (4, 6))) == 14
+    assert made == [(4, i) for i in range(14)]
+    made.clear()
+    first = run_bound_sweep(p, mus=(4,), trials=20).cells
+    assert made == [(4, i) for i in range(7)]
+    assert both[:7] == first
+    made.clear()
+    # An empty list plans no cell, so it makes no stream and returns no cell.
+    assert run_bound_sweep(p, mus=(), trials=20).cells == ()
+    assert made == []

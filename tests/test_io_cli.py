@@ -320,11 +320,17 @@ def test_invalid_parameter_combinations_exit_2(tmp_path):
         ["compare", "--max-iterations", "-3"],
         ["run", "--config", "replicates_0.ini"],
         ["compare", "--replicates", "0"],
+        ["takeover", "--replicates", "0"],
+        ["survival", "--replicates", "0"],
+        ["figure1", "--replicates", "0"],
+        ["sweep", "--mus", "4,x"],
+        ["bounds", "--mus", ","],
     ],
 )
-def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, monkeypatch, argv):
+def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, monkeypatch, capsys, argv):
     # Each setting is judged by the code that uses it, before its first draw:
-    # no random stream is made, and config.resolved is the only file written.
+    # no random stream is made, config.resolved is the only file written, and
+    # the reason is one line on stderr.
     def no_stream(*args, **kw):
         raise AssertionError("a random stream was made before the settings were checked")
 
@@ -333,6 +339,8 @@ def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, monkeypat
     (tmp_path / "replicates_0.ini").write_text("[run]\nreplicates = 0\n")
     assert main(argv + ["--out", "o"]) == 2
     assert [f.name for f in (tmp_path / "o").iterdir()] == ["config.resolved"]
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -509,6 +517,24 @@ def test_figure1_rows_are_stochastic_vectors(tmp_path):
         assert sum(cells) == pytest.approx(1.0, abs=1e-9)
     summary = json.loads((out / "figure1_summary.json").read_text())
     assert [r["replicate"] for r in summary["runs"]] == [0]
+
+
+def test_figure1_with_no_step_writes_one_row_and_a_point_per_distance(tmp_path):
+    # A one-row series has no line to draw: each distance becomes a circle.
+    args = ["figure1", "--n", "20", "--k", "2", "--mu", "6", "--max-iterations", "0"]
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(out_a)]) == 0
+    assert main(args + ["--out", str(out_b)]) == 0
+    csvs = sorted(out_a.glob("figure1_seed*.csv"))
+    assert len(csvs) == 10  # the default replicate count
+    for path in csvs:
+        assert read_lines(path) == ["iteration,d0,d2,d4", "0,1,0,0"]
+        svg = path.with_suffix(".svg").read_text()
+        assert (svg.count("<circle"), svg.count("<polyline")) == (3, 0)
+    names = sorted(p.name for p in out_a.iterdir() if p.name != "config.resolved")
+    assert names == sorted(p.name for p in out_b.iterdir() if p.name != "config.resolved")
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_oracle_subcommand_reports_exact_bound_and_mc(tmp_path, capsys):
