@@ -21,11 +21,8 @@ from .core import (
     GaParams,
     Genotype,
     RandomStream,
-    hamming_distance,
     jump_fitness,
     make_rng,
-    standard_bit_mutation,
-    uniform_crossover,
 )
 from .diversity import (
     PairwiseDistanceTracker,
@@ -85,7 +82,6 @@ __all__ = [
     "estimate_unconditioned_drift",
     "exact_optimum_probability",
     "ga_step",
-    "hamming_distance",
     "init_monomorphic_plateau",
     "init_uniform",
     "jump_fitness",
@@ -102,11 +98,9 @@ __all__ = [
     "run_takeover",
     "runtime_bound",
     "sample_optimum_creation_frequency",
-    "standard_bit_mutation",
     "steps",
     "survival_constant",
     "sweep_grid_ys",
     "takeover_reference",
     "two_species_population",
-    "uniform_crossover",
 ]

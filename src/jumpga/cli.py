@@ -149,18 +149,21 @@ def _read_config_file(path: str, subcommand: str) -> dict:
     """The file's settings for ``subcommand``: ``[common]``, then its own section.
     Every section is judged, so a file is valid or not whichever subcommand reads it."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise SettingError(f"config file not found: {path}")
-    sections: dict = {}
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise SettingError(f"unknown config section [{section}]")
-        allowed = _defaults(section)
-        values = sections[section] = {}
-        for key, raw in parser.items(section):
-            if key not in allowed:
-                raise SettingError(f"unknown config key '{key}' in section [{section}]")
-            values[key] = _coerce(key, raw)
+    try:
+        if not parser.read(path):
+            raise SettingError(f"config file not found: {path}")
+        sections: dict = {}
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise SettingError(f"unknown config section [{section}]")
+            allowed = _defaults(section)
+            values = sections[section] = {}
+            for key, raw in parser.items(section):
+                if key not in allowed:
+                    raise SettingError(f"unknown config key '{key}' in section [{section}]")
+                values[key] = _coerce(key, raw)
+    except configparser.Error as e:  # its message can span lines; a usage error is one line
+        raise SettingError(f"malformed config file {path}: {' '.join(str(e).split())}") from e
     return {**sections.get("common", {}), **sections.get(subcommand, {})}
 
 

@@ -1,4 +1,4 @@
-"""Bit-string genotypes, the jump fitness function, variation operators, and RNG plumbing.
+"""Bit-string genotypes, the jump fitness function, Floyd's subset draw, and RNG plumbing.
 
 A genotype is a fixed-length bit string packed into a Python integer (bit ``i``
 holds position ``i``), so counting ones is a hardware popcount via
@@ -6,7 +6,9 @@ holds position ``i``), so counting ones is a hardware popcount via
 randomness is served by :class:`RandomStream`, one iterator over blocks of a
 counter-seeded PCG64 generator with explicit ``(seed, stream)`` indexing, so
 every run is replayable and independent replicates/grid cells get provably
-disjoint streams.
+disjoint streams.  The variation operators run inline in
+:func:`jumpga.ga.ga_step`; their one-at-a-time reference versions, which the
+tests hold the kernel to, live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -225,21 +227,6 @@ def _floyd_mask(rng: RandomStream, n: int, m: int) -> int:
     return mask
 
 
-def random_index_subset(rng: RandomStream, n: int, m: int) -> set[int]:
-    """Uniform random m-subset of range(n), with the draws of :func:`_floyd_mask`."""
-    if not 0 <= m <= n:
-        raise ValueError(f"subset size {m} outside [0, {n}]")
-    mask = _floyd_mask(rng, n, m)
-    return {i for i in range(n) if mask >> i & 1}
-
-
-def hamming_distance(a: Genotype, b: Genotype) -> int:
-    """Number of differing positions."""
-    if a.n != b.n:
-        raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
-    return (a.bits ^ b.bits).bit_count()
-
-
 def jump_fitness(g: Genotype, k: int) -> int:
     """Jump fitness with gap width ``k``.
 
@@ -255,30 +242,3 @@ def jump_fitness(g: Genotype, k: int) -> int:
     if ones == n or ones <= n - k:
         return k + ones
     return n - ones
-
-
-def uniform_crossover(a: Genotype, b: Genotype, rng: RandomStream) -> Genotype:
-    """Each position independently takes ``a``'s bit or ``b``'s bit with equal probability."""
-    if a.n != b.n:
-        raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
-    mask = rng.random_bits(a.n)
-    # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-    return tuple.__new__(Genotype, ((a.bits & mask) | (b.bits & ~mask), a.n))
-
-
-def standard_bit_mutation(g: Genotype, p_m: float, rng: RandomStream) -> Genotype:
-    """Flip every bit independently with probability ``p_m``.
-
-    Sampled as a binomial flip count followed by a uniform random subset of
-    positions of that size, which realizes the same distribution as n
-    per-bit coins.
-    """
-    if not 0.0 <= p_m <= 1.0:
-        raise ValueError(f"p_m must lie in [0, 1], got {p_m}")
-    n = g.n
-    m = rng.binomial(n, p_m)
-    if m == 0:
-        return g
-    if m == n:
-        return tuple.__new__(Genotype, (g.bits ^ ((1 << n) - 1), n))
-    return tuple.__new__(Genotype, (g.bits ^ _floyd_mask(rng, n, m), n))

@@ -37,10 +37,10 @@ from .core import (
     Genotype,
     RandomStream,
     SettingError,
+    _floyd_mask,
     check_at_least,
     jump_fitness,
     make_rng,
-    random_index_subset,
 )
 from .diversity import PairwiseDistanceTracker, SpeciesTracker
 from .ga import (
@@ -77,31 +77,43 @@ def two_species_population(
     """Plateau population of y copies of a focal genotype plus mu-y copies of a
     second genotype at Hamming distance 2*delta (both with exactly k zeros).
 
-    Draw order: the focal zero set (k of n), then delta of those zeros to fill,
-    then delta of the focal ones to clear.
+    Draw order, each draw a :func:`~jumpga.core._floyd_mask` subset: the focal
+    zero set (k of n), then delta of those zeros to fill, then delta of the
+    focal ones to clear; the last two pick ranks in the ascending lists of the
+    focal's zero and one positions.
     """
     n, k, mu = params.n, params.k, params.mu
     if not 1 <= y <= mu - 1:
         raise ValueError(f"y must lie in [1, mu-1], got y={y}, mu={mu}")
     if not 1 <= delta <= min(k, n - k):
         raise ValueError(f"delta must lie in [1, min(k, n-k)], got {delta}")
-    zeros = sorted(random_index_subset(rng, n, k))
-    bits = (1 << n) - 1
-    for i in zeros:
-        bits ^= 1 << i
-    focal = Genotype(bits, n)
-    zero_set = set(zeros)
-    ones = [i for i in range(n) if i not in zero_set]
+    zero_mask = _floyd_mask(rng, n, k)
+    zeros = _set_bits(zero_mask)
+    bits = ((1 << n) - 1) ^ zero_mask
     other_bits = bits
-    for idx in random_index_subset(rng, k, delta):
+    for idx in _set_bits(_floyd_mask(rng, k, delta)):
         other_bits ^= 1 << zeros[idx]
-    for idx in random_index_subset(rng, n - k, delta):
-        other_bits ^= 1 << ones[idx]
+    for idx in _set_bits(_floyd_mask(rng, n - k, delta)):
+        for z in zeros:  # the idx-th one: step over the zeros at or below it
+            if z <= idx:
+                idx += 1
+        other_bits ^= 1 << idx
+    focal = Genotype(bits, n)
     other = Genotype(other_bits, n)
     members = (focal,) * y + (other,) * (mu - y)
-    fits = tuple(jump_fitness(g, k) for g in members)
+    fits = (jump_fitness(focal, k),) * y + (jump_fitness(other, k),) * (mu - y)
     pop = Population(members, fits, 0)
     return pop, focal, other
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +257,8 @@ def sample_optimum_creation_frequency(
     Vectorized across trials (bit matrices over the numpy generator backing
     ``make_rng(seed, stream)``, made once ``trials`` passes its check, drawn
     ``_SAMPLE_BATCH`` trials at a time); per trial the operator semantics
-    match ``standard_bit_mutation(uniform_crossover(a, b))`` exactly.
+    match ``standard_bit_mutation(uniform_crossover(a, b))`` exactly, with the
+    reference operators of ``tests/reference.py``.
     """
     if a.n != b.n:
         raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")

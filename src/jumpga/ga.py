@@ -80,23 +80,7 @@ class Population:
 
 
 class IntegrityError(Exception):
-    """Cached or tracked state (population caches, diversity trackers) disagrees with the population."""
-
-
-def check_population(pop: Population, k: int) -> None:
-    """Verify the fitness cache, the minimum cache and shared dimension (test/debug helper)."""
-    n = pop.members[0].n
-    for g, f in zip(pop.members, pop.fitnesses):
-        if g.n != n:
-            raise IntegrityError(f"mixed genotype dimensions: {g.n} != {n}")
-        if jump_fitness(g, k) != f:
-            raise IntegrityError(f"cached fitness {f} wrong for {g}")
-    low = min(pop.fitnesses)
-    if pop.low != low:
-        raise IntegrityError(f"cached minimum {pop.low} != {low}")
-    tied = pop.fitnesses.count(low)
-    if pop.tied != tied:
-        raise IntegrityError(f"cached tie count {pop.tied} != {tied} members at {low}")
+    """A diversity tracker's state (or, in the tests, a population cache) disagrees with the population."""
 
 
 @dataclass(slots=True)
@@ -176,8 +160,9 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
         order.
 
     The step is one fused kernel on packed ints.  It makes the draws, and
-    returns the results, of its reference operators ``RandomStream.index``,
-    ``uniform_crossover``, ``standard_bit_mutation`` and ``jump_fitness``.
+    returns the results, of ``RandomStream.index`` and ``jump_fitness`` and of
+    the reference operators ``uniform_crossover`` and ``standard_bit_mutation``
+    in ``tests/reference.py``.
     Every step of a run runs ``params.mutation_walk`` inline, or every one
     calls ``RandomStream.binomial`` (p_m = 1, or (1-p_m)^n underflows).
 

@@ -26,6 +26,7 @@ import math
 
 import pytest
 from conftest import record_acceptance
+from reference import hamming_distance
 
 from jumpga import (
     EventClass,
@@ -34,7 +35,6 @@ from jumpga import (
     close_crossover_decrease_bound,
     estimate_unconditioned_drift,
     exact_optimum_probability,
-    hamming_distance,
     make_rng,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,

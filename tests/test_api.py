@@ -40,7 +40,6 @@ _EXPORTS = [
     "estimate_unconditioned_drift",
     "exact_optimum_probability",
     "ga_step",
-    "hamming_distance",
     "init_monomorphic_plateau",
     "init_uniform",
     "jump_fitness",
@@ -57,13 +56,11 @@ _EXPORTS = [
     "run_takeover",
     "runtime_bound",
     "sample_optimum_creation_frequency",
-    "standard_bit_mutation",
     "steps",
     "survival_constant",
     "sweep_grid_ys",
     "takeover_reference",
     "two_species_population",
-    "uniform_crossover",
 ]
 
 

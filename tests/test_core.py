@@ -1,4 +1,5 @@
-"""Bit-level primitives: jump fitness, Hamming tools, variation operators, RNG."""
+"""Bit-level primitives: jump fitness, Floyd's subset draw, RNG, and the reference
+operators of ``reference.py`` (Hamming distance, crossover, mutation)."""
 
 from __future__ import annotations
 
@@ -9,17 +10,10 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import floyd_reference, hamming_distance, standard_bit_mutation, uniform_crossover
 
-from jumpga import (
-    GaParams,
-    Genotype,
-    hamming_distance,
-    jump_fitness,
-    make_rng,
-    standard_bit_mutation,
-    uniform_crossover,
-)
-from jumpga.core import RandomStream, _floyd_mask, random_index_subset
+from jumpga import GaParams, Genotype, jump_fitness, make_rng
+from jumpga.core import RandomStream, _floyd_mask
 
 
 def g(bits: int, n: int) -> Genotype:
@@ -331,20 +325,6 @@ def test_a_stream_is_freed_without_the_cyclic_collector():
         gc.enable()
 
 
-def floyd_reference(rng, n: int, m: int) -> tuple[set[int], int]:
-    """Floyd's sampler on a set, as first written; also counts colliding draws."""
-    chosen: set[int] = set()
-    collisions = 0
-    for j in range(n - m, n):
-        t = rng.index(j + 1)
-        if t in chosen:
-            chosen.add(j)
-            collisions += 1
-        else:
-            chosen.add(t)
-    return chosen, collisions
-
-
 def test_bitmask_floyd_matches_the_set_sampler_for_every_subset_size():
     n = 24
     collisions = 0
@@ -354,8 +334,6 @@ def test_bitmask_floyd_matches_the_set_sampler_for_every_subset_size():
             want, hit = floyd_reference(twin, n, m)
             collisions += hit
             assert _floyd_mask(rng, n, m) == sum(1 << i for i in want)
-            assert rng._pos == twin._pos
-            assert random_index_subset(rng, n, m) == floyd_reference(twin, n, m)[0]
             assert rng._pos == twin._pos
     assert collisions > 0
 
@@ -404,17 +382,15 @@ def test_binomial_edge_rates_and_moments():
     assert abs(var - n * p * (1 - p)) / (n * p * (1 - p)) <= 0.03
 
 
-def test_random_index_subset_is_uniform_over_subsets():
+def test_floyd_mask_is_uniform_over_subsets():
     rng = make_rng(110)
     for m in (0, 1, 3, 5):
-        s = random_index_subset(rng, 5, m)
-        assert len(s) == m
-        assert all(0 <= i < 5 for i in s)
-    with pytest.raises(ValueError):
-        random_index_subset(rng, 5, 6)
+        mask = _floyd_mask(rng, 5, m)
+        assert mask.bit_count() == m
+        assert 0 <= mask < 1 << 5
 
     trials = 100_000
-    counts = Counter(frozenset(random_index_subset(rng, 5, 2)) for _ in range(trials))
+    counts = Counter(_floyd_mask(rng, 5, 2) for _ in range(trials))
     assert len(counts) == 10
     expected = trials / 10
     sigma = math.sqrt(trials * 0.1 * 0.9)

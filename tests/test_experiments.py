@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import astuple
 
 import pytest
+from reference import floyd_reference, hamming_distance, standard_bit_mutation, uniform_crossover
 
 from jumpga import (
     ConditionedEstimate,
@@ -19,7 +20,6 @@ from jumpga import (
     estimate_transition,
     estimate_unconditioned_drift,
     exact_optimum_probability,
-    hamming_distance,
     init_monomorphic_plateau,
     jump_fitness,
     make_rng,
@@ -29,11 +29,9 @@ from jumpga import (
     run_survival,
     run_takeover,
     sample_optimum_creation_frequency,
-    standard_bit_mutation,
     sweep_grid_ys,
     takeover_reference,
     two_species_population,
-    uniform_crossover,
 )
 from jumpga import experiments
 from jumpga.core import SettingError
@@ -60,6 +58,32 @@ def test_two_species_population_domain():
     for y, delta in ((0, 1), (10, 1), (5, 0), (5, 4)):
         with pytest.raises(ValueError):
             two_species_population(params, y, delta, make_rng(8, 0))
+
+
+def test_two_species_population_follows_its_draw_order_on_a_twin_stream():
+    # The docstring's draws, made with Floyd's set sampler on a twin stream:
+    # k zero positions of n, then ranks in the sorted zeros to fill, then
+    # ranks in the sorted ones to clear.  The grid includes delta = k.
+    cells = 0
+    for n in (2, 5, 8, 21, 40, 100):
+        for k in sorted({1, 2, 3, n // 2} & set(range(1, n // 2 + 1))):
+            for delta in range(1, min(k, n - k) + 1):
+                params = GaParams(n=n, k=k, mu=5, p_c=1.0, chi=1.0, seed=4)
+                for stream in range(4):
+                    rng, twin = make_rng(4, stream), make_rng(4, stream)
+                    pop, focal, other = two_species_population(params, 2, delta, rng)
+                    zeros = sorted(floyd_reference(twin, n, k)[0])
+                    ones = sorted(set(range(n)) - set(zeros))
+                    fill = {zeros[i] for i in floyd_reference(twin, k, delta)[0]}
+                    clear = {ones[i] for i in floyd_reference(twin, n - k, delta)[0]}
+                    want_focal = Genotype(sum(1 << i for i in ones), n)
+                    want_other = Genotype(sum(1 << i for i in (set(ones) - clear) | fill), n)
+                    assert (focal, other) == (want_focal, want_other)
+                    assert pop.members == (want_focal,) * 2 + (want_other,) * 3
+                    assert pop.fitnesses == (n,) * 5 and (pop.low, pop.tied) == (n, 5)
+                    assert rng._pos == twin._pos
+                    cells += 1
+    assert cells == 4 * 112
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +213,7 @@ def test_sampled_creation_frequency_matches_exact_probability_both_routes():
     assert mc.hits == round(mc.frequency * trials)
     assert abs(mc.frequency - exact) <= 3 * se
 
-    # Second, independent route through the production operators one at a time.
+    # Second, independent route through the reference operators one at a time.
     rng = make_rng(3, 1)
     hits = 0
     for _ in range(trials):

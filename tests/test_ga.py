@@ -11,6 +11,7 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
+from reference import check_population, hamming_distance, standard_bit_mutation, uniform_crossover
 
 from jumpga import (
     EventClass,
@@ -22,19 +23,15 @@ from jumpga import (
     StopCondition,
     estimate_transition,
     ga_step,
-    hamming_distance,
     init_monomorphic_plateau,
     init_uniform,
     jump_fitness,
     make_rng,
     no_flip_probability,
     run,
-    standard_bit_mutation,
     steps,
     two_species_population,
-    uniform_crossover,
 )
-from jumpga.ga import check_population
 
 
 def population_of(params: GaParams, *bits: int) -> Population:

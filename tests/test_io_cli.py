@@ -239,17 +239,27 @@ def test_environment_sets_output_dir_and_flags_beat_it(tmp_path, monkeypatch):
     assert cfg["out"] == str(tmp_path / "flagdir")
 
 
-def test_unknown_config_keys_and_sections_are_usage_errors(tmp_path):
-    bad_key = tmp_path / "k.ini"
-    bad_key.write_text("[common]\nbogus = 1\n")
-    assert main(["run", "--config", str(bad_key)]) == 2
-    bad_section = tmp_path / "s.ini"
-    bad_section.write_text("[nosuch]\nmu = 4\n")
-    assert main(["run", "--config", str(bad_section)]) == 2
-    bad_value = tmp_path / "v.ini"
-    bad_value.write_text("[common]\nmu = plenty\n")
-    assert main(["run", "--config", str(bad_value)]) == 2
-    assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
+def test_unknown_config_keys_and_sections_are_usage_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "k.ini": "[common]\nbogus = 1\n",
+        "s.ini": "[nosuch]\nmu = 4\n",
+        "v.ini": "[common]\nmu = plenty\n",
+        # Malformed files: configparser's own errors are usage errors too.
+        "no_header.ini": "n = 5\n",
+        "twice_key.ini": "[common]\nn = 40\nn = 50\n",
+        "twice_section.ini": "[common]\nn = 40\n[common]\nmu = 4\n",
+        "no_equals.ini": "[common]\nn = 40\nbogus\n",
+        "interpolation.ini": "[common]\nout = runs%1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for name in (*files, "missing.ini"):
+        assert main(["run", "--config", name, "--out", "o"]) == 2, name
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not (tmp_path / "o").exists()
 
 
 def test_every_config_section_is_judged_whichever_subcommand_reads_it(tmp_path, monkeypatch):
