@@ -6,7 +6,6 @@ the behaviour of the production step function.
 """
 
 from .analysis import (
-    BoundReport,
     close_crossover_decrease_bound,
     close_crossover_increase_bound,
     exact_optimum_probability,
@@ -29,10 +28,10 @@ from .diversity import (
     SpeciesTracker,
 )
 from .experiments import (
+    BoundReport,
     ConditionedEstimate,
     DriftEstimate,
     SweepCell,
-    SweepResult,
     estimate_transition,
     estimate_unconditioned_drift,
     run_bound_sweep,
@@ -75,7 +74,6 @@ __all__ = [
     "StepTrace",
     "StopCondition",
     "SweepCell",
-    "SweepResult",
     "close_crossover_decrease_bound",
     "close_crossover_increase_bound",
     "estimate_transition",

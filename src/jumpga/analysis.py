@@ -15,7 +15,6 @@ bound/exact comparisons share one arithmetic path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import Genotype, SettingError, _binomial_walk
 
@@ -60,7 +59,7 @@ def optimum_creation_lower_bound(n: int, k: int, d: int, p_m: float) -> float:
     if not 0 <= d <= k:
         raise SettingError(f"d must lie in [0, k], got {d}")
     if not 0.0 < p_m < 1.0:
-        raise SettingError(f"p_m must lie in (0, 1), got {p_m}")
+        raise SettingError(f"p_m = chi/n must lie in (0, 1), got {p_m}")
     return _power_product(((1.0 - p_m, n - k + d), (p_m, k - d), (0.5, 2 * d)))
 
 
@@ -189,14 +188,3 @@ def runtime_bound(n: int, k: int, mu: int, chi: float, p_c: float) -> float:
         return math.inf
     return term_plateau + term_jump + term_direct
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Analytic value paired with the Monte Carlo estimate that tests it."""
-
-    name: str
-    analytic_value: float
-    estimate: float
-    stderr: float
-    samples: int
-    satisfied: bool

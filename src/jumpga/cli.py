@@ -236,12 +236,8 @@ def _cmd_takeover(params: GaParams, cfg: dict, out: Path) -> int:
     _write_replicates(summary.replicates, params.seed, out / "takeover.csv")
     write_json(
         {
-            "mean_hitting_time": summary.mean_hitting_time,
-            "median_hitting_time": summary.median_hitting_time,
+            **_fields_except(summary, "replicates", "reference"),
             "reference_mu_n_plus_mu2_log_mu": summary.reference,
-            "mean_to_reference_ratio": summary.mean_to_reference_ratio,
-            "censored": summary.censored,
-            "cap": summary.cap,
             "replicates": len(summary.replicates),
         },
         out / "takeover_summary.json",
@@ -335,9 +331,9 @@ def _cmd_bounds(params: GaParams, cfg: dict, out: Path) -> int:
 
 
 def _cmd_sweep(params: GaParams, cfg: dict, out: Path) -> int:
-    result = run_bound_sweep(params, _parse_mus(cfg["mus"]), trials=cfg["trials"])
+    cells = run_bound_sweep(params, _parse_mus(cfg["mus"]), trials=cfg["trials"])
     rows = []
-    for cell in result.cells:
+    for cell in cells:
         est = cell.estimate
         rows.append(
             {
@@ -348,33 +344,34 @@ def _cmd_sweep(params: GaParams, cfg: dict, out: Path) -> int:
                 "p_minus": est.p_minus_hat,
                 "stderr_plus": est.stderr_plus,
                 "stderr_minus": est.stderr_minus,
-                "bound": cell.primary_bound,
+                "bound": cell.checks[0].analytic_value,
                 "satisfied": "inconclusive" if cell.satisfied is None else format_value(cell.satisfied),
             }
         )
     _write_rows(rows, out / "transitions.csv")
+    failures = sum(cell.satisfied is False for cell in cells)
     write_json(
         {
             "cells": [
                 {
                     "mu": cell.mu,
-                    "y": cell.y,
-                    "event": cell.event.value,
+                    "y": cell.estimate.y,
+                    "event": cell.estimate.event.value,
                     "descriptor": cell.descriptor,
                     "accepted_trials": cell.estimate.trials,
                     "attempts": cell.estimate.attempts,
                     "satisfied": cell.satisfied,
                     "checks": [_fields_except(ch, "samples") for ch in cell.checks],
                 }
-                for cell in result.cells
+                for cell in cells
             ],
-            "failures": len(result.failures),
-            "inconclusive": len(result.inconclusive),
+            "failures": failures,
+            "inconclusive": sum(cell.satisfied is None for cell in cells),
         },
         out / "sweep_summary.json",
     )
-    if result.failures:
-        print(f"{len(result.failures)} bound cell(s) failed", file=sys.stderr)
+    if failures:
+        print(f"{failures} bound cell(s) failed", file=sys.stderr)
         return 3
     return 0
 

@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple, TypeVar
 import numpy as np
 
 from .analysis import (
-    BoundReport,
     close_crossover_decrease_bound,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,
@@ -322,16 +321,25 @@ def _censored_stats(values: list[int | None]) -> tuple[float | None, float | Non
     return mean, median
 
 
+def _takeover_cap(params: GaParams, max_iterations: int | None) -> int:
+    """The takeover phase's step cap: ``max_iterations``, judged, or by
+    default 100 times the takeover reference."""
+    check_at_least(0, max_iterations=max_iterations)
+    return math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
+
+
 def _take_over(
-    pop: Population, p: GaParams, rng: RandomStream, cap: int
+    params: GaParams, rng: RandomStream, cap: int
 ) -> tuple[Population, SpeciesTracker, int | None]:
-    """Step until the largest species first holds at most mu/2 members; returns
-    ``(population, species tracker, step count)`` then, or with a count of None
-    after ``cap`` steps."""
+    """From a monomorphic plateau start drawn from ``rng``, step until the
+    largest species first holds at most mu/2 members; returns ``(population,
+    species tracker, step count)`` then, or with a count of None after ``cap``
+    steps."""
+    pop = init_monomorphic_plateau(params, rng)
     tracker = SpeciesTracker(pop)
-    for t, pop, trace in steps(pop, p, rng, cap):
+    for t, pop, trace in steps(pop, params, rng, cap):
         tracker.apply(trace)
-        if 2 * tracker.largest <= p.mu:
+        if 2 * tracker.largest <= params.mu:
             return pop, tracker, t
     return pop, tracker, None
 
@@ -342,16 +350,14 @@ def run_takeover(
     """From a monomorphic plateau start, time until largest species <= mu/2
     (cap default: 100 times the takeover reference)."""
     check_at_least(1, replicates=replicates)
-    check_at_least(0, max_iterations=max_iterations)
-    cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
+    cap = _takeover_cap(params, max_iterations)
 
     def replicate(r: int, rng: RandomStream) -> TakeoverReplicate:
-        _, _, hit = _take_over(init_monomorphic_plateau(params, rng), params, rng, cap)
+        _, _, hit = _take_over(params, rng, cap)
         return TakeoverReplicate(r, hit, hit is None)
 
     reps = _cells(params.seed, replicates, replicate)
-    times = [rr.hitting_time for rr in reps]
-    mean, median = _censored_stats(times)
+    mean, median = _censored_stats([rr.hitting_time for rr in reps])
     reference = takeover_reference(params)
     return TakeoverSummary(
         tuple(reps),
@@ -407,13 +413,12 @@ def run_survival(
     zero p_c is rejected, as is lam outside (1/2, 1), before the first draw.
     """
     check_at_least(1, replicates=replicates, t_max=t_max)
-    check_at_least(0, max_iterations=max_iterations)
+    cap = _takeover_cap(params, max_iterations)
     c_surv = survival_constant(lam, params.chi, params.p_c)
     threshold = math.ceil(lam * params.mu - 1e-9)
-    cap = math.ceil(100 * takeover_reference(params)) if max_iterations is None else max_iterations
 
     def replicate(r: int, rng: RandomStream) -> SurvivalReplicate:
-        pop, tracker, hit = _take_over(init_monomorphic_plateau(params, rng), params, rng, cap)
+        pop, tracker, hit = _take_over(params, rng, cap)
         if hit is None:
             return SurvivalReplicate(r, None, True, 0, None, None, False)
         focal = tracker.largest_class()
@@ -596,37 +601,33 @@ _SWEEP_KINDS = {
 
 
 @dataclass(frozen=True)
+class BoundReport:
+    """Analytic value paired with the Monte Carlo estimate that tests it."""
+
+    name: str
+    analytic_value: float
+    estimate: float
+    stderr: float
+    samples: int
+    satisfied: bool
+
+
+@dataclass(frozen=True)
 class SweepCell:
+    """One sweep cell: its estimate (which carries the cell's event and y)
+    and its bound checks, the check of the cell's bound first."""
+
     mu: int
-    y: int
     delta: int
-    event: EventClass
     estimate: ConditionedEstimate
     descriptor: str
     checks: tuple[BoundReport, ...]
-
-    @property
-    def primary_bound(self) -> float:
-        return self.checks[0].analytic_value
 
     @property
     def satisfied(self) -> bool | None:
         if self.estimate.inconclusive:
             return None
         return all(ch.satisfied for ch in self.checks)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    cells: tuple[SweepCell, ...]
-
-    @property
-    def failures(self) -> tuple[SweepCell, ...]:
-        return tuple(c for c in self.cells if c.satisfied is False)
-
-    @property
-    def inconclusive(self) -> tuple[SweepCell, ...]:
-        return tuple(c for c in self.cells if c.satisfied is None)
 
 
 def sweep_grid_ys(mu: int) -> tuple[int, ...]:
@@ -689,7 +690,7 @@ def _sweep_checks(
     return (report(f"monomorphic_decrease_scale mu={mu}", params.k / n, False, p_minus > 0.0),)
 
 
-def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> SweepResult:
+def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> tuple[SweepCell, ...]:
     """Monte Carlo check of every per-event transition bound over a (mu, y) grid.
 
     Cell i of :func:`sweep_plan` runs on stream i: it conditions on its kind's
@@ -710,6 +711,6 @@ def run_bound_sweep(params: GaParams, mus: tuple[int, ...], trials: int) -> Swee
             focal = pop.members[0]
         est = estimate_transition(cell_params, pop, focal, event, trials, rng)
         descriptor = f"kind={kind} mu={mu} y={y} delta={delta} pc={pc} n={params.n} k={params.k} chi={params.chi}"
-        return SweepCell(mu, y, delta, event, est, descriptor, _sweep_checks(kind, mu, y, params, est))
+        return SweepCell(mu, delta, est, descriptor, _sweep_checks(kind, mu, y, params, est))
 
-    return SweepResult(tuple(_cells(params.seed, len(plan), cell)))
+    return tuple(_cells(params.seed, len(plan), cell))

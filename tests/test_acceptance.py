@@ -150,18 +150,18 @@ def test_02_lower_bound_dominated_by_exact_probability_exhaustively():
 
 
 def test_03_close_crossover_loss_rate_dominates_its_bound(bound_sweep):
-    cells = [c for c in bound_sweep.cells
-             if c.event is EventClass.CROSSOVER_CLOSE and c.delta == 1]
+    cells = [c for c in bound_sweep
+             if c.estimate.event is EventClass.CROSSOVER_CLOSE and c.delta == 1]
     assert len(cells) == 8
     ok = True
     margins: list[str] = []
     for c in cells:
         est = c.estimate
-        bound = close_crossover_decrease_bound(c.y, c.mu, 1.0, 100)
+        bound = close_crossover_decrease_bound(c.estimate.y, c.mu, 1.0, 100)
         floor = bound - 3 * est.stderr_minus
         good = est.trials >= 100_000 and not est.inconclusive and est.p_minus_hat >= floor
         ok = ok and good
-        margins.append(f"mu={c.mu},y={c.y}: loss={est.p_minus_hat:.5f} floor={floor:.5f}")
+        margins.append(f"mu={c.mu},y={c.estimate.y}: loss={est.p_minus_hat:.5f} floor={floor:.5f}")
     record_acceptance(
         3,
         "close-crossover loss rate >= bound - 3*stderr on the full grid",
@@ -172,8 +172,8 @@ def test_03_close_crossover_loss_rate_dominates_its_bound(bound_sweep):
 
 
 def test_04_distant_crossover_loss_at_least_twice_gain(bound_sweep):
-    cells = [c for c in bound_sweep.cells if c.event is EventClass.CROSSOVER_DISTANT]
-    assert len(cells) == 8 and all(2 * c.y >= c.mu for c in cells)
+    cells = [c for c in bound_sweep if c.estimate.event is EventClass.CROSSOVER_DISTANT]
+    assert len(cells) == 8 and all(2 * c.estimate.y >= c.mu for c in cells)
     ok = True
     margins: list[str] = []
     for c in cells:
@@ -181,7 +181,7 @@ def test_04_distant_crossover_loss_at_least_twice_gain(bound_sweep):
         need = 2 * est.p_plus_hat - 3 * (est.stderr_plus + est.stderr_minus)
         good = est.trials >= 100_000 and not est.inconclusive and est.p_minus_hat >= need
         ok = ok and good
-        margins.append(f"mu={c.mu},y={c.y}: loss={est.p_minus_hat:.5f} "
+        margins.append(f"mu={c.mu},y={c.estimate.y}: loss={est.p_minus_hat:.5f} "
                        f"2*gain={2 * est.p_plus_hat:.5f}")
     record_acceptance(
         4,
@@ -193,14 +193,14 @@ def test_04_distant_crossover_loss_at_least_twice_gain(bound_sweep):
 
 
 def test_05_mutation_only_rates_match_shared_leading_term(bound_sweep):
-    cells = [c for c in bound_sweep.cells if c.event is EventClass.MUTATION_ONLY]
+    cells = [c for c in bound_sweep if c.estimate.event is EventClass.MUTATION_ONLY]
     assert len(cells) == 8
     ok = True
     margins: list[str] = []
     for c in cells:
         est = c.estimate
-        lead, lower = mutation_only_transition_bounds(c.y, c.mu, 1.0, 100)
-        band = 3 * est.stderr_plus + 10.0 * mutation_only_increase_oscale(c.y, c.mu, 100)
+        lead, lower = mutation_only_transition_bounds(c.estimate.y, c.mu, 1.0, 100)
+        band = 3 * est.stderr_plus + 10.0 * mutation_only_increase_oscale(c.estimate.y, c.mu, 100)
         good = (
             est.trials >= 100_000
             and not est.inconclusive
@@ -208,7 +208,7 @@ def test_05_mutation_only_rates_match_shared_leading_term(bound_sweep):
             and abs(est.p_plus_hat - lead) <= band
         )
         ok = ok and good
-        margins.append(f"mu={c.mu},y={c.y}: gain={est.p_plus_hat:.5f} "
+        margins.append(f"mu={c.mu},y={c.estimate.y}: gain={est.p_plus_hat:.5f} "
                        f"loss={est.p_minus_hat:.5f} lead={lead:.5f}")
     record_acceptance(
         5,

@@ -224,6 +224,8 @@ def test_transition_bound_domain_checks():
             fn(2, 1, 1.0, 100)
         with pytest.raises(ValueError):
             fn(2, 4, -1.0, 100)
+        with pytest.raises(ValueError, match="n must be positive"):
+            fn(2, 4, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

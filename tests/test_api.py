@@ -33,7 +33,6 @@ _EXPORTS = [
     "StepTrace",
     "StopCondition",
     "SweepCell",
-    "SweepResult",
     "close_crossover_decrease_bound",
     "close_crossover_increase_bound",
     "estimate_transition",

@@ -217,6 +217,15 @@ def test_make_rng_is_deterministic_per_seed_and_stream():
     assert a != d
 
 
+def test_make_rng_rejects_a_seed_outside_64_bits_and_a_negative_stream():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be a non-negative 64-bit integer"):
+            make_rng(seed)
+    with pytest.raises(ValueError, match="stream index must be non-negative"):
+        make_rng(0, -1)
+    assert 0.0 <= make_rng(2**64 - 1).uniform() < 1.0
+
+
 def test_random_stream_ranges():
     rng = make_rng(108)
     for _ in range(5000):

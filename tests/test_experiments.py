@@ -16,6 +16,7 @@ from jumpga import (
     EventClass,
     GaParams,
     Genotype,
+    SpeciesTracker,
     StopCondition,
     estimate_transition,
     estimate_unconditioned_drift,
@@ -29,6 +30,7 @@ from jumpga import (
     run_survival,
     run_takeover,
     sample_optimum_creation_frequency,
+    steps,
     sweep_grid_ys,
     takeover_reference,
     two_species_population,
@@ -253,6 +255,13 @@ def test_sampled_creation_frequency_rejects_a_count_below_1_before_any_stream(mo
         sample_optimum_creation_frequency(g, g, 0.1, 0, 1)
 
 
+def test_sampled_creation_frequency_rejects_parents_of_different_lengths_before_any_stream(monkeypatch):
+    made = record_streams(monkeypatch)
+    with pytest.raises(ValueError, match="genotype length mismatch: 10 != 11"):
+        sample_optimum_creation_frequency(Genotype(0, 10), Genotype(0, 11), 0.1, 100, 1)
+    assert made == []
+
+
 # ---------------------------------------------------------------------------
 # takeover
 
@@ -305,6 +314,33 @@ def test_survival_monitoring_small_run():
         2000**2 * math.exp(-4 * 9.8795748e-4), rel=1e-6
     )
     assert s.tail_is_vacuous
+
+
+def test_survival_monitoring_stops_at_the_step_that_creates_the_optimum():
+    # A small gap with crossover on every step: each replicate's monitoring
+    # ends at the optimum.  Replay every replicate on a twin stream.
+    p = GaParams(n=12, k=2, mu=6, p_c=1.0, chi=1.0, seed=3)
+    s = run_survival(p, replicates=10, lam=0.75, t_max=20_000)
+    assert s.monitored_replicates == 10
+    for rep in s.replicates:
+        rng = make_rng(3, rep.replicate)
+        pop = init_monomorphic_plateau(p, rng)
+        tracker = SpeciesTracker(pop)
+        takeover = created = None
+        for t, _, trace in steps(pop, p, rng, 20_000):
+            if takeover is None:
+                tracker.apply(trace)
+                if 2 * tracker.largest <= p.mu:
+                    takeover = t
+            elif trace.optimum_created:
+                created = t - takeover
+                break
+        assert rep.takeover_time == takeover and created is not None
+        assert rep.optimum_interrupted
+        assert rep.monitored_iterations == created
+        assert rep.focal_hit_time is None
+        # the creating step is never applied to the tracker, so no hit falls on it
+        assert rep.max_hit_time is None or rep.max_hit_time < created
 
 
 def test_survival_rejects_bad_threshold_fraction():
@@ -466,9 +502,8 @@ def test_sweep_witness_sizes():
 
 def test_bound_sweep_cell_plan_and_verdicts():
     p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
-    result = run_bound_sweep(p, mus=(4,), trials=2000)
-    cells = result.cells
-    plan = [(c.event, c.y, c.delta) for c in cells]
+    cells = run_bound_sweep(p, mus=(4,), trials=2000)
+    plan = [(c.estimate.event, c.estimate.y, c.delta) for c in cells]
     assert plan == [
         (EventClass.CROSSOVER_CLOSE, 2, 1),
         (EventClass.CROSSOVER_CLOSE, 3, 1),
@@ -478,25 +513,22 @@ def test_bound_sweep_cell_plan_and_verdicts():
         (EventClass.MUTATION_ONLY, 3, 1),
         (EventClass.CROSSOVER_CLOSE, 4, 0),
     ]
-    assert result.failures == ()
-    assert result.inconclusive == ()
     for c in cells:
         assert c.estimate.trials == 2000
         assert c.satisfied is True
         assert c.checks  # every cell carries at least one explicit check
     mono = cells[-1]
-    assert mono.y == 4
+    assert mono.estimate.y == 4
     assert mono.estimate.p_plus_hat == 0.0  # nothing outside the single species
     assert mono.estimate.p_minus_hat > 0.0
-    assert mono.primary_bound == pytest.approx(p.k / p.n, rel=1e-12)
+    assert mono.checks[0].analytic_value == pytest.approx(p.k / p.n, rel=1e-12)
 
 
 def test_bound_sweep_marks_scarce_cells_inconclusive_without_failing():
     p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
-    result = run_bound_sweep(p, mus=(4,), trials=50)
-    assert len(result.inconclusive) == len(result.cells) == 7
-    assert result.failures == ()
-    assert all(c.satisfied is None for c in result.cells)
+    cells = run_bound_sweep(p, mus=(4,), trials=50)
+    assert len(cells) == 7
+    assert all(c.satisfied is None for c in cells)
 
 
 def test_bound_sweep_rejects_tiny_populations():
@@ -570,13 +602,12 @@ _SWEEP_PIN = [
 
 def test_bound_sweep_matches_pinned_cells():
     p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
-    cells = run_bound_sweep(p, mus=(4, 8), trials=500).cells
+    cells = run_bound_sweep(p, mus=(4, 8), trials=500)
     got = [
         (c.descriptor, c.estimate.attempts, [astuple(ch) for ch in c.checks])
         for c in cells
     ]
     assert got == _SWEEP_PIN
-    assert all(c.primary_bound == c.checks[0].analytic_value for c in cells)
 
 
 def test_monomorphic_decrease_scale_tracks_k_over_n():
@@ -645,14 +676,14 @@ def test_replicate_r_owns_stream_r_and_a_shorter_run_is_a_prefix(monkeypatch, ru
 def test_sweep_cell_i_owns_stream_i_and_a_shorter_mu_list_is_a_prefix(monkeypatch):
     p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
     made = record_streams(monkeypatch)
-    both = run_bound_sweep(p, mus=(4, 6), trials=20).cells
+    both = run_bound_sweep(p, mus=(4, 6), trials=20)
     assert len(both) == len(experiments.sweep_plan(p, (4, 6))) == 14
     assert made == [(4, i) for i in range(14)]
     made.clear()
-    first = run_bound_sweep(p, mus=(4,), trials=20).cells
+    first = run_bound_sweep(p, mus=(4,), trials=20)
     assert made == [(4, i) for i in range(7)]
     assert both[:7] == first
     made.clear()
     # An empty list plans no cell, so it makes no stream and returns no cell.
-    assert run_bound_sweep(p, mus=(), trials=20).cells == ()
+    assert run_bound_sweep(p, mus=(), trials=20) == ()
     assert made == []

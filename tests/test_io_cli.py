@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,6 @@ from jumpga import (
     EventClass,
     GaParams,
     SweepCell,
-    SweepResult,
     exact_optimum_probability,
     optimum_creation_lower_bound,
     run_figure1,
@@ -351,6 +351,8 @@ def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, monkeypat
     assert [f.name for f in (tmp_path / "o").iterdir()] == ["config.resolved"]
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if "--chi" in argv:  # p_m has no option of its own: the line names what it comes from
+        assert err == "error: p_m = chi/n must lie in (0, 1), got 1.0\n"
 
 
 @pytest.mark.parametrize(
@@ -635,7 +637,7 @@ def test_sweep_subcommand_writes_transitions_and_exits_0_on_success(tmp_path):
     assert summary["failures"] == 0
 
 
-def test_sweep_subcommand_exits_3_when_a_bound_check_fails(tmp_path, monkeypatch):
+def test_sweep_subcommand_exits_3_when_a_bound_check_fails(tmp_path, monkeypatch, capsys):
     est = ConditionedEstimate(
         event=EventClass.CROSSOVER_CLOSE,
         y=2,
@@ -648,12 +650,18 @@ def test_sweep_subcommand_exits_3_when_a_bound_check_fails(tmp_path, monkeypatch
         inconclusive=False,
     )
     report = BoundReport("synthetic-check", 0.2, 0.01, 0.001, 1000, False)
-    cell = SweepCell(4, 2, 1, EventClass.CROSSOVER_CLOSE, est, "synthetic", (report,))
-    monkeypatch.setattr(cli, "run_bound_sweep", lambda params, mus, trials: SweepResult((cell,)))
+    failed = SweepCell(4, 1, est, "synthetic", (report,))
+    scarce = SweepCell(4, 1, replace(est, trials=50, inconclusive=True), "scarce", (report,))
+    monkeypatch.setattr(cli, "run_bound_sweep", lambda params, mus, trials: (failed, scarce))
     rc = main(["sweep", "--out", str(tmp_path / "fail"), "--n", "60"])
     assert rc == 3
+    assert capsys.readouterr().err == "1 bound cell(s) failed\n"
     lines = read_lines(tmp_path / "fail" / "transitions.csv")
-    assert lines[1].endswith(",false")
+    assert lines[1].endswith(",0.2,false")
+    assert lines[2].endswith(",0.2,inconclusive")
+    summary = json.loads((tmp_path / "fail" / "sweep_summary.json").read_text())
+    assert (summary["failures"], summary["inconclusive"]) == (1, 1)
+    assert [c["satisfied"] for c in summary["cells"]] == [False, None]
 
 
 def test_console_script_entry_point(tmp_path):
