@@ -361,7 +361,7 @@ def _cmd_sweep(params: GaParams, cfg: dict, out: Path) -> int:
                     "accepted_trials": cell.estimate.trials,
                     "attempts": cell.estimate.attempts,
                     "satisfied": cell.satisfied,
-                    "checks": [_fields_except(ch, "samples") for ch in cell.checks],
+                    "checks": [vars(ch) for ch in cell.checks],
                 }
                 for cell in cells
             ],

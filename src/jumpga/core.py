@@ -6,7 +6,9 @@ holds position ``i``), so counting ones is a hardware popcount via
 randomness is served by :class:`RandomStream`, one iterator over blocks of a
 counter-seeded PCG64 generator with explicit ``(seed, stream)`` indexing, so
 every run is replayable and independent replicates/grid cells get provably
-disjoint streams.  The variation operators run inline in
+disjoint streams.  numpy is imported by :func:`make_rng`, not by this module,
+so a CLI run that makes no stream (``--help``, ``bounds``, a usage error)
+never loads it.  The variation operators run inline in
 :func:`jumpga.ga.ga_step`; their one-at-a-time reference versions, which the
 tests hold the kernel to, live in ``tests/reference.py``.
 """
@@ -16,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO53 = 2.0**53
 
@@ -206,6 +209,8 @@ def make_rng(seed: int, stream: int = 0) -> RandomStream:
         raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
     if stream < 0:
         raise ValueError(f"stream index must be non-negative, got {stream}")
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return RandomStream(np.random.Generator(np.random.PCG64(ss)))
 

@@ -23,8 +23,6 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, TypeVar
 
-import numpy as np
-
 from .analysis import (
     close_crossover_decrease_bound,
     mutation_only_increase_oscale,
@@ -257,11 +255,14 @@ def sample_optimum_creation_frequency(
     ``make_rng(seed, stream)``, made once ``trials`` passes its check, drawn
     ``_SAMPLE_BATCH`` trials at a time); per trial the operator semantics
     match ``standard_bit_mutation(uniform_crossover(a, b))`` exactly, with the
-    reference operators of ``tests/reference.py``.
+    reference operators of ``tests/reference.py``.  It imports numpy itself,
+    after its checks, as :func:`jumpga.core.make_rng` does.
     """
     if a.n != b.n:
         raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
     check_at_least(1, trials=trials)
+    import numpy as np
+
     n = a.n
     gen = make_rng(seed, stream).generator
     a_row = np.array([(a.bits >> i) & 1 for i in range(n)], dtype=bool)
@@ -608,7 +609,6 @@ class BoundReport:
     analytic_value: float
     estimate: float
     stderr: float
-    samples: int
     satisfied: bool
 
 
@@ -664,7 +664,7 @@ def _sweep_checks(
 
     def report(name: str, bound: float, increase: bool, satisfied: bool) -> BoundReport:
         hat, stderr = (p_plus, s_plus) if increase else (p_minus, s_minus)
-        return BoundReport(name, bound, hat, stderr, est.trials, satisfied)
+        return BoundReport(name, bound, hat, stderr, satisfied)
 
     at = f"mu={mu} y={y}"
     if kind == "close":

@@ -537,65 +537,65 @@ def test_bound_sweep_rejects_tiny_populations():
         run_bound_sweep(p, mus=(2,), trials=100)
 
 
-# Every cell of a two-size sweep: its descriptor, its attempts and every field
-# of every check, in cell order.  Any change to a draw, a bound, a check's
+# Every cell of a two-size sweep: its descriptor, its accepted trials, its
+# attempts and every field of every check, in cell order.  Any change to a draw, a bound, a check's
 # float expression or the cell plan changes them.
 _SWEEP_PIN = [
-    ("kind=close mu=4 y=2 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, [
-        ("close_decrease mu=4 y=2", 0.06383865438183535, 0.066, 0.011103512957618413, 500, True),
+    ("kind=close mu=4 y=2 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("close_decrease mu=4 y=2", 0.06383865438183535, 0.066, 0.011103512957618413, True),
     ]),
-    ("kind=close mu=4 y=3 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, [
-        ("close_decrease mu=4 y=3", 0.05129891869968912, 0.066, 0.011103512957618413, 500, True),
+    ("kind=close mu=4 y=3 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("close_decrease mu=4 y=3", 0.05129891869968912, 0.066, 0.011103512957618413, True),
     ]),
-    ("kind=distant mu=4 y=2 delta=2 pc=1.0 n=60 k=3 chi=1.0", 1050, [
-        ("distant_decrease_vs_double_increase mu=4 y=2", 0.016, 0.102, 0.013534843922262273, 500, True),
+    ("kind=distant mu=4 y=2 delta=2 pc=1.0 n=60 k=3 chi=1.0", 500, 1050, [
+        ("distant_decrease_vs_double_increase mu=4 y=2", 0.016, 0.102, 0.013534843922262273, True),
     ]),
-    ("kind=distant mu=4 y=3 delta=2 pc=1.0 n=60 k=3 chi=1.0", 1366, [
-        ("distant_decrease_vs_double_increase mu=4 y=3", 0.008, 0.126, 0.01484075469779081, 500, True),
+    ("kind=distant mu=4 y=3 delta=2 pc=1.0 n=60 k=3 chi=1.0", 500, 1366, [
+        ("distant_decrease_vs_double_increase mu=4 y=3", 0.008, 0.126, 0.01484075469779081, True),
     ]),
-    ("kind=mutation mu=4 y=2 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, [
-        ("mutation_decrease mu=4 y=2", 0.07295846215066897, 0.078, 0.011992997957141493, 500, True),
-        ("mutation_increase_band mu=4 y=2", 0.07295846215066897, 0.07, 0.011410521460476731, 500, True),
+    ("kind=mutation mu=4 y=2 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("mutation_decrease mu=4 y=2", 0.07295846215066897, 0.078, 0.011992997957141493, True),
+        ("mutation_increase_band mu=4 y=2", 0.07295846215066897, 0.07, 0.011410521460476731, True),
     ]),
-    ("kind=mutation mu=4 y=3 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, [
-        ("mutation_decrease mu=4 y=3", 0.05471884661300173, 0.062, 0.010784804124322332, 500, True),
-        ("mutation_increase_band mu=4 y=3", 0.05471884661300173, 0.06, 0.010620734437881401, 500, True),
+    ("kind=mutation mu=4 y=3 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("mutation_decrease mu=4 y=3", 0.05471884661300173, 0.062, 0.010784804124322332, True),
+        ("mutation_increase_band mu=4 y=3", 0.05471884661300173, 0.06, 0.010620734437881401, True),
     ]),
-    ("kind=monomorphic mu=4 y=4 delta=0 pc=1.0 n=60 k=3 chi=1.0", 500, [
-        ("monomorphic_decrease_scale mu=4", 0.05, 0.026, 0.007116740827092132, 500, True),
+    ("kind=monomorphic mu=4 y=4 delta=0 pc=1.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("monomorphic_decrease_scale mu=4", 0.05, 0.026, 0.007116740827092132, True),
     ]),
-    ("kind=close mu=8 y=4 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, [
-        ("close_decrease mu=8 y=4", 0.07093183820203927, 0.08, 0.01213260071048248, 500, True),
+    ("kind=close mu=8 y=4 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("close_decrease mu=8 y=4", 0.07093183820203927, 0.08, 0.01213260071048248, True),
     ]),
-    ("kind=close mu=8 y=6 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, [
-        ("close_decrease mu=8 y=6", 0.05699879855521013, 0.082, 0.012269963325128565, 500, True),
+    ("kind=close mu=8 y=6 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("close_decrease mu=8 y=6", 0.05699879855521013, 0.082, 0.012269963325128565, True),
     ]),
-    ("kind=close mu=8 y=7 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, [
-        ("close_decrease mu=8 y=7", 0.03435760912911277, 0.052, 0.00992935043192655, 500, True),
+    ("kind=close mu=8 y=7 delta=1 pc=1.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("close_decrease mu=8 y=7", 0.03435760912911277, 0.052, 0.00992935043192655, True),
     ]),
-    ("kind=distant mu=8 y=4 delta=2 pc=1.0 n=60 k=3 chi=1.0", 1018, [
-        ("distant_decrease_vs_double_increase mu=8 y=4", 0.012, 0.126, 0.01484075469779081, 500, True),
+    ("kind=distant mu=8 y=4 delta=2 pc=1.0 n=60 k=3 chi=1.0", 500, 1018, [
+        ("distant_decrease_vs_double_increase mu=8 y=4", 0.012, 0.126, 0.01484075469779081, True),
     ]),
-    ("kind=distant mu=8 y=6 delta=2 pc=1.0 n=60 k=3 chi=1.0", 1392, [
-        ("distant_decrease_vs_double_increase mu=8 y=6", 0.012, 0.166, 0.016639951923007473, 500, True),
+    ("kind=distant mu=8 y=6 delta=2 pc=1.0 n=60 k=3 chi=1.0", 500, 1392, [
+        ("distant_decrease_vs_double_increase mu=8 y=6", 0.012, 0.166, 0.016639951923007473, True),
     ]),
-    ("kind=distant mu=8 y=7 delta=2 pc=1.0 n=60 k=3 chi=1.0", 2322, [
-        ("distant_decrease_vs_double_increase mu=8 y=7", 0.008, 0.174, 0.016954291492126704, 500, True),
+    ("kind=distant mu=8 y=7 delta=2 pc=1.0 n=60 k=3 chi=1.0", 500, 2322, [
+        ("distant_decrease_vs_double_increase mu=8 y=7", 0.008, 0.174, 0.016954291492126704, True),
     ]),
-    ("kind=mutation mu=8 y=4 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, [
-        ("mutation_decrease mu=8 y=4", 0.08106495794518774, 0.088, 0.012669333052690659, 500, True),
-        ("mutation_increase_band mu=8 y=4", 0.08106495794518774, 0.09, 0.012798437404620925, 500, True),
+    ("kind=mutation mu=8 y=4 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("mutation_decrease mu=8 y=4", 0.08106495794518774, 0.088, 0.012669333052690659, True),
+        ("mutation_increase_band mu=8 y=4", 0.08106495794518774, 0.09, 0.012798437404620925, True),
     ]),
-    ("kind=mutation mu=8 y=6 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, [
-        ("mutation_decrease mu=8 y=6", 0.0607987184588908, 0.074, 0.011706750189527408, 500, True),
-        ("mutation_increase_band mu=8 y=6", 0.0607987184588908, 0.044, 0.009172131704244111, 500, True),
+    ("kind=mutation mu=8 y=6 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("mutation_decrease mu=8 y=6", 0.0607987184588908, 0.074, 0.011706750189527408, True),
+        ("mutation_increase_band mu=8 y=6", 0.0607987184588908, 0.044, 0.009172131704244111, True),
     ]),
-    ("kind=mutation mu=8 y=7 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, [
-        ("mutation_decrease mu=8 y=7", 0.035465919101019636, 0.068, 0.011258419071965654, 500, True),
-        ("mutation_increase_band mu=8 y=7", 0.035465919101019636, 0.048, 0.009559916317625379, 500, True),
+    ("kind=mutation mu=8 y=7 delta=1 pc=0.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("mutation_decrease mu=8 y=7", 0.035465919101019636, 0.068, 0.011258419071965654, True),
+        ("mutation_increase_band mu=8 y=7", 0.035465919101019636, 0.048, 0.009559916317625379, True),
     ]),
-    ("kind=monomorphic mu=8 y=8 delta=0 pc=1.0 n=60 k=3 chi=1.0", 500, [
-        ("monomorphic_decrease_scale mu=8", 0.05, 0.008, 0.003983967871356395, 500, True),
+    ("kind=monomorphic mu=8 y=8 delta=0 pc=1.0 n=60 k=3 chi=1.0", 500, 500, [
+        ("monomorphic_decrease_scale mu=8", 0.05, 0.008, 0.003983967871356395, True),
     ]),
 ]
 
@@ -604,7 +604,7 @@ def test_bound_sweep_matches_pinned_cells():
     p = GaParams(n=60, k=3, mu=4, p_c=0.5, chi=1.0, seed=4)
     cells = run_bound_sweep(p, mus=(4, 8), trials=500)
     got = [
-        (c.descriptor, c.estimate.attempts, [astuple(ch) for ch in c.checks])
+        (c.descriptor, c.estimate.trials, c.estimate.attempts, [astuple(ch) for ch in c.checks])
         for c in cells
     ]
     assert got == _SWEEP_PIN

@@ -649,7 +649,7 @@ def test_sweep_subcommand_exits_3_when_a_bound_check_fails(tmp_path, monkeypatch
         attempts=1200,
         inconclusive=False,
     )
-    report = BoundReport("synthetic-check", 0.2, 0.01, 0.001, 1000, False)
+    report = BoundReport("synthetic-check", 0.2, 0.01, 0.001, False)
     failed = SweepCell(4, 1, est, "synthetic", (report,))
     scarce = SweepCell(4, 1, replace(est, trials=50, inconclusive=True), "scarce", (report,))
     monkeypatch.setattr(cli, "run_bound_sweep", lambda params, mus, trials: (failed, scarce))
@@ -664,15 +664,56 @@ def test_sweep_subcommand_exits_3_when_a_bound_check_fails(tmp_path, monkeypatch
     assert [c["satisfied"] for c in summary["cells"]] == [False, None]
 
 
-def test_console_script_entry_point(tmp_path):
-    # The child imports the package this process imported, installed or not.
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package this process imported,
+    installed or not."""
     path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "jumpga.cli", "oracle", "--out", str(tmp_path / "cli"),
-         "--n", "12", "--k", "2", "--d", "0"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
+
+
+def test_console_script_entry_point(tmp_path):
+    proc = run_child(
+        "-m", "jumpga.cli", "oracle", "--out", str(tmp_path / "cli"), "--n", "12", "--k", "2", "--d", "0"
+    )
     assert proc.returncode == 0
     assert "exact=" in proc.stdout
+
+
+# Whether numpy is loaded after each step, in a fresh interpreter: the CLI
+# draws nothing before the first random stream, so nothing before it loads numpy.
+_NUMPY_PROBE = """
+import json, sys
+import jumpga, jumpga.cli
+from jumpga.cli import main, parse_cli
+from jumpga.core import make_rng
+
+out = sys.argv[1]
+seen = {"import": "numpy" in sys.modules}
+for sub in sys.argv[2:]:
+    parse_cli([sub, "--out", out])
+    seen["parse_cli " + sub] = "numpy" in sys.modules
+seen["--help"] = [main(["--help"]), "numpy" in sys.modules]
+seen["bounds"] = [main(["bounds", "--out", out, "--mus", "4,8", "--n", "50"]), "numpy" in sys.modules]
+seen["run --mu 0"] = [main(["run", "--out", out, "--mu", "0"]), "numpy" in sys.modules]
+make_rng(1)
+seen["make_rng"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_numpy_only_with_the_first_random_stream(tmp_path):
+    proc = run_child("-c", _NUMPY_PROBE, str(tmp_path / "out"), *_CLI_SUBCOMMANDS)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": False,
+        **{f"parse_cli {sub}": False for sub in _CLI_SUBCOMMANDS},
+        "--help": [0, False],
+        "bounds": [0, False],
+        "run --mu 0": [2, False],
+        "make_rng": True,
+    }
