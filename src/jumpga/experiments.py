@@ -19,7 +19,6 @@ Conventions shared by every runner:
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, TypeVar
 
@@ -44,6 +43,7 @@ from .ga import (
     EventClass,
     Population,
     StopCondition,
+    _working_copy,
     ga_step,
     init_monomorphic_plateau,
     init_uniform,
@@ -125,17 +125,31 @@ def _count_moves(
     are taken; a step is accepted when its event class is ``event`` (every
     step when ``event`` is None).  Returns ``(accepted, attempts, ups, downs)``,
     ``ups``/``downs`` counting accepted steps that grow/shrink ``species``.
+
+    Every trial steps one working copy of ``population``, which is then put
+    back: the replaced member, whose fitness was the minimum ``low``, and the
+    copy's ``low``, ``tied`` and ``generation``.
     """
     check_at_least(1, trials=trials)
     mu = params.mu
+    work = _working_copy(population)
+    members, fits = work.members, work.fitnesses
+    generation, low, tied = work.generation, work.low, work.tied
     accepted = attempts = ups = downs = 0
     while accepted < trials and attempts < cap:
-        _, trace = ga_step(population, params, rng)
+        _, trace = ga_step(work, params, rng)
         attempts += 1
+        work.generation = generation
+        r = trace.removed_index
+        if r < mu:
+            members[r] = trace.removed_genotype
+            fits[r] = low
+            work.low = low
+            work.tied = tied
         if event is not None and trace.event is not event:
             continue
         accepted += 1
-        if trace.removed_index == mu:
+        if r == mu:
             continue
         dy = (trace.offspring == species) - (trace.removed_genotype == species)
         if dy > 0:
@@ -313,12 +327,20 @@ class TakeoverSummary:
     cap: int
 
 
+def _median(values) -> float:
+    """The middle value, or the mean of the two middle values, of the sorted
+    ``values``: ``statistics.median`` bit for bit, without its import."""
+    data = sorted(values)
+    half = len(data) // 2
+    return float(data[half] if len(data) % 2 else (data[half - 1] + data[half]) / 2)
+
+
 def _censored_stats(values: list[int | None]) -> tuple[float | None, float | None]:
     completed = [v for v in values if v is not None]
     mean = sum(completed) / len(completed) if completed else None
     median = None
     if len(completed) * 2 > len(values):
-        median = float(statistics.median(v if v is not None else math.inf for v in values))
+        median = _median(v if v is not None else math.inf for v in values)
     return mean, median
 
 

@@ -11,6 +11,8 @@ created as an offspring.
 :func:`ga_step` takes one iteration.  :func:`steps` chains it and is the one
 loop through which every runner steps a population forward; :func:`run` is
 that loop until the optimum or a stop condition of a :class:`StopCondition`.
+A population that a caller passes in is never written: a runner copies it
+once into a working copy that ``ga_step`` advances in place.
 """
 
 from __future__ import annotations
@@ -55,9 +57,12 @@ class Population:
 
     ``members`` and ``fitnesses`` are parallel tuples; ``generation`` counts
     applied iterations.  Member order carries no meaning beyond indexing
-    within a single step.  Treated as immutable: nothing assigns to a
-    population after construction, and :func:`ga_step` returns a new one.
-    The class is not frozen only because frozen construction is slow.
+    within a single step.  A tuple population is never written: nothing
+    assigns to it after construction, and :func:`ga_step` returns a new one.
+    The one exception is a runner's working copy (``_working_copy``), whose
+    ``members`` and ``fitnesses`` are lists: :func:`ga_step` advances it in
+    place, and :func:`steps` yields it.  The class is not frozen only because
+    frozen construction is slow.
 
     ``low`` and ``tied`` cache the minimum fitness and the number of members
     at it, so that :func:`ga_step` picks the removed member without scanning
@@ -144,10 +149,12 @@ def init_monomorphic_plateau(params: GaParams, rng: RandomStream) -> Population:
 
 
 def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Population, StepTrace]:
-    """Advance one iteration; returns a new population and its trace.
+    """Advance one iteration; returns the population after it and its trace.
 
-    ``pop`` itself is never modified.  Scalar draws happen in a fixed order so
-    that traces replay exactly:
+    A tuple ``pop`` is never modified, and the population returned is a new
+    one.  A working copy (list members, made by a runner) is advanced in place
+    and returned itself.  Both take the same draws and give the same trace.
+    Scalar draws happen in a fixed order so that traces replay exactly:
     (1) crossover coin ``u < p_c`` with ``u`` uniform on [0, 1),
     (2) parent index draws (two with crossover, else one; with replacement),
     (3) crossover mask bits, ceil(n/53) words (crossover only; equal parents
@@ -167,10 +174,11 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     calls ``RandomStream.binomial`` (p_m = 1, or (1-p_m)^n underflows).
 
     The minimum cache carries over: ``low`` and ``tied`` are read from ``pop``
-    and passed to the new population.  They are unchanged when the offspring
-    is removed or replaces a member at ``low`` with fitness ``low``.  When a
-    fitter offspring replaces one, ``tied`` drops by one, and only when it
-    reaches 0 are the minimum and its count recomputed from the new fitnesses.
+    and written to the population returned.  They are unchanged when the
+    offspring is removed or replaces a member at ``low`` with fitness ``low``.
+    When a fitter offspring replaces one, ``tied`` drops by one, and only when
+    it reaches 0 are the minimum and its count recomputed from the new
+    fitnesses.
     """
     mu = params.mu
     n = params.n
@@ -241,28 +249,45 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
             for _ in range(pos):
                 removed = fits.index(low, removed + 1)
 
+    # Write-back: a working copy in place, a caller's tuples copied first.
     t = pop.generation + 1
+    own = type(members) is list
     if removed == mu:
         removed_genotype = child
-        new_pop = Population(members, fits, t, low, tied)
     else:
         # The removed member sits at ``low``, so a child at ``low`` leaves the
         # fitnesses, and the cache, as they were.
         removed_genotype = members[removed]
-        new_members = list(members)
-        new_members[removed] = child
+        if not own:
+            members = list(members)
+            fits = list(fits)
+        members[removed] = child
         if child_fit != low:
-            new_fits = list(fits)
-            new_fits[removed] = child_fit
-            fits = tuple(new_fits)
+            fits[removed] = child_fit
             tied -= 1
             if not tied:
                 low = min(fits)
                 tied = fits.count(low)
-        new_pop = Population(tuple(new_members), fits, t, low, tied)
+    if own:
+        pop.generation = t
+        pop.low = low
+        pop.tied = tied
+    else:
+        pop = Population(tuple(members), tuple(fits), t, low, tied)
     # Positional, in field order: keyword construction costs measurably more per step.
     optimum = child_fit == n + k
-    return new_pop, StepTrace(t, event, parents, child, child_fit, removed, removed_genotype, optimum)
+    return pop, StepTrace(t, event, parents, child, child_fit, removed, removed_genotype, optimum)
+
+
+def _working_copy(pop: Population) -> Population:
+    """A copy of ``pop`` with list members and fitnesses, which :func:`ga_step`
+    advances in place."""
+    return Population(list(pop.members), list(pop.fitnesses), pop.generation, pop.low, pop.tied)
+
+
+def _frozen(pop: Population) -> Population:
+    """A tuple population holding the state of ``pop``."""
+    return Population(tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
 
 
 def steps(
@@ -272,16 +297,22 @@ def steps(
     for t = 1 to ``limit`` (without end when None), where ``population`` is the
     state after step t.  Draws are those of ``ga_step`` called by hand on the
     same stream, taken only when the next item is asked for.
+
+    ``pop`` is never written: ``steps`` copies it once, on the first item, and
+    every item yields that one working copy, advanced in place.  A yielded
+    population is therefore valid until the next item is asked for; keep a
+    state past that as a tuple copy of its members and fitnesses.
     """
+    work = _working_copy(pop)
     for t in count(1) if limit is None else range(1, limit + 1):
-        pop, trace = ga_step(pop, params, rng)
-        yield t, pop, trace
+        _, trace = ga_step(work, params, rng)
+        yield t, work, trace
 
 
 def run(pop: Population, params: GaParams, stop: StopCondition, rng: RandomStream) -> RunResult:
     """Step through :func:`steps` until the optimum or a condition of ``stop``
     (after 0 iterations when ``pop`` already meets one); evaluations are mu +
-    iterations."""
+    iterations, and the population returned is a tuple population."""
     if params.optimum_fitness in pop.fitnesses:
         return RunResult(pop, 0, params.mu, "optimum_found")
     if stop.full_plateau and pop.low >= params.n:
@@ -289,7 +320,7 @@ def run(pop: Population, params: GaParams, stop: StopCondition, rng: RandomStrea
     t = 0
     for t, pop, trace in steps(pop, params, rng, stop.max_iterations):
         if trace.optimum_created:
-            return RunResult(pop, t, params.mu + t, "optimum_found")
+            return RunResult(_frozen(pop), t, params.mu + t, "optimum_found")
         if stop.full_plateau and pop.low >= params.n:
-            return RunResult(pop, t, params.mu + t, "full_plateau")
-    return RunResult(pop, t, params.mu + t, "max_iterations")
+            return RunResult(_frozen(pop), t, params.mu + t, "full_plateau")
+    return RunResult(_frozen(pop), t, params.mu + t, "max_iterations")

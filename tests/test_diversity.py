@@ -27,6 +27,7 @@ from jumpga import (
     steps,
     two_species_population,
 )
+from jumpga.ga import _frozen
 
 
 def population_of(n: int, k: int, *bits: int) -> Population:
@@ -172,7 +173,7 @@ def test_pairwise_tracker_matches_a_fresh_tracker_at_figure1_shape():
             if trace.removed_index < params.mu and trace.offspring != trace.removed_genotype:
                 emptied += before[trace.removed_genotype] == 1
                 grown += before[trace.offspring] > 0
-            pop = after
+            pop = _frozen(after)  # ``after`` is advanced in place by the next item
             bits = [g.bits for g in pop.members]
             fresh = PairwiseDistanceTracker(pop)
             assert tracker.counts == fresh.counts, name

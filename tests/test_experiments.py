@@ -4,6 +4,7 @@ survival monitoring, distance series, paired comparisons, and the bound sweep.""
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter
 from dataclasses import astuple
 
@@ -16,11 +17,13 @@ from jumpga import (
     EventClass,
     GaParams,
     Genotype,
+    Population,
     SpeciesTracker,
     StopCondition,
     estimate_transition,
     estimate_unconditioned_drift,
     exact_optimum_probability,
+    ga_step,
     init_monomorphic_plateau,
     jump_fitness,
     make_rng,
@@ -197,6 +200,31 @@ def test_estimators_match_pinned_values():
     )
 
 
+def test_one_step_estimators_restart_every_trial_after_the_minimum_empties():
+    # One member sits alone at the minimum, so a fitter child that replaces it
+    # empties the minimum and the cache is recomputed.  Every trial must still
+    # step from the population passed in, as ga_step on it does by hand.
+    p = GaParams(n=12, k=2, mu=6, p_c=0.5, chi=1.0, seed=44)
+    focal = Genotype(0xFFC, 12)  # on the plateau: fitness 12
+    lower = Genotype(0xFF0, 12)  # 8 ones: fitness 10
+    pop = Population((focal,) * 5 + (lower,), (12,) * 5 + (10,), 0)
+    before = (pop.members, pop.fitnesses, pop.generation, pop.low, pop.tied)
+    rng, twin = make_rng(44, 1), make_rng(44, 1)
+    drift = estimate_unconditioned_drift(p, pop, focal, 2000, rng)
+    ups = downs = emptied = 0
+    for _ in range(2000):
+        new, trace = ga_step(pop, p, twin)
+        if trace.removed_index < p.mu:
+            emptied += pop.tied == 1 and trace.offspring_fitness > pop.low
+            dy = new.members.count(focal) - pop.members.count(focal)
+            ups += dy > 0
+            downs += dy < 0
+    assert emptied >= 100
+    assert (drift.increases, drift.decreases) == (ups, downs)
+    assert rng.uniform() == twin.uniform()
+    assert (pop.members, pop.fitnesses, pop.generation, pop.low, pop.tied) == before
+
+
 # ---------------------------------------------------------------------------
 # direct optimum-creation sampling
 
@@ -260,6 +288,44 @@ def test_sampled_creation_frequency_rejects_parents_of_different_lengths_before_
     with pytest.raises(ValueError, match="genotype length mismatch: 10 != 11"):
         sample_optimum_creation_frequency(Genotype(0, 10), Genotype(0, 11), 0.1, 100, 1)
     assert made == []
+
+
+# ---------------------------------------------------------------------------
+# censored summaries
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [7],
+        [3, 1, 2],
+        [4, 1, 3, 2],
+        [10**17 + 1, 10**17 + 2],  # ints whose mean is rounded to a float
+        [5, 5, 5, 6],
+        [0.1, 0.2, 0.7, 0.4],
+        [3, math.inf, 2, 1, math.inf],
+        [1, 2, math.inf, math.inf],
+    ],
+)
+def test_median_is_statistics_median_bit_for_bit(values):
+    got = experiments._median(values)
+    want = float(statistics.median(values))
+    assert type(got) is float
+    assert got == want and repr(got) == repr(want)
+
+
+def test_censored_median_counts_censored_runs_as_infinite_past_half():
+    # A censored run (None) enters the median as +inf, and only when more
+    # than half the runs completed; the mean is over completed runs only.
+    stats = experiments._censored_stats
+    assert stats([4, None, 2]) == (3.0, 4.0)
+    assert stats([4, None, 2, 1]) == (7 / 3, 3.0)
+    assert stats([4, None, None, 2, 1]) == (7 / 3, 4.0)
+    assert stats([5, 1, None, None]) == (3.0, None)  # exactly half completed
+    assert stats([None, 6, None]) == (6.0, None)
+    assert stats([None, None]) == (None, None)
+    assert stats([3, None, 1, None, None, 8, 9]) == (21 / 4, 9.0)
+    assert stats([3, 1, 8]) == (4.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from jumpga import (
     steps,
     two_species_population,
 )
+from jumpga.ga import _frozen
 
 
 def population_of(params: GaParams, *bits: int) -> Population:
@@ -151,6 +152,23 @@ def manual_step(pop: Population, params: GaParams, rng) -> tuple[Population, dic
     return new, dict(parents=parents, offspring=child, removed=removed)
 
 
+def chain_ga_step(pop: Population, params: GaParams, rng, count: int):
+    """``steps`` written as ``ga_step`` chained by hand on tuple populations."""
+    for t in range(1, count + 1):
+        pop, trace = ga_step(pop, params, rng)
+        yield t, pop, trace
+
+
+def with_drivers(cells: list) -> list:
+    """Each cell driven by ``chain_ga_step`` (under its own id) and by ``steps``
+    (its id plus ``-steps``), which advances one working copy in place."""
+    return [
+        pytest.param(*cell.values, drive, id=cell.id + suffix)
+        for cell in cells
+        for drive, suffix in ((chain_ga_step, ""), (steps, "-steps"))
+    ]
+
+
 def removal_branch(fits: tuple[int, ...], child_fit: int, removed: int) -> str:
     """Which case of the removal rule a step took, from its pre-step fitnesses.
 
@@ -190,24 +208,23 @@ DRAW_ORDER_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("n,k,mu,p_c,chi,start,steps,branch", DRAW_ORDER_CELLS)
-def test_step_follows_documented_draw_order(n, k, mu, p_c, chi, start, steps, branch):
+@pytest.mark.parametrize("n,k,mu,p_c,chi,start,count,branch,drive", with_drivers(DRAW_ORDER_CELLS))
+def test_step_follows_documented_draw_order(n, k, mu, p_c, chi, start, count, branch, drive):
     params = GaParams(n=n, k=k, mu=mu, p_c=p_c, chi=chi, seed=17)
-    pop_a = start(params, make_rng(17, 0))
-    pop_b = pop_a
+    pop_b = start(params, make_rng(17, 0))
     rng_a = make_rng(17, 1)
     rng_b = make_rng(17, 1)
     branches = Counter()
-    for _ in range(steps):
-        fits = pop_a.fitnesses
-        pop_a, trace = ga_step(pop_a, params, rng_a)
+    for _, pop_a, trace in drive(pop_b, params, rng_a, count):
+        fits = pop_b.fitnesses
         pop_b, manual = manual_step(pop_b, params, rng_b)
         assert trace.parent_indices == manual["parents"]
         assert trace.offspring == manual["offspring"]
         assert trace.removed_index == manual["removed"]
-        assert pop_a == pop_b
+        assert _frozen(pop_a) == pop_b
         branches[removal_branch(fits, trace.offspring_fitness, trace.removed_index)] += 1
     assert branches[branch] >= 1, dict(branches)
+    assert rng_a.uniform() == rng_b.uniform()
 
 
 def test_draw_order_cells_cover_every_removal_branch():
@@ -314,14 +331,14 @@ TRACE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("n,k,mu,p_c,start,digest", TRACE_PINS)
-def test_trace_stream_matches_pinned_digest(n, k, mu, p_c, start, digest):
+@pytest.mark.parametrize("n,k,mu,p_c,start,digest,drive", with_drivers(TRACE_PINS))
+def test_trace_stream_matches_pinned_digest(n, k, mu, p_c, start, digest, drive):
+    # The start is left as it was, whichever way the steps are driven.
     params = GaParams(n=n, k=k, mu=mu, p_c=p_c, chi=1.0, seed=2023)
-    pop = start(params, make_rng(2023, 0))
-    rng = make_rng(2023, 1)
+    start_pop = start(params, make_rng(2023, 0))
+    before = _frozen(start_pop)
     h = hashlib.sha256()
-    for _ in range(10_000):
-        pop, tr = ga_step(pop, params, rng)
+    for _, pop, tr in drive(start_pop, params, make_rng(2023, 1), 10_000):
         fields = (
             tr.t,
             tr.event.value,
@@ -333,8 +350,10 @@ def test_trace_stream_matches_pinned_digest(n, k, mu, p_c, start, digest):
             tr.optimum_created,
         )
         h.update(repr(fields).encode())
+    pop = _frozen(pop)
     h.update(repr((pop.members, pop.fitnesses, pop.generation)).encode())
     assert h.hexdigest() == digest
+    assert start_pop == before and type(start_pop.members) is tuple
 
 
 def test_step_leaves_its_input_population_unchanged():
@@ -350,9 +369,9 @@ def test_step_leaves_its_input_population_unchanged():
             pop = new
     params = GaParams(n=60, k=3, mu=8, p_c=1.0, chi=1.0, seed=9)
     pop, focal, _ = two_species_population(params, 5, 1, make_rng(9, 0))
-    before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation)
+    before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
     estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 500, make_rng(9, 1))
-    assert (pop.members, pop.fitnesses, pop.generation) == before
+    assert (pop.members, pop.fitnesses, pop.generation, pop.low, pop.tied) == before
 
 
 def test_check_population_rejects_a_corrupted_minimum_cache():
@@ -369,7 +388,8 @@ def test_check_population_rejects_a_corrupted_minimum_cache():
 
 def test_minimum_cache_holds_after_every_chained_step():
     # A step recomputes the cache only when a fitter offspring replaces the
-    # last member at the minimum; that branch must run from each start.
+    # last member at the minimum; that branch must run from each start, both
+    # on tuple populations and on the working copy that steps writes in place.
     params = GaParams(n=12, k=2, mu=6, p_c=0.5, chi=1.0, seed=12)
     starts = {
         "uniform": lambda: init_uniform(params, make_rng(12, 0)),
@@ -377,17 +397,17 @@ def test_minimum_cache_holds_after_every_chained_step():
         "two_species": lambda: two_species_population(params, 3, 1, make_rng(12, 0))[0],
     }
     recomputed = Counter()
-    for name, start in starts.items():
-        pop = start()
-        check_population(pop, params.k)
-        rng = make_rng(12, 1)
-        for _ in range(500):
-            new, trace = ga_step(pop, params, rng)
-            if pop.tied == 1 and trace.removed_index < params.mu and trace.offspring_fitness > pop.low:
-                recomputed[name] += 1
-            check_population(new, params.k)
-            pop = new
-    assert all(recomputed[name] >= 1 for name in starts), dict(recomputed)
+    for drive in (chain_ga_step, steps):
+        for name, start in starts.items():
+            pop = start()
+            check_population(pop, params.k)
+            low, tied = pop.low, pop.tied
+            for _, pop, trace in drive(pop, params, make_rng(12, 1), 500):
+                if tied == 1 and trace.removed_index < params.mu and trace.offspring_fitness > low:
+                    recomputed[drive.__name__, name] += 1
+                check_population(pop, params.k)
+                low, tied = pop.low, pop.tied
+    assert len(recomputed) == 2 * len(starts), dict(recomputed)
 
 
 def test_step_discards_strictly_worst_offspring_without_touching_population():
@@ -594,7 +614,8 @@ def test_steps_chain_ga_step_on_the_same_stream():
 
     limit = 300
     rng = make_rng(21, 1)
-    got = list(steps(start, params, rng, limit))
+    # A yielded population lives until the next item: keep each as a tuple copy.
+    got = [(t, _frozen(p), tr) for t, p, tr in steps(start, params, rng, limit)]
     by_hand = []
     pop, hand_rng = start, make_rng(21, 1)
     for _ in range(limit):

@@ -686,6 +686,7 @@ def test_console_script_entry_point(tmp_path):
 
 # Whether numpy is loaded after each step, in a fresh interpreter: the CLI
 # draws nothing before the first random stream, so nothing before it loads numpy.
+# ``statistics`` is never loaded: the replicate summaries take their own median.
 _NUMPY_PROBE = """
 import json, sys
 import jumpga, jumpga.cli
@@ -702,6 +703,7 @@ seen["bounds"] = [main(["bounds", "--out", out, "--mus", "4,8", "--n", "50"]), "
 seen["run --mu 0"] = [main(["run", "--out", out, "--mu", "0"]), "numpy" in sys.modules]
 make_rng(1)
 seen["make_rng"] = "numpy" in sys.modules
+seen["statistics"] = "statistics" in sys.modules
 print(json.dumps(seen))
 """
 
@@ -716,4 +718,5 @@ def test_cli_loads_numpy_only_with_the_first_random_stream(tmp_path):
         "bounds": [0, False],
         "run --mu 0": [2, False],
         "make_rng": True,
+        "statistics": False,
     }
