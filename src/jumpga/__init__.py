@@ -30,10 +30,8 @@ from .diversity import (
 from .experiments import (
     BoundReport,
     ConditionedEstimate,
-    DriftEstimate,
     SweepCell,
     estimate_transition,
-    estimate_unconditioned_drift,
     run_bound_sweep,
     run_comparison,
     run_figure1,
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "ConditionedEstimate",
-    "DriftEstimate",
     "EventClass",
     "GaParams",
     "Genotype",
@@ -77,7 +74,6 @@ __all__ = [
     "close_crossover_decrease_bound",
     "close_crossover_increase_bound",
     "estimate_transition",
-    "estimate_unconditioned_drift",
     "exact_optimum_probability",
     "ga_step",
     "init_monomorphic_plateau",

@@ -43,7 +43,6 @@ from .ga import (
     EventClass,
     Population,
     StopCondition,
-    _working_copy,
     ga_step,
     init_monomorphic_plateau,
     init_uniform,
@@ -97,8 +96,8 @@ def two_species_population(
         other_bits ^= 1 << idx
     focal = Genotype(bits, n)
     other = Genotype(other_bits, n)
-    members = (focal,) * y + (other,) * (mu - y)
-    fits = (jump_fitness(focal, k),) * y + (jump_fitness(other, k),) * (mu - y)
+    members = [focal] * y + [other] * (mu - y)
+    fits = [jump_fitness(focal, k)] * y + [jump_fitness(other, k)] * (mu - y)
     pop = Population(members, fits, 0)
     return pop, focal, other
 
@@ -126,13 +125,13 @@ def _count_moves(
     step when ``event`` is None).  Returns ``(accepted, attempts, ups, downs)``,
     ``ups``/``downs`` counting accepted steps that grow/shrink ``species``.
 
-    Every trial steps one working copy of ``population``, which is then put
-    back: the replaced member, whose fitness was the minimum ``low``, and the
-    copy's ``low``, ``tied`` and ``generation``.
+    ``population`` is never written.  Every trial steps one copy of it, which
+    is then put back: the replaced member, whose fitness was the minimum
+    ``low``, and the copy's ``low``, ``tied`` and ``generation``.
     """
     check_at_least(1, trials=trials)
     mu = params.mu
-    work = _working_copy(population)
+    work = replace(population)
     members, fits = work.members, work.fitnesses
     generation, low, tied = work.generation, work.low, work.tied
     accepted = attempts = ups = downs = 0
@@ -209,34 +208,6 @@ def estimate_transition(
     else:
         pp = pm = sp = sm = 0.0
     return ConditionedEstimate(event, y, pp, pm, sp, sm, accepted, attempts, accepted < 100)
-
-
-@dataclass(frozen=True)
-class DriftEstimate:
-    """Unconditioned single-step drift of a species size."""
-
-    y: int
-    mean: float
-    stderr: float
-    trials: int
-    increases: int
-    decreases: int
-
-
-def estimate_unconditioned_drift(
-    params: GaParams,
-    population: Population,
-    species: Genotype,
-    trials: int,
-    rng: RandomStream,
-) -> DriftEstimate:
-    """Mean one-step size change of ``species`` over all event classes."""
-    _, _, ups, downs = _count_moves(params, population, species, None, trials, trials, rng)
-    mean = (ups - downs) / trials
-    second_moment = (ups + downs) / trials
-    stderr = math.sqrt(max(second_moment - mean * mean, 0.0) / trials)
-    y = population.members.count(species)
-    return DriftEstimate(y, mean, stderr, trials, ups, downs)
 
 
 class MonteCarloFrequency(NamedTuple):

@@ -8,17 +8,18 @@ at random.  Runtime is counted in fitness evaluations: mu for initialization
 plus one per iteration; the optimum counts as evaluated the moment it is
 created as an offspring.
 
-:func:`ga_step` takes one iteration.  :func:`steps` chains it and is the one
-loop through which every runner steps a population forward; :func:`run` is
-that loop until the optimum or a stop condition of a :class:`StopCondition`.
-A population that a caller passes in is never written: a runner copies it
-once into a working copy that ``ga_step`` advances in place.
+:func:`ga_step` takes one iteration, in place.  :func:`steps` chains it and
+is the one loop through which every runner steps a population forward;
+:func:`run` is that loop until the optimum or a stop condition of a
+:class:`StopCondition`.  ``ga_step`` writes the population it is given;
+``steps``, ``run`` and every runner built on them copy their start once and
+never write it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import count
 
@@ -55,14 +56,12 @@ _MUTATION = EventClass.MUTATION_ONLY
 class Population:
     """Multiset of genotypes with cached fitness values.
 
-    ``members`` and ``fitnesses`` are parallel tuples; ``generation`` counts
-    applied iterations.  Member order carries no meaning beyond indexing
-    within a single step.  A tuple population is never written: nothing
-    assigns to it after construction, and :func:`ga_step` returns a new one.
-    The one exception is a runner's working copy (``_working_copy``), whose
-    ``members`` and ``fitnesses`` are lists: :func:`ga_step` advances it in
-    place, and :func:`steps` yields it.  The class is not frozen only because
-    frozen construction is slow.
+    ``members`` and ``fitnesses`` are parallel lists that the population owns:
+    construction copies whatever sequences it is given, so a population never
+    shares a list with its caller, and ``dataclasses.replace(pop)`` is an
+    independent copy.  ``generation`` counts applied iterations.  Member order
+    carries no meaning beyond indexing within a single step.
+    :func:`ga_step` advances a population in place.
 
     ``low`` and ``tied`` cache the minimum fitness and the number of members
     at it, so that :func:`ga_step` picks the removed member without scanning
@@ -71,15 +70,16 @@ class Population:
     in ``==`` or ``repr``, and are computed from ``fitnesses`` when not passed.
     """
 
-    members: tuple[Genotype, ...]
-    fitnesses: tuple[int, ...]
+    members: list[Genotype]
+    fitnesses: list[int]
     generation: int = 0
     low: int | None = field(default=None, compare=False, repr=False)
     tied: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
+        self.members = list(self.members)
+        self.fitnesses = fits = list(self.fitnesses)
         if self.low is None:
-            fits = self.fitnesses
             self.low = low = min(fits)
             self.tied = fits.count(low)
 
@@ -95,8 +95,8 @@ class StepTrace:
     ``removed_index`` indexes the extended multiset: values ``0..mu-1`` name
     pre-step members, value ``mu`` means the offspring itself was removed (so
     the population multiset is unchanged).  ``removed_genotype`` is the
-    genotype that left the extended multiset.  Treated as immutable, like
-    :class:`Population`, but not frozen.
+    genotype that left the extended multiset.  Treated as immutable, but not
+    frozen.
     """
 
     t: int
@@ -136,8 +136,8 @@ class RunResult:
 
 def init_uniform(params: GaParams, rng: RandomStream) -> Population:
     """mu genotypes drawn uniformly from {0,1}^n (one mask draw per member, in order)."""
-    members = tuple(Genotype(rng.random_bits(params.n), params.n) for _ in range(params.mu))
-    fits = tuple(jump_fitness(g, params.k) for g in members)
+    members = [Genotype(rng.random_bits(params.n), params.n) for _ in range(params.mu)]
+    fits = [jump_fitness(g, params.k) for g in members]
     return Population(members, fits, 0)
 
 
@@ -145,15 +145,14 @@ def init_monomorphic_plateau(params: GaParams, rng: RandomStream) -> Population:
     """mu copies of one plateau point drawn uniformly among strings with exactly k zeros."""
     g = Genotype(((1 << params.n) - 1) ^ _floyd_mask(rng, params.n, params.k), params.n)
     f = jump_fitness(g, params.k)
-    return Population((g,) * params.mu, (f,) * params.mu, 0)
+    return Population([g] * params.mu, [f] * params.mu, 0)
 
 
 def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Population, StepTrace]:
-    """Advance one iteration; returns the population after it and its trace.
+    """Advance ``pop`` one iteration in place; returns ``(pop, trace)``, the
+    population being the one passed in.  Copy a population first
+    (``dataclasses.replace(pop)``) to keep its state.
 
-    A tuple ``pop`` is never modified, and the population returned is a new
-    one.  A working copy (list members, made by a runner) is advanced in place
-    and returned itself.  Both take the same draws and give the same trace.
     Scalar draws happen in a fixed order so that traces replay exactly:
     (1) crossover coin ``u < p_c`` with ``u`` uniform on [0, 1),
     (2) parent index draws (two with crossover, else one; with replacement),
@@ -174,11 +173,10 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     calls ``RandomStream.binomial`` (p_m = 1, or (1-p_m)^n underflows).
 
     The minimum cache carries over: ``low`` and ``tied`` are read from ``pop``
-    and written to the population returned.  They are unchanged when the
-    offspring is removed or replaces a member at ``low`` with fitness ``low``.
-    When a fitter offspring replaces one, ``tied`` drops by one, and only when
-    it reaches 0 are the minimum and its count recomputed from the new
-    fitnesses.
+    and written back to it.  They are unchanged when the offspring is removed
+    or replaces a member at ``low`` with fitness ``low``.  When a fitter
+    offspring replaces one, ``tied`` drops by one, and only when it reaches 0
+    are the minimum and its count recomputed from the new fitnesses.
     """
     mu = params.mu
     n = params.n
@@ -249,45 +247,25 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
             for _ in range(pos):
                 removed = fits.index(low, removed + 1)
 
-    # Write-back: a working copy in place, a caller's tuples copied first.
     t = pop.generation + 1
-    own = type(members) is list
+    pop.generation = t
     if removed == mu:
         removed_genotype = child
     else:
         # The removed member sits at ``low``, so a child at ``low`` leaves the
         # fitnesses, and the cache, as they were.
         removed_genotype = members[removed]
-        if not own:
-            members = list(members)
-            fits = list(fits)
         members[removed] = child
         if child_fit != low:
             fits[removed] = child_fit
             tied -= 1
             if not tied:
-                low = min(fits)
+                pop.low = low = min(fits)
                 tied = fits.count(low)
-    if own:
-        pop.generation = t
-        pop.low = low
-        pop.tied = tied
-    else:
-        pop = Population(tuple(members), tuple(fits), t, low, tied)
+            pop.tied = tied
     # Positional, in field order: keyword construction costs measurably more per step.
     optimum = child_fit == n + k
     return pop, StepTrace(t, event, parents, child, child_fit, removed, removed_genotype, optimum)
-
-
-def _working_copy(pop: Population) -> Population:
-    """A copy of ``pop`` with list members and fitnesses, which :func:`ga_step`
-    advances in place."""
-    return Population(list(pop.members), list(pop.fitnesses), pop.generation, pop.low, pop.tied)
-
-
-def _frozen(pop: Population) -> Population:
-    """A tuple population holding the state of ``pop``."""
-    return Population(tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
 
 
 def steps(
@@ -299,11 +277,11 @@ def steps(
     same stream, taken only when the next item is asked for.
 
     ``pop`` is never written: ``steps`` copies it once, on the first item, and
-    every item yields that one working copy, advanced in place.  A yielded
-    population is therefore valid until the next item is asked for; keep a
-    state past that as a tuple copy of its members and fitnesses.
+    every item yields that one copy, advanced in place.  A yielded population
+    is therefore valid until the next item is asked for; keep a state past
+    that with ``dataclasses.replace``.
     """
-    work = _working_copy(pop)
+    work = replace(pop)
     for t in count(1) if limit is None else range(1, limit + 1):
         _, trace = ga_step(work, params, rng)
         yield t, work, trace
@@ -312,7 +290,9 @@ def steps(
 def run(pop: Population, params: GaParams, stop: StopCondition, rng: RandomStream) -> RunResult:
     """Step through :func:`steps` until the optimum or a condition of ``stop``
     (after 0 iterations when ``pop`` already meets one); evaluations are mu +
-    iterations, and the population returned is a tuple population."""
+    iterations.  ``pop`` is never written, and the population returned is
+    never ``pop`` itself."""
+    pop = replace(pop)  # returned as it is when no step is taken
     if params.optimum_fitness in pop.fitnesses:
         return RunResult(pop, 0, params.mu, "optimum_found")
     if stop.full_plateau and pop.low >= params.n:
@@ -320,7 +300,7 @@ def run(pop: Population, params: GaParams, stop: StopCondition, rng: RandomStrea
     t = 0
     for t, pop, trace in steps(pop, params, rng, stop.max_iterations):
         if trace.optimum_created:
-            return RunResult(_frozen(pop), t, params.mu + t, "optimum_found")
+            return RunResult(pop, t, params.mu + t, "optimum_found")
         if stop.full_plateau and pop.low >= params.n:
-            return RunResult(_frozen(pop), t, params.mu + t, "full_plateau")
-    return RunResult(_frozen(pop), t, params.mu + t, "max_iterations")
+            return RunResult(pop, t, params.mu + t, "full_plateau")
+    return RunResult(pop, t, params.mu + t, "max_iterations")

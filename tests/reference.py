@@ -4,14 +4,20 @@
 operators written one at a time, with the same draws: ``manual_step`` and the
 twin-stream tests chain them draw for draw against the kernel, and the
 distribution tests check their law.  ``check_population`` recomputes a
-population's caches from its members, and ``floyd_reference`` is Floyd's
-sampler on a set.
+population's caches from its members, ``snapshot`` keeps a population's state
+across an in-place step, and ``floyd_reference`` is Floyd's sampler on a set.
+``estimate_unconditioned_drift`` is the Monte Carlo drift that check 06 and
+the estimator tests read, on the one-step estimators' own trial loop.
 """
 
 from __future__ import annotations
 
-from jumpga import Genotype, IntegrityError, Population, RandomStream, jump_fitness
+import math
+from dataclasses import dataclass, replace
+
+from jumpga import GaParams, Genotype, IntegrityError, Population, RandomStream, jump_fitness
 from jumpga.core import _floyd_mask
+from jumpga.experiments import _count_moves
 
 
 def hamming_distance(a: Genotype, b: Genotype) -> int:
@@ -61,6 +67,11 @@ def floyd_reference(rng, n: int, m: int) -> tuple[set[int], int]:
     return chosen, collisions
 
 
+def snapshot(pop: Population) -> Population:
+    """An independent copy of ``pop``, which ``ga_step`` on ``pop`` leaves as it is."""
+    return replace(pop)
+
+
 def check_population(pop: Population, k: int) -> None:
     """Verify the fitness cache, the minimum cache and shared dimension."""
     n = pop.members[0].n
@@ -75,3 +86,31 @@ def check_population(pop: Population, k: int) -> None:
     tied = pop.fitnesses.count(low)
     if pop.tied != tied:
         raise IntegrityError(f"cached tie count {pop.tied} != {tied} members at {low}")
+
+
+@dataclass(frozen=True)
+class DriftEstimate:
+    """Unconditioned single-step drift of a species size."""
+
+    y: int
+    mean: float
+    stderr: float
+    trials: int
+    increases: int
+    decreases: int
+
+
+def estimate_unconditioned_drift(
+    params: GaParams,
+    population: Population,
+    species: Genotype,
+    trials: int,
+    rng: RandomStream,
+) -> DriftEstimate:
+    """Mean one-step size change of ``species`` over all event classes."""
+    _, _, ups, downs = _count_moves(params, population, species, None, trials, trials, rng)
+    mean = (ups - downs) / trials
+    second_moment = (ups + downs) / trials
+    stderr = math.sqrt(max(second_moment - mean * mean, 0.0) / trials)
+    y = population.members.count(species)
+    return DriftEstimate(y, mean, stderr, trials, ups, downs)

@@ -2,7 +2,9 @@
 
 Twelve labeled checks, each registering one verdict line through
 ``conftest.record_acceptance`` (replayed together at the end of the run).
-Every check drives the public package API or the CLI exactly as a user would.
+Every check drives the public package API or the CLI exactly as a user would,
+except check 06, whose Monte Carlo drift is the test oracle in
+``tests/reference.py``.
 
 Checks 07 and 09 assert the measurable form of the persistence claim at the
 sizes they simulate.  The paper's guarantee is that regrowth to lam*mu within
@@ -26,14 +28,13 @@ import math
 
 import pytest
 from conftest import record_acceptance
-from reference import hamming_distance
+from reference import estimate_unconditioned_drift, hamming_distance
 
 from jumpga import (
     EventClass,
     GaParams,
     Genotype,
     close_crossover_decrease_bound,
-    estimate_unconditioned_drift,
     exact_optimum_probability,
     make_rng,
     mutation_only_increase_oscale,

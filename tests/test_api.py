@@ -21,7 +21,6 @@ def test_star_import_succeeds():
 _EXPORTS = [
     "BoundReport",
     "ConditionedEstimate",
-    "DriftEstimate",
     "EventClass",
     "GaParams",
     "Genotype",
@@ -36,7 +35,6 @@ _EXPORTS = [
     "close_crossover_decrease_bound",
     "close_crossover_increase_bound",
     "estimate_transition",
-    "estimate_unconditioned_drift",
     "exact_optimum_probability",
     "ga_step",
     "init_monomorphic_plateau",

@@ -10,6 +10,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from reference import snapshot
 
 from jumpga import (
     GaParams,
@@ -27,7 +28,6 @@ from jumpga import (
     steps,
     two_species_population,
 )
-from jumpga.ga import _frozen
 
 
 def population_of(n: int, k: int, *bits: int) -> Population:
@@ -91,11 +91,11 @@ def test_mean_pairwise_distance_of_uniform_populations():
 def run_with_traces(params: GaParams, steps: int):
     pop = init_uniform(params, make_rng(params.seed, 0))
     rng = make_rng(params.seed, 1)
-    history = [pop]
+    history = [snapshot(pop)]
     traces = []
     for _ in range(steps):
         pop, trace = ga_step(pop, params, rng)
-        history.append(pop)
+        history.append(snapshot(pop))
         traces.append(trace)
         if trace.optimum_created:
             break
@@ -173,7 +173,7 @@ def test_pairwise_tracker_matches_a_fresh_tracker_at_figure1_shape():
             if trace.removed_index < params.mu and trace.offspring != trace.removed_genotype:
                 emptied += before[trace.removed_genotype] == 1
                 grown += before[trace.offspring] > 0
-            pop = _frozen(after)  # ``after`` is advanced in place by the next item
+            pop = snapshot(after)  # ``after`` is advanced in place by the next item
             bits = [g.bits for g in pop.members]
             fresh = PairwiseDistanceTracker(pop)
             assert tracker.counts == fresh.counts, name

@@ -9,11 +9,18 @@ from collections import Counter
 from dataclasses import astuple
 
 import pytest
-from reference import floyd_reference, hamming_distance, standard_bit_mutation, uniform_crossover
+from reference import (
+    DriftEstimate,
+    estimate_unconditioned_drift,
+    floyd_reference,
+    hamming_distance,
+    snapshot,
+    standard_bit_mutation,
+    uniform_crossover,
+)
 
 from jumpga import (
     ConditionedEstimate,
-    DriftEstimate,
     EventClass,
     GaParams,
     Genotype,
@@ -21,7 +28,6 @@ from jumpga import (
     SpeciesTracker,
     StopCondition,
     estimate_transition,
-    estimate_unconditioned_drift,
     exact_optimum_probability,
     ga_step,
     init_monomorphic_plateau,
@@ -84,8 +90,8 @@ def test_two_species_population_follows_its_draw_order_on_a_twin_stream():
                     want_focal = Genotype(sum(1 << i for i in ones), n)
                     want_other = Genotype(sum(1 << i for i in (set(ones) - clear) | fill), n)
                     assert (focal, other) == (want_focal, want_other)
-                    assert pop.members == (want_focal,) * 2 + (want_other,) * 3
-                    assert pop.fitnesses == (n,) * 5 and (pop.low, pop.tied) == (n, 5)
+                    assert pop.members == [want_focal] * 2 + [want_other] * 3
+                    assert pop.fitnesses == [n] * 5 and (pop.low, pop.tied) == (n, 5)
                     assert rng._pos == twin._pos
                     cells += 1
     assert cells == 4 * 112
@@ -203,17 +209,18 @@ def test_estimators_match_pinned_values():
 def test_one_step_estimators_restart_every_trial_after_the_minimum_empties():
     # One member sits alone at the minimum, so a fitter child that replaces it
     # empties the minimum and the cache is recomputed.  Every trial must still
-    # step from the population passed in, as ga_step on it does by hand.
+    # step from the population passed in, as ga_step on a fresh copy of it
+    # does by hand.
     p = GaParams(n=12, k=2, mu=6, p_c=0.5, chi=1.0, seed=44)
     focal = Genotype(0xFFC, 12)  # on the plateau: fitness 12
     lower = Genotype(0xFF0, 12)  # 8 ones: fitness 10
     pop = Population((focal,) * 5 + (lower,), (12,) * 5 + (10,), 0)
-    before = (pop.members, pop.fitnesses, pop.generation, pop.low, pop.tied)
+    before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
     rng, twin = make_rng(44, 1), make_rng(44, 1)
     drift = estimate_unconditioned_drift(p, pop, focal, 2000, rng)
     ups = downs = emptied = 0
     for _ in range(2000):
-        new, trace = ga_step(pop, p, twin)
+        new, trace = ga_step(snapshot(pop), p, twin)
         if trace.removed_index < p.mu:
             emptied += pop.tied == 1 and trace.offspring_fitness > pop.low
             dy = new.members.count(focal) - pop.members.count(focal)
@@ -222,7 +229,7 @@ def test_one_step_estimators_restart_every_trial_after_the_minimum_empties():
     assert emptied >= 100
     assert (drift.increases, drift.decreases) == (ups, downs)
     assert rng.uniform() == twin.uniform()
-    assert (pop.members, pop.fitnesses, pop.generation, pop.low, pop.tied) == before
+    assert (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied) == before
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
-from reference import check_population, hamming_distance, standard_bit_mutation, uniform_crossover
+from reference import (
+    check_population,
+    hamming_distance,
+    snapshot,
+    standard_bit_mutation,
+    uniform_crossover,
+)
 
 from jumpga import (
     EventClass,
@@ -32,7 +38,6 @@ from jumpga import (
     steps,
     two_species_population,
 )
-from jumpga.ga import _frozen
 
 
 def population_of(params: GaParams, *bits: int) -> Population:
@@ -55,7 +60,7 @@ def test_init_uniform_is_deterministic_and_unbiased():
     for seed in range(100):
         pop = init_uniform(p, make_rng(seed, 0))
         assert len(pop.members) == 50
-        assert pop.fitnesses == tuple(jump_fitness(g, p.k) for g in pop.members)
+        assert pop.fitnesses == [jump_fitness(g, p.k) for g in pop.members]
         total += sum(g.bits.bit_count() for g in pop.members)
     mean = total / (100 * 50)
     sigma_mean = math.sqrt(100 / 4) / math.sqrt(100 * 50)
@@ -91,7 +96,8 @@ def test_init_monomorphic_plateau_is_uniform_over_plateau_strings():
 def test_step_classifies_its_event_by_parent_count_and_distance():
     # Plateau members with parent pairs at distance 0 (a parent with itself),
     # 2 (a, b) and 4 (a, c and b, c): a crossover is close exactly when its
-    # parents are at most 2 apart, and one parent means mutation only.
+    # parents are at most 2 apart, and one parent means mutation only.  Every
+    # step starts from a copy of the same population.
     params = GaParams(n=12, k=3, mu=3, p_c=0.5, chi=1.0, seed=5)
     pop = population_of(params, *(0xFFF ^ zeros for zeros in (0b000111, 0b001011, 0b110001)))
     a, b, c = pop.members
@@ -99,7 +105,7 @@ def test_step_classifies_its_event_by_parent_count_and_distance():
     rng = make_rng(5, 1)
     seen = Counter()
     for _ in range(400):
-        _, trace = ga_step(pop, params, rng)
+        _, trace = ga_step(snapshot(pop), params, rng)
         parents = [pop.members[i] for i in trace.parent_indices]
         assert (trace.event is EventClass.MUTATION_ONLY) == (len(parents) == 1)
         if len(parents) == 2:
@@ -141,19 +147,16 @@ def manual_step(pop: Population, params: GaParams, rng) -> tuple[Population, dic
         elif f == low:
             ties.append(r)
     removed = ties[0] if len(ties) == 1 else ties[rng.index(len(ties))]
-    if removed == mu:
-        new = Population(pop.members, pop.fitnesses, pop.generation + 1)
-    else:
-        new = Population(
-            pop.members[:removed] + (child,) + pop.members[removed + 1 :],
-            pop.fitnesses[:removed] + (cf,) + pop.fitnesses[removed + 1 :],
-            pop.generation + 1,
-        )
+    members, fits = list(pop.members), list(pop.fitnesses)
+    if removed < mu:
+        members[removed], fits[removed] = child, cf
+    new = Population(members, fits, pop.generation + 1)
     return new, dict(parents=parents, offspring=child, removed=removed)
 
 
 def chain_ga_step(pop: Population, params: GaParams, rng, count: int):
-    """``steps`` written as ``ga_step`` chained by hand on tuple populations."""
+    """``steps`` written as ``ga_step`` chained by hand on a copy of ``pop``."""
+    pop = snapshot(pop)
     for t in range(1, count + 1):
         pop, trace = ga_step(pop, params, rng)
         yield t, pop, trace
@@ -161,7 +164,7 @@ def chain_ga_step(pop: Population, params: GaParams, rng, count: int):
 
 def with_drivers(cells: list) -> list:
     """Each cell driven by ``chain_ga_step`` (under its own id) and by ``steps``
-    (its id plus ``-steps``), which advances one working copy in place."""
+    (its id plus ``-steps``)."""
     return [
         pytest.param(*cell.values, drive, id=cell.id + suffix)
         for cell in cells
@@ -169,7 +172,7 @@ def with_drivers(cells: list) -> list:
     ]
 
 
-def removal_branch(fits: tuple[int, ...], child_fit: int, removed: int) -> str:
+def removal_branch(fits: list[int], child_fit: int, removed: int) -> str:
     """Which case of the removal rule a step took, from its pre-step fitnesses.
 
     The candidates are the offspring (index mu) first when it ties the
@@ -221,7 +224,7 @@ def test_step_follows_documented_draw_order(n, k, mu, p_c, chi, start, count, br
         assert trace.parent_indices == manual["parents"]
         assert trace.offspring == manual["offspring"]
         assert trace.removed_index == manual["removed"]
-        assert _frozen(pop_a) == pop_b
+        assert pop_a == pop_b
         branches[removal_branch(fits, trace.offspring_fitness, trace.removed_index)] += 1
     assert branches[branch] >= 1, dict(branches)
     assert rng_a.uniform() == rng_b.uniform()
@@ -249,8 +252,8 @@ def test_equal_parent_step_matches_manual_step_across_a_refill(offset):
     for stream in (rng, twin):
         for _ in range(RandomStream.BLOCK - offset):
             stream.uniform()
-    new, trace = ga_step(pop, params, rng)
     want, manual = manual_step(pop, params, twin)
+    new, trace = ga_step(pop, params, rng)
     assert trace.event is EventClass.CROSSOVER_CLOSE
     assert trace.parent_indices == manual["parents"]
     assert trace.offspring == manual["offspring"]
@@ -336,7 +339,7 @@ def test_trace_stream_matches_pinned_digest(n, k, mu, p_c, start, digest, drive)
     # The start is left as it was, whichever way the steps are driven.
     params = GaParams(n=n, k=k, mu=mu, p_c=p_c, chi=1.0, seed=2023)
     start_pop = start(params, make_rng(2023, 0))
-    before = _frozen(start_pop)
+    before = snapshot(start_pop)
     h = hashlib.sha256()
     for _, pop, tr in drive(start_pop, params, make_rng(2023, 1), 10_000):
         fields = (
@@ -350,28 +353,53 @@ def test_trace_stream_matches_pinned_digest(n, k, mu, p_c, start, digest, drive)
             tr.optimum_created,
         )
         h.update(repr(fields).encode())
-    pop = _frozen(pop)
-    h.update(repr((pop.members, pop.fitnesses, pop.generation)).encode())
+    h.update(repr((tuple(pop.members), tuple(pop.fitnesses), pop.generation)).encode())
     assert h.hexdigest() == digest
-    assert start_pop == before and type(start_pop.members) is tuple
+    assert start_pop == before
 
 
 def test_step_leaves_its_input_population_unchanged():
-    # The records are not frozen; ga_step must still never write to its input.
+    # ga_step writes its argument; steps, run and the estimators never write
+    # their start.
     for start, p_c in ((init_uniform, 0.5), (init_monomorphic_plateau, 1.0)):
         params = GaParams(n=30, k=3, mu=16, p_c=p_c, chi=1.0, seed=8)
         pop = start(params, make_rng(8, 0))
-        rng = make_rng(8, 1)
-        for _ in range(300):
-            before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation)
-            new, _ = ga_step(pop, params, rng)
-            assert (pop.members, pop.fitnesses, pop.generation) == before
-            pop = new
+        before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
+        for _ in steps(pop, params, make_rng(8, 1), 300):
+            pass
+        res = run(pop, params, StopCondition(max_iterations=300), make_rng(8, 1))
+        assert res.iterations > 0 and res.population is not pop
+        assert (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied) == before
     params = GaParams(n=60, k=3, mu=8, p_c=1.0, chi=1.0, seed=9)
     pop, focal, _ = two_species_population(params, 5, 1, make_rng(9, 0))
     before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
     estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 500, make_rng(9, 1))
-    assert (pop.members, pop.fitnesses, pop.generation, pop.low, pop.tied) == before
+    assert (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied) == before
+
+
+def test_a_population_owns_its_storage():
+    # Construction copies what it is given: stepping a population in place
+    # never writes its caller's lists, and one built from tuples steps too.
+    params = GaParams(n=12, k=2, mu=4, p_c=0.5, chi=1.0, seed=3)
+    start = init_uniform(params, make_rng(3, 0))
+    members, fits = list(start.members), list(start.fitnesses)
+    for given in ((members, fits), (tuple(members), tuple(fits))):
+        pop = Population(*given)
+        rng = make_rng(3, 1)
+        replaced = discarded = 0
+        for _ in range(200):
+            new, trace = ga_step(pop, params, rng)
+            assert new is pop
+            if trace.removed_index == params.mu:
+                discarded += 1
+            elif trace.offspring != trace.removed_genotype:
+                replaced += 1
+        assert replaced and discarded and pop.generation == 200
+        assert (members, fits) == (list(start.members), list(start.fitnesses))
+    before = snapshot(start)
+    res = run(start, params, StopCondition(max_iterations=100), make_rng(3, 2))
+    assert res.iterations > 0 and res.population is not start
+    assert start == before and (start.low, start.tied) == (before.low, before.tied)
 
 
 def test_check_population_rejects_a_corrupted_minimum_cache():
@@ -388,8 +416,8 @@ def test_check_population_rejects_a_corrupted_minimum_cache():
 
 def test_minimum_cache_holds_after_every_chained_step():
     # A step recomputes the cache only when a fitter offspring replaces the
-    # last member at the minimum; that branch must run from each start, both
-    # on tuple populations and on the working copy that steps writes in place.
+    # last member at the minimum; that branch must run from each start under
+    # each driver.
     params = GaParams(n=12, k=2, mu=6, p_c=0.5, chi=1.0, seed=12)
     starts = {
         "uniform": lambda: init_uniform(params, make_rng(12, 0)),
@@ -448,7 +476,7 @@ def test_step_trace_bookkeeping_matches_population_change():
     rng = make_rng(23, 1)
     for t in range(1, 401):
         before = multiset(pop)
-        prev = pop
+        prev = snapshot(pop)
         pop, trace = ga_step(pop, params, rng)
         assert trace.t == t
         assert pop.generation == t
@@ -614,13 +642,13 @@ def test_steps_chain_ga_step_on_the_same_stream():
 
     limit = 300
     rng = make_rng(21, 1)
-    # A yielded population lives until the next item: keep each as a tuple copy.
-    got = [(t, _frozen(p), tr) for t, p, tr in steps(start, params, rng, limit)]
+    # A yielded population lives until the next item: keep a copy of each.
+    got = [(t, snapshot(p), tr) for t, p, tr in steps(start, params, rng, limit)]
     by_hand = []
-    pop, hand_rng = start, make_rng(21, 1)
+    pop, hand_rng = snapshot(start), make_rng(21, 1)
     for _ in range(limit):
         pop, trace = ga_step(pop, params, hand_rng)
-        by_hand.append((pop, trace))
+        by_hand.append((snapshot(pop), trace))
     assert [t for t, _, _ in got] == list(range(1, limit + 1))
     assert [(p, tr) for _, p, tr in got] == by_hand
     assert rng.uniform() == hand_rng.uniform()

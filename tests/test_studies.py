@@ -1,13 +1,16 @@
 """The study scripts in ``studies/`` run at a toy size.
 
-Their numbers are timings, which differ from run to run, so the tests check
-that each script finishes and prints its table's shape, not its bytes.
+A script whose numbers are timings, which differ from run to run, is checked
+for finishing and for its table's shape; any other is checked for printing the
+same bytes on a rerun.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import jumpga
 
 STUDIES = Path(__file__).resolve().parents[1] / "studies"
 
@@ -31,3 +34,23 @@ def test_step_cost_prints_one_row_per_setting(capsys):
         assert cells[:4] == [str(n), "3", str(mu), start]
         assert float(cells[4]) > 0
     assert err.startswith("wall ")
+
+
+def test_code_size_counts_code_lines_and_its_rows_sum_to_the_total(capsys):
+    study = load_study("code_size")
+    source = (
+        '"""Module docstring."""\n\n# a comment\nx = 1  # trailing\n\n'
+        'def f():\n    """Docstring\n    on two lines."""\n    return """not a\n    docstring"""\n'
+    )
+    assert study.code_lines(source) == 4  # x = 1, def f(), and the two-line return
+    assert study.main() == 0
+    out = capsys.readouterr().out
+    assert study.main() == 0
+    assert capsys.readouterr().out == out
+    header, rule, *rest = out.splitlines()
+    assert (header, rule) == ("| module | code lines |", "| --- | --- |")
+    *rows, total = [row.strip("|").split("|") for row in rest[: rest.index("")]]
+    modules = sorted(p.name for p in Path(jumpga.__file__).parent.glob("*.py"))
+    assert [name.strip() for name, _ in rows] == modules
+    assert total[0].strip() == "total" and int(total[1]) == sum(int(lines) for _, lines in rows)
+    assert rest[-1] == f"`jumpga.__all__`: {len(jumpga.__all__)} names"
