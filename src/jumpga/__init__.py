@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .core import (
     GaParams,
-    Genotype,
     RandomStream,
     jump_fitness,
     make_rng,
@@ -62,7 +61,6 @@ __all__ = [
     "ConditionedEstimate",
     "EventClass",
     "GaParams",
-    "Genotype",
     "IntegrityError",
     "PairwiseDistanceTracker",
     "Population",

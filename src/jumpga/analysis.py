@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Genotype, SettingError, _binomial_walk
+from .core import SettingError, _binomial_walk
 
 _E = math.e
 
@@ -63,8 +63,9 @@ def optimum_creation_lower_bound(n: int, k: int, d: int, p_m: float) -> float:
     return _power_product(((1.0 - p_m, n - k + d), (p_m, k - d), (0.5, 2 * d)))
 
 
-def exact_optimum_probability(a: Genotype, b: Genotype, p_m: float) -> float:
-    """Exact probability that crossover of ``a`` and ``b`` plus mutation yields all-ones.
+def exact_optimum_probability(a: int, b: int, n: int, p_m: float) -> float:
+    """Exact probability that crossover of the length-``n`` strings ``a`` and
+    ``b`` plus mutation yields all-ones.
 
     Positions are independent: the crossover output bit is 1 with probability
     q in {0, 1/2, 1} depending on whether the parents carry zero, one, or two
@@ -72,13 +73,11 @@ def exact_optimum_probability(a: Genotype, b: Genotype, p_m: float) -> float:
     ``q*(1-p_m) + (1-q)*p_m``.  The result is the product over positions,
     grouped by the three position kinds.
     """
-    if a.n != b.n:
-        raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
     if not 0.0 <= p_m <= 1.0:
         raise ValueError(f"p_m must lie in [0, 1], got {p_m}")
-    both_one = (a.bits & b.bits).bit_count()
-    differing = (a.bits ^ b.bits).bit_count()
-    both_zero = a.n - both_one - differing
+    both_one = (a & b).bit_count()
+    differing = (a ^ b).bit_count()
+    both_zero = n - both_one - differing
     return _power_product(((1.0 - p_m, both_one), (p_m, both_zero), (0.5, differing)))
 
 

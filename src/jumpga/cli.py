@@ -31,7 +31,7 @@ from .analysis import (
     runtime_bound,
     survival_constant,
 )
-from .core import GaParams, Genotype, SettingError
+from .core import GaParams, SettingError
 from .experiments import (
     run_bound_sweep,
     run_comparison,
@@ -382,9 +382,9 @@ def _cmd_oracle(params: GaParams, cfg: dict, out: Path) -> int:
     bound = optimum_creation_lower_bound(n, k, d, params.p_m)
     # canonical plateau pair at Hamming distance 2d: zero blocks 0..k-1 and d..k+d-1
     full = (1 << n) - 1
-    a = Genotype(full ^ ((1 << k) - 1), n)
-    b = Genotype(full ^ (((1 << k) - 1) << d), n)
-    exact = exact_optimum_probability(a, b, params.p_m)
+    a = full ^ ((1 << k) - 1)
+    b = full ^ (((1 << k) - 1) << d)
+    exact = exact_optimum_probability(a, b, n, params.p_m)
     payload = {
         "n": n,
         "k": k,
@@ -394,7 +394,7 @@ def _cmd_oracle(params: GaParams, cfg: dict, out: Path) -> int:
         "closed_form_lower_bound": bound,
     }
     if cfg["mc_trials"]:
-        mc = sample_optimum_creation_frequency(a, b, params.p_m, cfg["mc_trials"], params.seed)
+        mc = sample_optimum_creation_frequency(a, b, n, params.p_m, cfg["mc_trials"], params.seed)
         payload["mc_frequency"] = mc.frequency
         payload["mc_stderr"] = mc.stderr
         payload["mc_trials"] = mc.trials

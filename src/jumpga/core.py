@@ -1,16 +1,19 @@
 """Bit-string genotypes, the jump fitness function, Floyd's subset draw, and RNG plumbing.
 
-A genotype is a fixed-length bit string packed into a Python integer (bit ``i``
-holds position ``i``), so counting ones is a hardware popcount via
-``int.bit_count`` and species identity is plain integer equality.  All scalar
-randomness is served by :class:`RandomStream`, one iterator over blocks of a
-counter-seeded PCG64 generator with explicit ``(seed, stream)`` indexing, so
-every run is replayable and independent replicates/grid cells get provably
-disjoint streams.  numpy is imported by :func:`make_rng`, not by this module,
-so a CLI run that makes no stream (``--help``, ``bounds``, a usage error)
-never loads it.  The variation operators run inline in
-:func:`jumpga.ga.ga_step`; their one-at-a-time reference versions, which the
-tests hold the kernel to, live in ``tests/reference.py``.
+A genotype is its packed int: a bit string of length ``n`` stored in a Python
+integer (bit ``i`` holds position ``i``), so counting ones is a hardware
+popcount via ``int.bit_count``, species identity is plain integer equality,
+and a step builds no genotype object.  The length ``n`` is not stored with
+the bits; every function that needs it takes it, usually from
+:class:`GaParams`.  All scalar randomness is served by :class:`RandomStream`,
+one iterator over blocks of a counter-seeded PCG64 generator with explicit
+``(seed, stream)`` indexing, so every run is replayable and independent
+replicates/grid cells get provably disjoint streams.  numpy is imported by
+:func:`make_rng`, not by this module, so a CLI run that makes no stream
+(``--help``, ``bounds``, a usage error) never loads it.  The variation
+operators run inline in :func:`jumpga.ga.ga_step`; their one-at-a-time
+reference versions, which the tests hold the kernel to, live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,13 +44,6 @@ def check_at_least(low: int, **values: int | None) -> None:
     for name, value in values.items():
         if value is not None and value < low:
             raise SettingError(f"{name} must be {'positive' if low else 'non-negative'}, got {value}")
-
-
-class Genotype(NamedTuple):
-    """Fixed-length bit string; ``bits`` packs positions ``0..n-1``."""
-
-    bits: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -232,18 +228,17 @@ def _floyd_mask(rng: RandomStream, n: int, m: int) -> int:
     return mask
 
 
-def jump_fitness(g: Genotype, k: int) -> int:
-    """Jump fitness with gap width ``k``.
+def jump_fitness(bits: int, n: int, k: int) -> int:
+    """Jump fitness with gap width ``k`` of the length-``n`` string ``bits``.
 
     Returns ``k + |x|`` when ``|x| = n`` or ``|x| <= n - k`` and ``n - |x|``
     inside the gap, where ``|x|`` counts ones.  The all-ones string is the
     unique maximum with value ``n + k``; strings with exactly ``n - k`` ones
     form a plateau of value ``n``.
     """
-    n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    ones = g.bits.bit_count()
+    ones = bits.bit_count()
     if ones == n or ones <= n - k:
         return k + ones
     return n - ones

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import Genotype
 from .ga import IntegrityError, Population, StepTrace
 
 
@@ -25,7 +24,7 @@ class SpeciesTracker:
     """
 
     def __init__(self, pop: Population):
-        self.counts: dict[Genotype, int] = dict(Counter(pop.members))
+        self.counts: dict[int, int] = dict(Counter(pop.members))
         self._size_hist: dict[int, int] = dict(Counter(self.counts.values()))
         self.largest: int = max(self.counts.values())
         self._mu = len(pop.members)
@@ -68,18 +67,18 @@ class SpeciesTracker:
         if a >= self.largest:
             self.largest = a + 1
 
-    def count(self, g: Genotype) -> int:
+    def count(self, g: int) -> int:
         return self.counts.get(g, 0)
 
-    def largest_class(self) -> Genotype:
+    def largest_class(self) -> int:
         """A genotype of maximal count; ties resolved to the smallest packed bits."""
-        return min((g for g, c in self.counts.items() if c == self.largest), key=lambda g: g.bits)
+        return min(g for g, c in self.counts.items() if c == self.largest)
 
 
 class PairwiseDistanceTracker:
     """Incrementally maintained pairwise-distance histogram.
 
-    Members are grouped by genotype: ``_species`` maps packed bits to their
+    Members are grouped by genotype: ``_species`` maps each genotype to its
     number of copies.  The c copies of one genotype form c(c-1)/2 pairs at
     distance 0, and two genotypes with c_g and c_h copies form c_g*c_h pairs at
     their distance, so building the histogram costs O(species^2) and a step
@@ -93,7 +92,7 @@ class PairwiseDistanceTracker:
     """
 
     def __init__(self, pop: Population):
-        members = self._members = [g.bits for g in pop.members]
+        members = self._members = list(pop.members)
         mu = len(members)
         if mu < 2:
             raise ValueError("need at least two members for pairwise distances")
@@ -118,9 +117,9 @@ class PairwiseDistanceTracker:
         if r == len(members):
             return
         old = members[r]
-        if old != trace.removed_genotype.bits:
+        if old != trace.removed_genotype:
             raise IntegrityError("trace removal index does not match tracked member")
-        new = trace.offspring.bits
+        new = trace.offspring
         if new == old:
             return  # one copy replaced by an identical one
         self._freq_distances = None

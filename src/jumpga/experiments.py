@@ -30,7 +30,6 @@ from .analysis import (
 )
 from .core import (
     GaParams,
-    Genotype,
     RandomStream,
     SettingError,
     _floyd_mask,
@@ -69,7 +68,7 @@ def _cells(seed: int, count: int, cell: Callable[[int, RandomStream], _T]) -> li
 
 def two_species_population(
     params: GaParams, y: int, delta: int, rng: RandomStream
-) -> tuple[Population, Genotype, Genotype]:
+) -> tuple[Population, int, int]:
     """Plateau population of y copies of a focal genotype plus mu-y copies of a
     second genotype at Hamming distance 2*delta (both with exactly k zeros).
 
@@ -94,12 +93,10 @@ def two_species_population(
             if z <= idx:
                 idx += 1
         other_bits ^= 1 << idx
-    focal = Genotype(bits, n)
-    other = Genotype(other_bits, n)
-    members = [focal] * y + [other] * (mu - y)
-    fits = [jump_fitness(focal, k)] * y + [jump_fitness(other, k)] * (mu - y)
+    members = [bits] * y + [other_bits] * (mu - y)
+    fits = [jump_fitness(bits, n, k)] * y + [jump_fitness(other_bits, n, k)] * (mu - y)
     pop = Population(members, fits, 0)
-    return pop, focal, other
+    return pop, bits, other_bits
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -117,7 +114,7 @@ def _set_bits(mask: int) -> list[int]:
 
 
 def _count_moves(
-    params: GaParams, population: Population, species: Genotype, event: EventClass | None,
+    params: GaParams, population: Population, species: int, event: EventClass | None,
     trials: int, cap: int, rng: RandomStream,
 ) -> tuple[int, int, int, int]:
     """Single steps from ``population`` until ``trials`` are accepted or ``cap``
@@ -182,7 +179,7 @@ class ConditionedEstimate:
 def estimate_transition(
     params: GaParams,
     population: Population,
-    species: Genotype,
+    species: int,
     event: EventClass,
     trials: int,
     rng: RandomStream,
@@ -226,15 +223,16 @@ _SAMPLE_BATCH = 250_000
 
 
 def sample_optimum_creation_frequency(
-    a: Genotype,
-    b: Genotype,
+    a: int,
+    b: int,
+    n: int,
     p_m: float,
     trials: int,
     seed: int,
     stream: int = 0,
 ) -> MonteCarloFrequency:
     """Monte Carlo frequency of reaching the all-ones string with one
-    crossover-plus-mutation of parents ``(a, b)``.
+    crossover-plus-mutation of the length-``n`` parents ``(a, b)``.
 
     Vectorized across trials (bit matrices over the numpy generator backing
     ``make_rng(seed, stream)``, made once ``trials`` passes its check, drawn
@@ -243,15 +241,12 @@ def sample_optimum_creation_frequency(
     reference operators of ``tests/reference.py``.  It imports numpy itself,
     after its checks, as :func:`jumpga.core.make_rng` does.
     """
-    if a.n != b.n:
-        raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
     check_at_least(1, trials=trials)
     import numpy as np
 
-    n = a.n
     gen = make_rng(seed, stream).generator
-    a_row = np.array([(a.bits >> i) & 1 for i in range(n)], dtype=bool)
-    b_row = np.array([(b.bits >> i) & 1 for i in range(n)], dtype=bool)
+    a_row = np.array([(a >> i) & 1 for i in range(n)], dtype=bool)
+    b_row = np.array([(b >> i) & 1 for i in range(n)], dtype=bool)
     slab = max(1, (1 << 20) // n)  # rows per draw: 8 MiB of uniforms at a time
     hits = 0
     left = trials

@@ -14,6 +14,10 @@ is the one loop through which every runner steps a population forward;
 :class:`StopCondition`.  ``ga_step`` writes the population it is given;
 ``steps``, ``run`` and every runner built on them copy their start once and
 never write it.
+
+A step builds neither a genotype nor a record: genotypes are packed ints
+(see :mod:`jumpga.core`), and each population keeps one :class:`StepTrace`,
+built by its first step and rewritten in place by every later one.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from itertools import count
 
 from .core import (
     GaParams,
-    Genotype,
     RandomStream,
     _floyd_mask,
     check_at_least,
@@ -54,7 +57,7 @@ _MUTATION = EventClass.MUTATION_ONLY
 
 @dataclass(slots=True)
 class Population:
-    """Multiset of genotypes with cached fitness values.
+    """Multiset of genotypes (packed ints) with cached fitness values.
 
     ``members`` and ``fitnesses`` are parallel lists that the population owns:
     construction copies whatever sequences it is given, so a population never
@@ -68,13 +71,19 @@ class Population:
     all mu fitnesses.  The invariant is ``low == min(fitnesses)`` and
     ``tied == fitnesses.count(low)``; both are derived, so they take no part
     in ``==`` or ``repr``, and are computed from ``fitnesses`` when not passed.
+
+    ``last`` is the population's step record: None until its first
+    :func:`ga_step`, which builds it; every later step rewrites it in place.
+    It is not copied, so ``dataclasses.replace(pop)`` starts with none and
+    never shares a record with ``pop``.
     """
 
-    members: list[Genotype]
+    members: list[int]
     fitnesses: list[int]
     generation: int = 0
     low: int | None = field(default=None, compare=False, repr=False)
     tied: int = field(default=0, compare=False, repr=False)
+    last: StepTrace | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.members = list(self.members)
@@ -95,17 +104,18 @@ class StepTrace:
     ``removed_index`` indexes the extended multiset: values ``0..mu-1`` name
     pre-step members, value ``mu`` means the offspring itself was removed (so
     the population multiset is unchanged).  ``removed_genotype`` is the
-    genotype that left the extended multiset.  Treated as immutable, but not
-    frozen.
+    genotype that left the extended multiset.  A record is its population's
+    ``last``, rewritten by the population's next step; keep one past that
+    with ``dataclasses.replace(trace)``.
     """
 
     t: int
     event: EventClass
     parent_indices: tuple[int, ...]
-    offspring: Genotype
+    offspring: int
     offspring_fitness: int
     removed_index: int
-    removed_genotype: Genotype
+    removed_genotype: int
     optimum_created: bool
 
 
@@ -136,22 +146,25 @@ class RunResult:
 
 def init_uniform(params: GaParams, rng: RandomStream) -> Population:
     """mu genotypes drawn uniformly from {0,1}^n (one mask draw per member, in order)."""
-    members = [Genotype(rng.random_bits(params.n), params.n) for _ in range(params.mu)]
-    fits = [jump_fitness(g, params.k) for g in members]
+    n = params.n
+    members = [rng.random_bits(n) for _ in range(params.mu)]
+    fits = [jump_fitness(g, n, params.k) for g in members]
     return Population(members, fits, 0)
 
 
 def init_monomorphic_plateau(params: GaParams, rng: RandomStream) -> Population:
     """mu copies of one plateau point drawn uniformly among strings with exactly k zeros."""
-    g = Genotype(((1 << params.n) - 1) ^ _floyd_mask(rng, params.n, params.k), params.n)
-    f = jump_fitness(g, params.k)
+    n = params.n
+    g = ((1 << n) - 1) ^ _floyd_mask(rng, n, params.k)
+    f = jump_fitness(g, n, params.k)
     return Population([g] * params.mu, [f] * params.mu, 0)
 
 
 def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Population, StepTrace]:
     """Advance ``pop`` one iteration in place; returns ``(pop, trace)``, the
-    population being the one passed in.  Copy a population first
-    (``dataclasses.replace(pop)``) to keep its state.
+    population being the one passed in and the trace its record ``pop.last``,
+    which the next step on ``pop`` rewrites.  Copy a population or a trace
+    first (``dataclasses.replace``) to keep its state.
 
     Scalar draws happen in a fixed order so that traces replay exactly:
     (1) crossover coin ``u < p_c`` with ``u`` uniform on [0, 1),
@@ -186,12 +199,12 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     crossover = draw() < params.p_c
     i = int(draw() * mu)
     i = i if i < mu else mu - 1
-    bits = members[i].bits
+    bits = members[i]
     if crossover:
         j = int(draw() * mu)
         j = j if j < mu else mu - 1
         parents = (i, j)
-        b = members[j].bits
+        b = members[j]
         diff = bits ^ b
         if diff:
             mask = 0
@@ -220,7 +233,6 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
         bits ^= (1 << n) - 1
     elif m:
         bits ^= _floyd_mask(rng, n, m)
-    child = tuple.__new__(Genotype, (bits, n))
     ones = bits.bit_count()
     k = params.k
     child_fit = k + ones if ones == n or ones <= n - k else n - ones
@@ -250,12 +262,12 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     t = pop.generation + 1
     pop.generation = t
     if removed == mu:
-        removed_genotype = child
+        removed_genotype = bits
     else:
         # The removed member sits at ``low``, so a child at ``low`` leaves the
         # fitnesses, and the cache, as they were.
         removed_genotype = members[removed]
-        members[removed] = child
+        members[removed] = bits
         if child_fit != low:
             fits[removed] = child_fit
             tied -= 1
@@ -263,9 +275,20 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
                 pop.low = low = min(fits)
                 tied = fits.count(low)
             pop.tied = tied
-    # Positional, in field order: keyword construction costs measurably more per step.
     optimum = child_fit == n + k
-    return pop, StepTrace(t, event, parents, child, child_fit, removed, removed_genotype, optimum)
+    trace = pop.last
+    if trace is None:
+        pop.last = trace = StepTrace(t, event, parents, bits, child_fit, removed, removed_genotype, optimum)
+    else:
+        trace.t = t
+        trace.event = event
+        trace.parent_indices = parents
+        trace.offspring = bits
+        trace.offspring_fitness = child_fit
+        trace.removed_index = removed
+        trace.removed_genotype = removed_genotype
+        trace.optimum_created = optimum
+    return pop, trace
 
 
 def steps(
@@ -277,8 +300,9 @@ def steps(
     same stream, taken only when the next item is asked for.
 
     ``pop`` is never written: ``steps`` copies it once, on the first item, and
-    every item yields that one copy, advanced in place.  A yielded population
-    is therefore valid until the next item is asked for; keep a state past
+    every item yields that one copy, advanced in place, and its one record
+    (the copy's ``last``), rewritten in place.  A yielded population and trace
+    are therefore valid until the next item is asked for; keep either past
     that with ``dataclasses.replace``.
     """
     work = replace(pop)
@@ -291,16 +315,17 @@ def run(pop: Population, params: GaParams, stop: StopCondition, rng: RandomStrea
     """Step through :func:`steps` until the optimum or a condition of ``stop``
     (after 0 iterations when ``pop`` already meets one); evaluations are mu +
     iterations.  ``pop`` is never written, and the population returned is
-    never ``pop`` itself."""
-    pop = replace(pop)  # returned as it is when no step is taken
+    never ``pop`` itself: it is the copy that ``steps`` advances, or a copy
+    made here when no step is taken."""
     if params.optimum_fitness in pop.fitnesses:
-        return RunResult(pop, 0, params.mu, "optimum_found")
+        return RunResult(replace(pop), 0, params.mu, "optimum_found")
     if stop.full_plateau and pop.low >= params.n:
-        return RunResult(pop, 0, params.mu, "full_plateau")
-    t = 0
-    for t, pop, trace in steps(pop, params, rng, stop.max_iterations):
+        return RunResult(replace(pop), 0, params.mu, "full_plateau")
+    if stop.max_iterations == 0:
+        return RunResult(replace(pop), 0, params.mu, "max_iterations")
+    for t, work, trace in steps(pop, params, rng, stop.max_iterations):
         if trace.optimum_created:
-            return RunResult(pop, t, params.mu + t, "optimum_found")
-        if stop.full_plateau and pop.low >= params.n:
-            return RunResult(pop, t, params.mu + t, "full_plateau")
-    return RunResult(pop, t, params.mu + t, "max_iterations")
+            return RunResult(work, t, params.mu + t, "optimum_found")
+        if stop.full_plateau and work.low >= params.n:
+            return RunResult(work, t, params.mu + t, "full_plateau")
+    return RunResult(work, t, params.mu + t, "max_iterations")

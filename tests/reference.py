@@ -6,6 +6,9 @@ twin-stream tests chain them draw for draw against the kernel, and the
 distribution tests check their law.  ``check_population`` recomputes a
 population's caches from its members, ``snapshot`` keeps a population's state
 across an in-place step, and ``floyd_reference`` is Floyd's sampler on a set.
+Genotypes are packed ints, as in the package; ``Genotype`` is the
+``(bits, n)`` pair that the package once stored, kept here only so that
+pinned digests hash the text they always hashed.
 ``estimate_unconditioned_drift`` is the Monte Carlo drift that check 06 and
 the estimator tests read, on the one-step estimators' own trial loop.
 """
@@ -14,29 +17,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from jumpga import GaParams, Genotype, IntegrityError, Population, RandomStream, jump_fitness
+from jumpga import GaParams, IntegrityError, Population, RandomStream, jump_fitness
 from jumpga.core import _floyd_mask
 from jumpga.experiments import _count_moves
 
 
-def hamming_distance(a: Genotype, b: Genotype) -> int:
+class Genotype(NamedTuple):
+    """A packed genotype with its length, for ``repr`` in pinned digests only."""
+
+    bits: int
+    n: int
+
+
+def hamming_distance(a: int, b: int) -> int:
     """Number of differing positions."""
-    if a.n != b.n:
-        raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
-    return (a.bits ^ b.bits).bit_count()
+    return (a ^ b).bit_count()
 
 
-def uniform_crossover(a: Genotype, b: Genotype, rng: RandomStream) -> Genotype:
-    """Each position independently takes ``a``'s bit or ``b``'s bit with equal probability."""
-    if a.n != b.n:
-        raise ValueError(f"genotype length mismatch: {a.n} != {b.n}")
-    mask = rng.random_bits(a.n)
-    return Genotype((a.bits & mask) | (b.bits & ~mask), a.n)
+def uniform_crossover(a: int, b: int, n: int, rng: RandomStream) -> int:
+    """Each of the ``n`` positions independently takes ``a``'s bit or ``b``'s bit with equal probability."""
+    mask = rng.random_bits(n)
+    return (a & mask) | (b & ~mask)
 
 
-def standard_bit_mutation(g: Genotype, p_m: float, rng: RandomStream) -> Genotype:
-    """Flip every bit independently with probability ``p_m``.
+def standard_bit_mutation(g: int, n: int, p_m: float, rng: RandomStream) -> int:
+    """Flip every one of the ``n`` bits independently with probability ``p_m``.
 
     Sampled as a binomial flip count followed by a uniform random subset of
     positions of that size, which realizes the same distribution as n
@@ -44,13 +51,12 @@ def standard_bit_mutation(g: Genotype, p_m: float, rng: RandomStream) -> Genotyp
     """
     if not 0.0 <= p_m <= 1.0:
         raise ValueError(f"p_m must lie in [0, 1], got {p_m}")
-    n = g.n
     m = rng.binomial(n, p_m)
     if m == 0:
         return g
     if m == n:
-        return Genotype(g.bits ^ ((1 << n) - 1), n)
-    return Genotype(g.bits ^ _floyd_mask(rng, n, m), n)
+        return g ^ ((1 << n) - 1)
+    return g ^ _floyd_mask(rng, n, m)
 
 
 def floyd_reference(rng, n: int, m: int) -> tuple[set[int], int]:
@@ -72,13 +78,12 @@ def snapshot(pop: Population) -> Population:
     return replace(pop)
 
 
-def check_population(pop: Population, k: int) -> None:
-    """Verify the fitness cache, the minimum cache and shared dimension."""
-    n = pop.members[0].n
+def check_population(pop: Population, n: int, k: int) -> None:
+    """Verify the fitness cache, the minimum cache and that members fit in ``n`` bits."""
     for g, f in zip(pop.members, pop.fitnesses):
-        if g.n != n:
-            raise IntegrityError(f"mixed genotype dimensions: {g.n} != {n}")
-        if jump_fitness(g, k) != f:
+        if g >> n:
+            raise IntegrityError(f"member {g:#x} has bits beyond position {n - 1}")
+        if jump_fitness(g, n, k) != f:
             raise IntegrityError(f"cached fitness {f} wrong for {g}")
     low = min(pop.fitnesses)
     if pop.low != low:
@@ -103,7 +108,7 @@ class DriftEstimate:
 def estimate_unconditioned_drift(
     params: GaParams,
     population: Population,
-    species: Genotype,
+    species: int,
     trials: int,
     rng: RandomStream,
 ) -> DriftEstimate:

@@ -33,7 +33,6 @@ from reference import estimate_unconditioned_drift, hamming_distance
 from jumpga import (
     EventClass,
     GaParams,
-    Genotype,
     close_crossover_decrease_bound,
     exact_optimum_probability,
     make_rng,
@@ -92,11 +91,11 @@ def test_01_exact_event_probability_matches_simulation():
     lines: list[str] = []
     ok = True
     for d in range(4):
-        a = Genotype(full ^ ((1 << k) - 1), n)
-        b = Genotype(full ^ (((1 << k) - 1) << d), n)
+        a = full ^ ((1 << k) - 1)
+        b = full ^ (((1 << k) - 1) << d)
         assert hamming_distance(a, b) == 2 * d
-        exact = exact_optimum_probability(a, b, p_m)
-        mc = sample_optimum_creation_frequency(a, b, p_m, trials, 1, d)
+        exact = exact_optimum_probability(a, b, n, p_m)
+        mc = sample_optimum_creation_frequency(a, b, n, p_m, trials, 1, d)
         gap = abs(mc.frequency - exact)
         tol = 3 * mc.stderr
         ok = ok and gap <= tol
@@ -119,7 +118,7 @@ def test_02_lower_bound_dominated_by_exact_probability_exhaustively():
         full = (1 << n) - 1
         for k in range(1, min(4, n // 2) + 1):
             plateau = [
-                Genotype(full ^ sum(1 << i for i in zeros), n)
+                full ^ sum(1 << i for i in zeros)
                 for zeros in itertools.combinations(range(n), k)
             ]
             for p_m in (1.0 / n, 2.0 / n):
@@ -129,7 +128,7 @@ def test_02_lower_bound_dominated_by_exact_probability_exhaustively():
                 bounds = [optimum_creation_lower_bound(n, k, d, p_m) for d in range(k + 1)]
                 for a, b in itertools.combinations_with_replacement(plateau, 2):
                     d = hamming_distance(a, b) // 2
-                    exact = exact_optimum_probability(a, b, p_m)
+                    exact = exact_optimum_probability(a, b, n, p_m)
                     checked += 1
                     ratio = bounds[d] / exact
                     worst = max(worst, ratio)

@@ -12,7 +12,6 @@ import math
 import pytest
 
 from jumpga import (
-    Genotype,
     close_crossover_decrease_bound,
     close_crossover_increase_bound,
     exact_optimum_probability,
@@ -25,11 +24,11 @@ from jumpga import (
 )
 
 
-def plateau_pair(n: int, k: int, d: int) -> tuple[Genotype, Genotype]:
+def plateau_pair(n: int, k: int, d: int) -> tuple[int, int]:
     """Canonical plateau parents at Hamming distance 2d (overlapping zero runs)."""
     full = (1 << n) - 1
-    a = Genotype(full ^ ((1 << k) - 1), n)
-    b = Genotype(full ^ (((1 << k) - 1) << d), n)
+    a = full ^ ((1 << k) - 1)
+    b = full ^ (((1 << k) - 1) << d)
     return a, b
 
 
@@ -91,18 +90,18 @@ def test_optimum_creation_lower_bound_domain():
 def test_exact_optimum_probability_hand_case():
     # n=3, parents 011 and 101, p=0.2: one shared one-bit survives (0.8), two
     # differing bits each picked right (1/4): 0.8 * 0.25 = 0.2.
-    a, b = Genotype(0b011, 3), Genotype(0b101, 3)
-    assert exact_optimum_probability(a, b, 0.2) == pytest.approx(0.2, rel=1e-12)
+    a, b = 0b011, 0b101
+    assert exact_optimum_probability(a, b, 3, 0.2) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_exact_optimum_probability_identical_parents():
     n, k, pm = 12, 3, 0.1
     a, _ = plateau_pair(n, k, 0)
     # k zero-bits must flip, n-k one-bits must survive.
-    assert exact_optimum_probability(a, a, pm) == pytest.approx(
+    assert exact_optimum_probability(a, a, n, pm) == pytest.approx(
         (1 - pm) ** (n - k) * pm**k, rel=1e-12
     )
-    assert exact_optimum_probability(Genotype((1 << n) - 1, n), Genotype((1 << n) - 1, n), 0.0) == 1.0
+    assert exact_optimum_probability((1 << n) - 1, (1 << n) - 1, n, 0.0) == 1.0
 
 
 def test_exact_equals_bound_for_identical_parents_bitwise():
@@ -111,33 +110,33 @@ def test_exact_equals_bound_for_identical_parents_bitwise():
     for n, k in ((10, 2), (20, 3), (14, 4)):
         for pm in (1 / n, 2 / n):
             a, _ = plateau_pair(n, k, 0)
-            assert exact_optimum_probability(a, a, pm) == optimum_creation_lower_bound(n, k, 0, pm)
+            assert exact_optimum_probability(a, a, n, pm) == optimum_creation_lower_bound(n, k, 0, pm)
 
 
-def per_position_product(a: Genotype, b: Genotype, p_m: float) -> float:
+def per_position_product(a: int, b: int, n: int, p_m: float) -> float:
     """The docstring's product over positions of q*(1-p_m) + (1-q)*p_m, with
     q the crossover's chance of a one there, in floats position by position."""
-    q = [(((a.bits >> i) & 1) + ((b.bits >> i) & 1)) / 2 for i in range(a.n)]
+    q = [(((a >> i) & 1) + ((b >> i) & 1)) / 2 for i in range(n)]
     return math.prod(qi * (1 - p_m) + (1 - qi) * p_m for qi in q)
 
 
 def test_exact_optimum_probability_is_exactly_zero_at_a_certain_loss():
     # Without mutation a position where both parents hold 0 stays 0, and certain
     # mutation clears one where both hold 1: the log-space product's zero base.
-    a, b = Genotype(0b0111, 4), Genotype(0b1011, 4)  # both 1 at bits 0-1, differ at 2-3
-    assert exact_optimum_probability(a, b, 1.0) == per_position_product(a, b, 1.0) == 0.0
-    a, b = Genotype(0b0110, 4), Genotype(0b1010, 4)  # both 0 at bit 0
-    assert exact_optimum_probability(a, b, 0.0) == per_position_product(a, b, 0.0) == 0.0
+    a, b = 0b0111, 0b1011  # both 1 at bits 0-1, differ at 2-3
+    assert exact_optimum_probability(a, b, 4, 1.0) == per_position_product(a, b, 4, 1.0) == 0.0
+    a, b = 0b0110, 0b1010  # both 0 at bit 0
+    assert exact_optimum_probability(a, b, 4, 0.0) == per_position_product(a, b, 4, 0.0) == 0.0
     # The same products away from the zero base are positive.
-    assert exact_optimum_probability(a, b, 0.5) == pytest.approx(per_position_product(a, b, 0.5))
-    assert per_position_product(a, b, 0.5) > 0.0
+    assert exact_optimum_probability(a, b, 4, 0.5) == pytest.approx(per_position_product(a, b, 4, 0.5))
+    assert per_position_product(a, b, 4, 0.5) > 0.0
 
 
 def test_exact_optimum_probability_is_symmetric():
     for n, k, d in ((10, 2, 1), (20, 3, 2), (16, 4, 3)):
         a, b = plateau_pair(n, k, d)
         pm = 1 / n
-        assert exact_optimum_probability(a, b, pm) == exact_optimum_probability(b, a, pm)
+        assert exact_optimum_probability(a, b, n, pm) == exact_optimum_probability(b, a, n, pm)
 
 
 def test_exact_dominates_bound_on_grid():
@@ -146,16 +145,14 @@ def test_exact_dominates_bound_on_grid():
             for d in range(k + 1):
                 for pm in (1 / n, 2 / n):
                     a, b = plateau_pair(n, k, d)
-                    assert exact_optimum_probability(a, b, pm) >= optimum_creation_lower_bound(
+                    assert exact_optimum_probability(a, b, n, pm) >= optimum_creation_lower_bound(
                         n, k, d, pm
                     )
 
 
 def test_exact_optimum_probability_domain():
     with pytest.raises(ValueError):
-        exact_optimum_probability(Genotype(0, 4), Genotype(0, 5), 0.1)
-    with pytest.raises(ValueError):
-        exact_optimum_probability(Genotype(0, 4), Genotype(0, 4), 1.5)
+        exact_optimum_probability(0, 0, 4, 1.5)
 
 
 # ---------------------------------------------------------------------------

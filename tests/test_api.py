@@ -23,7 +23,6 @@ _EXPORTS = [
     "ConditionedEstimate",
     "EventClass",
     "GaParams",
-    "Genotype",
     "IntegrityError",
     "PairwiseDistanceTracker",
     "Population",

@@ -12,17 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference import floyd_reference, hamming_distance, standard_bit_mutation, uniform_crossover
 
-from jumpga import GaParams, Genotype, jump_fitness, make_rng
+from jumpga import GaParams, jump_fitness, make_rng
 from jumpga.core import RandomStream, _floyd_mask
-
-
-def g(bits: int, n: int) -> Genotype:
-    return Genotype(bits, n)
-
-
-def from_string(s: str) -> Genotype:
-    """Bit string, leftmost character = highest position index."""
-    return Genotype(int(s, 2), len(s))
 
 
 # ---------------------------------------------------------------------------
@@ -41,42 +32,42 @@ def test_jump_fitness_matches_exhaustive_reference(k):
     best = None
     for bits in range(1 << n):
         ones = bin(bits).count("1")
-        f = jump_fitness(g(bits, n), k)
+        f = jump_fitness(bits, n, k)
         assert f == reference_jump(ones, n, k)
         best = f if best is None else max(best, f)
     assert best == n + k
-    assert jump_fitness(g((1 << n) - 1, n), k) == n + k
+    assert jump_fitness((1 << n) - 1, n, k) == n + k
     # The all-ones string is the unique maximizer.
-    count_best = sum(1 for bits in range(1 << n) if jump_fitness(g(bits, n), k) == n + k)
+    count_best = sum(1 for bits in range(1 << n) if jump_fitness(bits, n, k) == n + k)
     assert count_best == 1
 
 
 def test_jump_fitness_frozen_examples():
     n, k = 100, 5
     full = (1 << n) - 1
-    assert jump_fitness(g(full, n), k) == 105  # all ones: global optimum
+    assert jump_fitness(full, n, k) == 105  # all ones: global optimum
     plateau = full ^ ((1 << 5) - 1)  # 95 ones
-    assert jump_fitness(g(plateau, n), k) == 100
+    assert jump_fitness(plateau, n, k) == 100
     in_gap = full ^ ((1 << 3) - 1)  # 97 ones
-    assert jump_fitness(g(in_gap, n), k) == 3
-    assert jump_fitness(g(0, n), k) == 5
+    assert jump_fitness(in_gap, n, k) == 3
+    assert jump_fitness(0, n, k) == 5
 
 
 def test_jump_fitness_plateau_dominates_gap():
     n = 14
     for k in (2, 3, 4):
-        plateau_value = jump_fitness(g((1 << (n - k)) - 1, n), k)
+        plateau_value = jump_fitness((1 << (n - k)) - 1, n, k)
         assert plateau_value == n
         for ones in range(n - k + 1, n):
             bits = (1 << ones) - 1
-            assert jump_fitness(g(bits, n), k) == n - ones < plateau_value
+            assert jump_fitness(bits, n, k) == n - ones < plateau_value
 
 
 def test_jump_fitness_rejects_bad_width():
     with pytest.raises(ValueError):
-        jump_fitness(g(0, 10), 0)
+        jump_fitness(0, 10, 0)
     with pytest.raises(ValueError):
-        jump_fitness(g(0, 10), 11)
+        jump_fitness(0, 10, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -84,24 +75,18 @@ def test_jump_fitness_rejects_bad_width():
 
 
 def test_hamming_distance_examples():
-    a = from_string("10110")
+    a = 0b10110
     assert hamming_distance(a, a) == 0
-    assert hamming_distance(from_string("00000"), from_string("11111")) == 5
-    assert hamming_distance(from_string("10110"), from_string("10011")) == 2
-
-
-def test_hamming_distance_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        hamming_distance(g(0, 5), g(0, 6))
+    assert hamming_distance(0b00000, 0b11111) == 5
+    assert hamming_distance(0b10110, 0b10011) == 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, (1 << 16) - 1), st.integers(0, (1 << 16) - 1))
 def test_hamming_distance_is_xor_popcount_and_symmetric(x, y):
-    a, b = g(x, 16), g(y, 16)
-    d = hamming_distance(a, b)
+    d = hamming_distance(x, y)
     assert d == bin(x ^ y).count("1")
-    assert d == hamming_distance(b, a)
+    assert d == hamming_distance(y, x)
     assert d == 0 or x != y
 
 
@@ -115,31 +100,31 @@ def test_uniform_crossover_copies_agreed_positions():
         n = 16
         x = rng.random_bits(n)
         y = rng.random_bits(n)
-        child = uniform_crossover(g(x, n), g(y, n), rng)
+        child = uniform_crossover(x, y, n, rng)
         agree = ~(x ^ y)
-        assert (child.bits ^ x) & agree & ((1 << n) - 1) == 0
+        assert (child ^ x) & agree & ((1 << n) - 1) == 0
         # Every child bit comes from one of the parents.
-        assert child.bits & ~(x | y) == 0
-        assert (x & y) & ~child.bits == 0
+        assert child & ~(x | y) == 0
+        assert (x & y) & ~child == 0
 
 
 def test_uniform_crossover_identical_parents_are_fixed_points():
     rng = make_rng(102)
-    a = g(0b1011010011, 10)
+    a = 0b1011010011
     for _ in range(50):
-        assert uniform_crossover(a, a, rng) == a
+        assert uniform_crossover(a, a, 10, rng) == a
 
 
 def test_uniform_crossover_is_unbiased_between_complementary_parents():
     n, trials = 20, 100_000
     rng = make_rng(103)
-    zeros, ones = g(0, n), g((1 << n) - 1, n)
+    zeros, ones = 0, (1 << n) - 1
     total = 0
     first_position = 0
     for _ in range(trials):
-        child = uniform_crossover(zeros, ones, rng)
-        total += child.bits.bit_count()
-        first_position += child.bits & 1
+        child = uniform_crossover(zeros, ones, n, rng)
+        total += child.bit_count()
+        first_position += child & 1
     mean = total / trials
     sigma_mean = math.sqrt(n / 4) / math.sqrt(trials)
     assert abs(mean - n / 2) <= 3 * sigma_mean
@@ -152,14 +137,12 @@ def test_uniform_crossover_differing_positions_are_independent_coins():
     # first parent with probability exactly 1/4.
     n, trials = 20, 1_000_000
     full = (1 << n) - 1
-    a = g(full ^ 0b011, n)
-    b = g(full ^ 0b110, n)
-    diff = a.bits ^ b.bits
+    a = full ^ 0b011
+    b = full ^ 0b110
+    diff = a ^ b
     assert diff.bit_count() == 2
     rng = make_rng(104)
-    hits = sum(
-        (uniform_crossover(a, b, rng).bits & diff) == (a.bits & diff) for _ in range(trials)
-    )
+    hits = sum((uniform_crossover(a, b, n, rng) & diff) == (a & diff) for _ in range(trials))
     p_hat = hits / trials
     sigma = math.sqrt(0.25 * 0.75 / trials)
     assert abs(p_hat - 0.25) <= 3 * sigma
@@ -171,23 +154,23 @@ def test_uniform_crossover_differing_positions_are_independent_coins():
 
 def test_standard_bit_mutation_rate_edges():
     rng = make_rng(105)
-    a = g(0b10011010, 8)
+    a = 0b10011010
     for _ in range(100):
-        assert standard_bit_mutation(a, 0.0, rng) == a
-    assert standard_bit_mutation(a, 1.0, rng).bits == a.bits ^ 0xFF
+        assert standard_bit_mutation(a, 8, 0.0, rng) == a
+    assert standard_bit_mutation(a, 8, 1.0, rng) == a ^ 0xFF
     with pytest.raises(ValueError):
-        standard_bit_mutation(a, -0.1, rng)
+        standard_bit_mutation(a, 8, -0.1, rng)
     with pytest.raises(ValueError):
-        standard_bit_mutation(a, 1.1, rng)
+        standard_bit_mutation(a, 8, 1.1, rng)
 
 
 def test_standard_bit_mutation_no_flip_frequency():
     # P(no bit flips) at rate 1/100 over 100 bits is (0.99)^100 = 0.3660...
     n, trials = 100, 300_000
     expected = 0.99**100
-    a = g(0, n)
+    a = 0
     rng = make_rng(106)
-    unchanged = sum(standard_bit_mutation(a, 0.01, rng) == a for _ in range(trials))
+    unchanged = sum(standard_bit_mutation(a, n, 0.01, rng) == a for _ in range(trials))
     p_hat = unchanged / trials
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert abs(p_hat - expected) <= 3 * sigma
@@ -195,9 +178,9 @@ def test_standard_bit_mutation_no_flip_frequency():
 
 def test_standard_bit_mutation_mean_flip_count():
     n, trials = 100, 100_000
-    a = g(0, n)
+    a = 0
     rng = make_rng(107)
-    total = sum(standard_bit_mutation(a, 1 / n, rng).bits.bit_count() for _ in range(trials))
+    total = sum(standard_bit_mutation(a, n, 1 / n, rng).bit_count() for _ in range(trials))
     mean = total / trials
     sigma_mean = math.sqrt(n * (1 / n) * (1 - 1 / n)) / math.sqrt(trials)
     assert abs(mean - 1.0) <= 3 * sigma_mean
@@ -351,16 +334,16 @@ def test_mutation_flips_the_positions_of_the_set_sampler_on_a_twin_stream():
     # At rate 1/2 on 12 bits every flip count from 0 to 12 occurs.
     n, p = 12, 0.5
     rng, twin = make_rng(114), make_rng(114)
-    g0 = Genotype(0b101100111010, n)
+    g0 = 0b101100111010
     sizes = Counter()
     for _ in range(20_000):
         m = twin.binomial(n, p)
         sizes[m] += 1
         if m == n:
-            want = g0.bits ^ ((1 << n) - 1)
+            want = g0 ^ ((1 << n) - 1)
         else:
-            want = g0.bits ^ sum(1 << i for i in floyd_reference(twin, n, m)[0])
-        assert standard_bit_mutation(g0, p, rng).bits == want
+            want = g0 ^ sum(1 << i for i in floyd_reference(twin, n, m)[0])
+        assert standard_bit_mutation(g0, n, p, rng) == want
         assert rng._pos == twin._pos
     assert set(sizes) == set(range(n + 1))
 

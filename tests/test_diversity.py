@@ -14,7 +14,6 @@ from reference import snapshot
 
 from jumpga import (
     GaParams,
-    Genotype,
     IntegrityError,
     PairwiseDistanceTracker,
     Population,
@@ -31,16 +30,15 @@ from jumpga import (
 
 
 def population_of(n: int, k: int, *bits: int) -> Population:
-    members = tuple(Genotype(b, n) for b in bits)
-    return Population(members, tuple(jump_fitness(g, k) for g in members), 0)
+    return Population(bits, tuple(jump_fitness(g, n, k) for g in bits), 0)
 
 
 def test_census_counts_distinct_genotypes():
     pop = population_of(3, 1, 0b011, 0b011, 0b101)
     tracker = SpeciesTracker(pop)
-    assert tracker.counts == {Genotype(0b011, 3): 2, Genotype(0b101, 3): 1}
+    assert tracker.counts == {0b011: 2, 0b101: 1}
     assert tracker.largest == 2
-    assert tracker.largest_class() == Genotype(0b011, 3)
+    assert tracker.largest_class() == 0b011
 
 
 def test_census_of_monomorphic_population():
@@ -96,7 +94,7 @@ def run_with_traces(params: GaParams, steps: int):
     for _ in range(steps):
         pop, trace = ga_step(pop, params, rng)
         history.append(snapshot(pop))
-        traces.append(trace)
+        traces.append(replace(trace))  # the next step rewrites ``trace``
         if trace.optimum_created:
             break
     return history, traces
@@ -174,10 +172,10 @@ def test_pairwise_tracker_matches_a_fresh_tracker_at_figure1_shape():
                 emptied += before[trace.removed_genotype] == 1
                 grown += before[trace.offspring] > 0
             pop = snapshot(after)  # ``after`` is advanced in place by the next item
-            bits = [g.bits for g in pop.members]
             fresh = PairwiseDistanceTracker(pop)
             assert tracker.counts == fresh.counts, name
-            assert tracker.counts == Counter((a ^ b).bit_count() for a, b in combinations(bits, 2)), name
+            pairs = combinations(pop.members, 2)
+            assert tracker.counts == Counter((a ^ b).bit_count() for a, b in pairs), name
             assert tracker.frequencies(distances) == fresh.frequencies(distances), name
         assert emptied > 0 and grown > 0, (name, emptied, grown)
 
@@ -186,7 +184,7 @@ def test_trackers_reject_inconsistent_traces():
     params = GaParams(n=10, k=2, mu=4, p_c=0.5, chi=1.0, seed=51)
     pop = init_uniform(params, make_rng(51, 0))
     _, trace = ga_step(pop, params, make_rng(51, 1))
-    absent = Genotype(pop.members[0].bits ^ 0b1010101, 10)
+    absent = pop.members[0] ^ 0b1010101
     assert absent not in pop.members
     bogus = StepTrace(
         t=trace.t,

@@ -23,7 +23,6 @@ from jumpga import (
     ConditionedEstimate,
     EventClass,
     GaParams,
-    Genotype,
     Population,
     SpeciesTracker,
     StopCondition,
@@ -60,7 +59,7 @@ def test_two_species_population_geometry():
         assert sum(g == focal for g in pop.members) == y
         assert sum(g == other for g in pop.members) == 10 - y
         assert hamming_distance(focal, other) == 2 * delta
-        assert focal.bits.bit_count() == other.bits.bit_count() == 37
+        assert focal.bit_count() == other.bit_count() == 37
         assert all(f == 40 for f in pop.fitnesses)
 
 
@@ -87,8 +86,8 @@ def test_two_species_population_follows_its_draw_order_on_a_twin_stream():
                     ones = sorted(set(range(n)) - set(zeros))
                     fill = {zeros[i] for i in floyd_reference(twin, k, delta)[0]}
                     clear = {ones[i] for i in floyd_reference(twin, n - k, delta)[0]}
-                    want_focal = Genotype(sum(1 << i for i in ones), n)
-                    want_other = Genotype(sum(1 << i for i in (set(ones) - clear) | fill), n)
+                    want_focal = sum(1 << i for i in ones)
+                    want_other = sum(1 << i for i in (set(ones) - clear) | fill)
                     assert (focal, other) == (want_focal, want_other)
                     assert pop.members == [want_focal] * 2 + [want_other] * 3
                     assert pop.fitnesses == [n] * 5 and (pop.low, pop.tied) == (n, 5)
@@ -212,8 +211,8 @@ def test_one_step_estimators_restart_every_trial_after_the_minimum_empties():
     # step from the population passed in, as ga_step on a fresh copy of it
     # does by hand.
     p = GaParams(n=12, k=2, mu=6, p_c=0.5, chi=1.0, seed=44)
-    focal = Genotype(0xFFC, 12)  # on the plateau: fitness 12
-    lower = Genotype(0xFF0, 12)  # 8 ones: fitness 10
+    focal = 0xFFC  # on the plateau: fitness 12
+    lower = 0xFF0  # 8 ones: fitness 10
     pop = Population((focal,) * 5 + (lower,), (12,) * 5 + (10,), 0)
     before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
     rng, twin = make_rng(44, 1), make_rng(44, 1)
@@ -239,13 +238,13 @@ def test_one_step_estimators_restart_every_trial_after_the_minimum_empties():
 def test_sampled_creation_frequency_matches_exact_probability_both_routes():
     n, k, d, pm = 12, 2, 1, 0.1
     full = (1 << n) - 1
-    a = Genotype(full ^ ((1 << k) - 1), n)
-    b = Genotype(full ^ (((1 << k) - 1) << d), n)
-    exact = exact_optimum_probability(a, b, pm)
+    a = full ^ ((1 << k) - 1)
+    b = full ^ (((1 << k) - 1) << d)
+    exact = exact_optimum_probability(a, b, n, pm)
     trials = 100_000
     se = math.sqrt(exact * (1 - exact) / trials)
 
-    mc = sample_optimum_creation_frequency(a, b, pm, trials, 3, 0)
+    mc = sample_optimum_creation_frequency(a, b, n, pm, trials, 3, 0)
     assert mc.trials == trials
     assert mc.hits == round(mc.frequency * trials)
     assert abs(mc.frequency - exact) <= 3 * se
@@ -254,8 +253,8 @@ def test_sampled_creation_frequency_matches_exact_probability_both_routes():
     rng = make_rng(3, 1)
     hits = 0
     for _ in range(trials):
-        child = standard_bit_mutation(uniform_crossover(a, b, rng), pm, rng)
-        hits += child.bits == full
+        child = standard_bit_mutation(uniform_crossover(a, b, n, rng), n, pm, rng)
+        hits += child == full
     assert abs(hits / trials - exact) <= 3 * se
 
 
@@ -264,8 +263,8 @@ def test_sampled_creation_frequency_is_pinned_across_batches_and_slabs():
     # is that of drawing each batch's two matrices whole.
     n = 12
     full = (1 << n) - 1
-    a, b = Genotype(full ^ 0b011, n), Genotype(full ^ 0b110, n)
-    mc = sample_optimum_creation_frequency(a, b, 0.1, 600_001, 5, 2)
+    a, b = full ^ 0b011, full ^ 0b110
+    mc = sample_optimum_creation_frequency(a, b, n, 0.1, 600_001, 5, 2)
     assert (mc.hits, mc.trials) == (5844, 600_001)
 
 
@@ -273,8 +272,8 @@ def test_sampled_creation_frequency_certain_event(monkeypatch):
     # A small batch runs the loop over many batches, the last one partial.
     monkeypatch.setattr(experiments, "_SAMPLE_BATCH", 64)
     n = 10
-    opt = Genotype((1 << n) - 1, n)
-    mc = sample_optimum_creation_frequency(opt, opt, 0.0, 1000, 1, 0)
+    opt = (1 << n) - 1
+    mc = sample_optimum_creation_frequency(opt, opt, n, 0.0, 1000, 1, 0)
     assert mc.frequency == 1.0
     assert mc.hits == 1000
     assert mc.stderr == 0.0
@@ -285,16 +284,9 @@ def test_sampled_creation_frequency_rejects_a_count_below_1_before_any_stream(mo
         raise AssertionError("a random stream was made before the trial count was checked")
 
     monkeypatch.setattr(experiments, "make_rng", no_stream)
-    g = Genotype((1 << 10) - 1, 10)
+    g = (1 << 10) - 1
     with pytest.raises(SettingError, match="must be positive"):
-        sample_optimum_creation_frequency(g, g, 0.1, 0, 1)
-
-
-def test_sampled_creation_frequency_rejects_parents_of_different_lengths_before_any_stream(monkeypatch):
-    made = record_streams(monkeypatch)
-    with pytest.raises(ValueError, match="genotype length mismatch: 10 != 11"):
-        sample_optimum_creation_frequency(Genotype(0, 10), Genotype(0, 11), 0.1, 100, 1)
-    assert made == []
+        sample_optimum_creation_frequency(g, g, 10, 0.1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +695,7 @@ def test_experiment_results_fit_population_invariants():
     p = GaParams(n=100, k=3, mu=8, p_c=1.0, chi=1.0, seed=14)
     pop, focal, other = two_species_population(p, 6, 2, make_rng(14, 0))
     assert Counter(pop.members) == {focal: 6, other: 2}
-    assert jump_fitness(focal, p.k) == jump_fitness(other, p.k) == p.n
+    assert jump_fitness(focal, p.n, p.k) == jump_fitness(other, p.n, p.k) == p.n
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from itertools import islice
 
 import pytest
 from reference import (
+    Genotype,
     check_population,
     hamming_distance,
     snapshot,
@@ -22,10 +23,10 @@ from reference import (
 from jumpga import (
     EventClass,
     GaParams,
-    Genotype,
     IntegrityError,
     Population,
     RandomStream,
+    StepTrace,
     StopCondition,
     estimate_transition,
     ga_step,
@@ -41,12 +42,11 @@ from jumpga import (
 
 
 def population_of(params: GaParams, *bits: int) -> Population:
-    members = tuple(Genotype(b, params.n) for b in bits)
-    return Population(members, tuple(jump_fitness(m, params.k) for m in members), 0)
+    return Population(bits, tuple(jump_fitness(b, params.n, params.k) for b in bits), 0)
 
 
 def multiset(pop: Population) -> Counter:
-    return Counter(g.bits for g in pop.members)
+    return Counter(pop.members)
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +60,8 @@ def test_init_uniform_is_deterministic_and_unbiased():
     for seed in range(100):
         pop = init_uniform(p, make_rng(seed, 0))
         assert len(pop.members) == 50
-        assert pop.fitnesses == [jump_fitness(g, p.k) for g in pop.members]
-        total += sum(g.bits.bit_count() for g in pop.members)
+        assert pop.fitnesses == [jump_fitness(g, p.n, p.k) for g in pop.members]
+        total += sum(g.bit_count() for g in pop.members)
     mean = total / (100 * 50)
     sigma_mean = math.sqrt(100 / 4) / math.sqrt(100 * 50)
     assert abs(mean - 50.0) <= 3 * sigma_mean
@@ -72,7 +72,7 @@ def test_init_monomorphic_plateau_is_one_species_at_plateau_fitness():
     pop = init_monomorphic_plateau(p, make_rng(5, 0))
     assert Counter(pop.members) == {pop.members[0]: 7}
     assert all(f == 20 for f in pop.fitnesses)
-    assert all(g.bits.bit_count() == 16 for g in pop.members)
+    assert all(g.bit_count() == 16 for g in pop.members)
 
 
 def test_init_monomorphic_plateau_is_uniform_over_plateau_strings():
@@ -82,7 +82,7 @@ def test_init_monomorphic_plateau_is_uniform_over_plateau_strings():
     for seed in range(10_000):
         p = GaParams(n=6, k=2, mu=3, p_c=0.5, chi=1.0, seed=seed)
         pop = init_monomorphic_plateau(p, make_rng(seed, 0))
-        counts[pop.members[0].bits] += 1
+        counts[pop.members[0]] += 1
     assert len(counts) == 15
     sigma = math.sqrt((1 / 15) * (14 / 15) / 10_000)
     for c in counts.values():
@@ -132,13 +132,13 @@ def manual_step(pop: Population, params: GaParams, rng) -> tuple[Population, dic
     if rng.uniform() < params.p_c:
         i, j = rng.index(mu), rng.index(mu)
         parents = (i, j)
-        child = uniform_crossover(pop.members[i], pop.members[j], rng)
-        child = standard_bit_mutation(child, params.p_m, rng)
+        child = uniform_crossover(pop.members[i], pop.members[j], params.n, rng)
+        child = standard_bit_mutation(child, params.n, params.p_m, rng)
     else:
         i = rng.index(mu)
         parents = (i,)
-        child = standard_bit_mutation(pop.members[i], params.p_m, rng)
-    cf = jump_fitness(child, params.k)
+        child = standard_bit_mutation(pop.members[i], params.n, params.p_m, rng)
+    cf = jump_fitness(child, params.n, params.k)
     low, ties = cf, [mu]
     for r in range(mu):
         f = pop.fitnesses[r]
@@ -309,7 +309,8 @@ def test_mutation_walk_is_the_no_flip_probability_and_follows_replace():
 
 
 # sha256 of 10^4-step trace streams: any change to a draw, a tie-break or a
-# record field changes the digest.
+# record field changes the digest.  Each genotype is hashed as the repr of a
+# (bits, n) ``Genotype`` pair, the text these digests were first taken on.
 TRACE_PINS = [
     pytest.param(
         40, 3, 12, 0.5, init_uniform,
@@ -346,14 +347,15 @@ def test_trace_stream_matches_pinned_digest(n, k, mu, p_c, start, digest, drive)
             tr.t,
             tr.event.value,
             tr.parent_indices,
-            tr.offspring,
+            Genotype(tr.offspring, n),
             tr.offspring_fitness,
             tr.removed_index,
-            tr.removed_genotype,
+            Genotype(tr.removed_genotype, n),
             tr.optimum_created,
         )
         h.update(repr(fields).encode())
-    h.update(repr((tuple(pop.members), tuple(pop.fitnesses), pop.generation)).encode())
+    members = tuple(Genotype(g, n) for g in pop.members)
+    h.update(repr((members, tuple(pop.fitnesses), pop.generation)).encode())
     assert h.hexdigest() == digest
     assert start_pop == before
 
@@ -402,16 +404,96 @@ def test_a_population_owns_its_storage():
     assert start == before and (start.low, start.tied) == (before.low, before.tied)
 
 
+def test_a_population_rewrites_its_one_step_record():
+    # The first step builds the record, every later one rewrites it; a copy of
+    # the population starts without one, and a copy of the record keeps its
+    # values across the next step.
+    params = GaParams(n=12, k=2, mu=4, p_c=0.5, chi=1.0, seed=5)
+    pop = init_uniform(params, make_rng(5, 0))
+    assert pop.last is None
+    rng = make_rng(5, 1)
+    _, first = ga_step(pop, params, rng)
+    assert first is pop.last
+    kept, text = replace(first), repr(first)
+    assert replace(pop).last is None
+    for t in range(2, 50):
+        _, trace = ga_step(pop, params, rng)
+        assert trace is pop.last is first and trace.t == t
+    assert repr(kept) == text and kept.t == 1
+
+
+def test_steps_yields_one_record_per_run():
+    params = GaParams(n=30, k=3, mu=8, p_c=0.5, chi=1.0, seed=6)
+    start = init_uniform(params, make_rng(6, 0))
+    records = [trace for _, _, trace in steps(start, params, make_rng(6, 1), 300)]
+    assert len(records) == 300 and all(trace is records[0] for trace in records)
+    assert start.last is None  # the start is never stepped
+
+
+def test_a_working_population_builds_its_step_record_once(monkeypatch):
+    built = 0
+    init = StepTrace.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(StepTrace, "__init__", counting)
+    params = GaParams(n=40, k=3, mu=12, p_c=0.5, chi=1.0, seed=7)
+    for start in (init_uniform, init_monomorphic_plateau):
+        pop = start(params, make_rng(7, 0))
+        built = 0
+        for _ in steps(pop, params, make_rng(7, 1), 1000):
+            pass
+        assert built == 1
+        built = 0
+        rng = make_rng(7, 2)
+        for _ in range(1000):
+            ga_step(pop, params, rng)
+        assert built == 1
+
+
+def test_run_copies_its_start_once(monkeypatch):
+    # Whether run steps or returns before its first step, it builds one
+    # population, and that population is not its start.
+    built = 0
+    init = Population.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    params = GaParams(n=40, k=3, mu=4, p_c=0.5, chi=1.0, seed=8)
+    uniform = init_uniform(params, make_rng(8, 0))
+    full = (1 << 40) - 1
+    cases = [
+        (uniform, StopCondition(max_iterations=100), "max_iterations", 100),
+        (uniform, StopCondition(max_iterations=0), "max_iterations", 0),
+        (population_of(params, full, full ^ 0b111, full ^ 1, 0), StopCondition(), "optimum_found", 0),
+        (init_monomorphic_plateau(params, make_rng(8, 1)), StopCondition(full_plateau=True), "full_plateau", 0),
+    ]
+    monkeypatch.setattr(Population, "__init__", counting)
+    for pop, stop, reason, iterations in cases:
+        built = 0
+        res = run(pop, params, stop, make_rng(8, 2))
+        assert (res.stop_reason, res.iterations, built) == (reason, iterations, 1)
+        assert res.population is not pop
+        if not iterations:
+            assert res.population == pop
+
+
 def test_check_population_rejects_a_corrupted_minimum_cache():
     params = GaParams(n=12, k=2, mu=4, p_c=0.5, chi=1.0, seed=0)
     pop = population_of(params, 0x0FF, 0x3FF, 0x0FF, 0xFFF)
     assert (pop.low, pop.tied) == (10, 2)
-    check_population(pop, params.k)
+    check_population(pop, params.n, params.k)
     for low, tied in ((11, 2), (10, 1), (4, 1)):
         bad = Population(pop.members, pop.fitnesses, pop.generation, low, tied)
         assert bad == pop  # the cache takes no part in equality
         with pytest.raises(IntegrityError):
-            check_population(bad, params.k)
+            check_population(bad, params.n, params.k)
 
 
 def test_minimum_cache_holds_after_every_chained_step():
@@ -428,12 +510,12 @@ def test_minimum_cache_holds_after_every_chained_step():
     for drive in (chain_ga_step, steps):
         for name, start in starts.items():
             pop = start()
-            check_population(pop, params.k)
+            check_population(pop, params.n, params.k)
             low, tied = pop.low, pop.tied
             for _, pop, trace in drive(pop, params, make_rng(12, 1), 500):
                 if tied == 1 and trace.removed_index < params.mu and trace.offspring_fitness > low:
                     recomputed[drive.__name__, name] += 1
-                check_population(pop, params.k)
+                check_population(pop, params.n, params.k)
                 low, tied = pop.low, pop.tied
     assert len(recomputed) == 2 * len(starts), dict(recomputed)
 
@@ -481,7 +563,7 @@ def test_step_trace_bookkeeping_matches_population_change():
         assert trace.t == t
         assert pop.generation == t
         assert len(pop.members) == params.mu
-        assert trace.offspring_fitness == jump_fitness(trace.offspring, params.k)
+        assert trace.offspring_fitness == jump_fitness(trace.offspring, params.n, params.k)
         assert trace.optimum_created == (trace.offspring_fitness == params.n + params.k)
         after = multiset(pop)
         if trace.removed_index == params.mu:
@@ -489,8 +571,8 @@ def test_step_trace_bookkeeping_matches_population_change():
         else:
             assert trace.removed_genotype == prev.members[trace.removed_index]
             expected = Counter(before)
-            expected[trace.offspring.bits] += 1
-            expected[trace.removed_genotype.bits] -= 1
+            expected[trace.offspring] += 1
+            expected[trace.removed_genotype] -= 1
             assert after == +expected
         if trace.optimum_created:
             break
@@ -516,7 +598,7 @@ def test_trajectory_invariants_hold_over_long_runs():
         elif min(pop.fitnesses) >= params.n:
             all_plateau_seen = True
         if t % 200 == 0:
-            check_population(pop, params.k)
+            check_population(pop, params.n, params.k)
         if trace.optimum_created:
             break
 
@@ -625,7 +707,7 @@ def test_runs_replay_identically_for_equal_seeds():
         out = []
         for _ in range(500):
             pop, trace = ga_step(pop, params, rng)
-            out.append((trace.event, trace.parent_indices, trace.offspring.bits, trace.removed_index))
+            out.append((trace.event, trace.parent_indices, trace.offspring, trace.removed_index))
             if trace.optimum_created:
                 break
         return out
@@ -642,13 +724,13 @@ def test_steps_chain_ga_step_on_the_same_stream():
 
     limit = 300
     rng = make_rng(21, 1)
-    # A yielded population lives until the next item: keep a copy of each.
-    got = [(t, snapshot(p), tr) for t, p, tr in steps(start, params, rng, limit)]
+    # A yielded population and trace live until the next item: keep a copy of each.
+    got = [(t, snapshot(p), replace(tr)) for t, p, tr in steps(start, params, rng, limit)]
     by_hand = []
     pop, hand_rng = snapshot(start), make_rng(21, 1)
     for _ in range(limit):
         pop, trace = ga_step(pop, params, hand_rng)
-        by_hand.append((snapshot(pop), trace))
+        by_hand.append((snapshot(pop), replace(trace)))
     assert [t for t, _, _ in got] == list(range(1, limit + 1))
     assert [(p, tr) for _, p, tr in got] == by_hand
     assert rng.uniform() == hand_rng.uniform()

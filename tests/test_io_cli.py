@@ -568,12 +568,10 @@ def test_oracle_values_match_library_calls(tmp_path):
     out = tmp_path / "oracle2"
     assert main(["oracle", "--out", str(out), "--n", "14", "--k", "3", "--d", "2"]) == 0
     payload = json.loads((out / "oracle.json").read_text())
-    from jumpga import Genotype
-
     full = (1 << 14) - 1
-    a = Genotype(full ^ 0b111, 14)
-    b = Genotype(full ^ (0b111 << 2), 14)
-    assert payload["exact_probability"] == exact_optimum_probability(a, b, 1 / 14)
+    a = full ^ 0b111
+    b = full ^ (0b111 << 2)
+    assert payload["exact_probability"] == exact_optimum_probability(a, b, 14, 1 / 14)
     assert payload["closed_form_lower_bound"] == optimum_creation_lower_bound(14, 3, 2, 1 / 14)
 
 
