@@ -2,10 +2,14 @@
 
 A species is the set of population members sharing one genotype.  Each
 tracker counts its quantity once, from a population, and then consumes step
-traces instead of recounting.  A step that changes the population costs O(1)
-for species sizes and O(species) for the distance histogram, which compares
+traces instead of recounting; ``apply`` returns whether the step changed the
+multiset, so a caller acts only on steps that did.  A step that changes the
+population costs O(1) for species sizes (O(species) when a copy leaves a
+largest species) and O(species) for the distance histogram, which compares
 the replaced and the new genotype with each species once, weighted by its
-size; a step that leaves the multiset unchanged costs O(1).
+size; a step that leaves the multiset unchanged costs O(1).  The trackers
+cache no answers: a caller that wants one object per unchanged stretch keeps
+it itself.
 """
 
 from __future__ import annotations
@@ -16,22 +20,23 @@ from .ga import IntegrityError, Population, StepTrace
 
 
 class SpeciesTracker:
-    """Incrementally maintained species sizes with O(1) largest-species updates.
+    """Incrementally maintained species sizes and the largest of them.
 
-    Keeps a histogram of class sizes so the maximum can be maintained under
-    single add/remove updates without scanning (the largest size moves by at
-    most one per applied step).
+    ``counts`` maps each genotype to its number of copies.  A step that
+    changes the multiset costs O(1), except when it takes a copy from a
+    species of the largest size: then ``largest`` is rescanned in O(species),
+    since that species may have been the only one of its size.
     """
 
     def __init__(self, pop: Population):
         self.counts: dict[int, int] = dict(Counter(pop.members))
-        self._size_hist: dict[int, int] = dict(Counter(self.counts.values()))
         self.largest: int = max(self.counts.values())
         self._mu = len(pop.members)
 
-    def apply(self, trace: StepTrace) -> None:
+    def apply(self, trace: StepTrace) -> bool:
+        """Apply one step; True if it changed the multiset."""
         if trace.removed_index == self._mu:
-            return  # offspring itself was removed; multiset unchanged
+            return False  # offspring itself was removed
         counts = self.counts
         gone = trace.removed_genotype
         s = counts.get(gone, 0)
@@ -39,33 +44,18 @@ class SpeciesTracker:
             raise IntegrityError(f"removal of absent genotype {gone}")
         new = trace.offspring
         if new == gone:
-            return  # one copy replaced by an identical one
-        hist = self._size_hist
-        # Remove one copy of ``gone`` (class size s -> s-1) ...
-        c = hist[s] - 1
-        if c:
-            hist[s] = c
-        else:
-            del hist[s]
-            if s == self.largest:
-                self.largest = s - 1
+            return False  # one copy replaced by an identical one
         if s > 1:
             counts[gone] = s - 1
-            hist[s - 1] = hist.get(s - 1, 0) + 1
         else:
             del counts[gone]
-        # ... then add one copy of ``new`` (class size a -> a+1).
-        a = counts.get(new, 0)
-        counts[new] = a + 1
-        if a:
-            c = hist[a] - 1
-            if c:
-                hist[a] = c
-            else:
-                del hist[a]
-        hist[a + 1] = hist.get(a + 1, 0) + 1
-        if a >= self.largest:
-            self.largest = a + 1
+        a = counts.get(new, 0) + 1
+        counts[new] = a
+        if a > self.largest:
+            self.largest = a
+        elif s == self.largest:
+            self.largest = max(counts.values())
+        return True
 
     def count(self, g: int) -> int:
         return self.counts.get(g, 0)
@@ -85,10 +75,10 @@ class PairwiseDistanceTracker:
     that changes the multiset costs O(species): the pairs of the replaced
     genotype with each remaining species move to their distance from the new
     one.  A step that leaves the multiset unchanged (offspring discarded, or a
-    member replaced by an identical copy) costs O(1) and keeps the cached
-    :meth:`frequencies` answer.  ``_members`` keeps the members in population
-    order, so each trace's removal index is checked against the member it
-    names.
+    member replaced by an identical copy) costs O(1).  :meth:`frequencies`
+    computes a fresh tuple in O(len(distances)) on every call.  ``_members``
+    keeps the members in population order, so each trace's removal index is
+    checked against the member it names.
     """
 
     def __init__(self, pop: Population):
@@ -106,23 +96,19 @@ class PairwiseDistanceTracker:
                 counts[d] = counts.get(d, 0) + ca * cb
         self.counts = counts
         self.total_pairs = mu * (mu - 1) // 2
-        # The last frequencies() answer and the distances it was asked for;
-        # dropped by the next apply() that changes ``counts``.
-        self._freq_distances: tuple[int, ...] | None = None
-        self._freqs: tuple[float, ...] = ()
 
-    def apply(self, trace: StepTrace) -> None:
+    def apply(self, trace: StepTrace) -> bool:
+        """Apply one step; True if it changed the multiset."""
         members = self._members
         r = trace.removed_index
         if r == len(members):
-            return
+            return False
         old = members[r]
         if old != trace.removed_genotype:
             raise IntegrityError("trace removal index does not match tracked member")
         new = trace.offspring
         if new == old:
-            return  # one copy replaced by an identical one
-        self._freq_distances = None
+            return False  # one copy replaced by an identical one
         members[r] = new
         species = self._species
         c = species[old] - 1
@@ -142,12 +128,10 @@ class PairwiseDistanceTracker:
                     del counts[d]
                 counts[e] = counts.get(e, 0) + copies
         species[new] = species.get(new, 0) + 1
+        return True
 
     def frequencies(self, distances) -> tuple[float, ...]:
-        """Share of pairs at each distance; the same tuple while the multiset is unchanged."""
-        if distances != self._freq_distances:
-            key = tuple(distances)
-            tp = self.total_pairs
-            self._freqs = tuple(self.counts.get(d, 0) / tp for d in key)
-            self._freq_distances = key
-        return self._freqs
+        """Share of pairs at each distance in ``distances``."""
+        counts = self.counts
+        tp = self.total_pairs
+        return tuple(counts.get(d, 0) / tp for d in distances)

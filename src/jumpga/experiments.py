@@ -327,8 +327,7 @@ def _take_over(
     pop = init_monomorphic_plateau(params, rng)
     tracker = SpeciesTracker(pop)
     for t, pop, trace in steps(pop, params, rng, cap):
-        tracker.apply(trace)
-        if 2 * tracker.largest <= params.mu:
+        if tracker.apply(trace) and 2 * tracker.largest <= params.mu:
             return pop, tracker, t
     return pop, tracker, None
 
@@ -418,7 +417,11 @@ def run_survival(
             if trace.optimum_created:
                 interrupted = True
                 break
-            tracker.apply(trace)
+            # An unchanged step repeats the last state checked.  Step 1 is
+            # checked regardless: a threshold that rounds down to mu/2 can
+            # already hold at takeover.
+            if not tracker.apply(trace) and m > 1:
+                continue
             if max_hit is None and tracker.largest >= threshold:
                 max_hit = m
             if tracker.count(focal) >= threshold:
@@ -454,7 +457,8 @@ class DistanceSeriesRun:
     """One replicate's series: ``rows`` holds ``(iteration, frequencies)``,
     one frequency per entry of ``distances``.  Consecutive rows hold the same
     frequency tuple object while the population's multiset is unchanged (the
-    tracker's cached answer), so a writer may format each object once."""
+    runner keeps its last tuple until a step changes the multiset), so a
+    writer may format each object once."""
 
     replicate: int
     iterations: int
@@ -485,16 +489,20 @@ def run_figure1(
     def replicate(r: int, rng: RandomStream) -> DistanceSeriesRun:
         pop = init_monomorphic_plateau(params, rng)
         tracker = PairwiseDistanceTracker(pop)
-        rows = [(0, tracker.frequencies(distances))]
+        freqs = tracker.frequencies(distances)
+        rows = [(0, freqs)]
         found = False
         t = 0
         for t, _, trace in steps(pop, params, rng, cap):
             if trace.optimum_created:
                 found = True
                 break
-            tracker.apply(trace)
+            if tracker.apply(trace):
+                freqs = None  # recomputed at the next row
             if t % stride == 0:
-                rows.append((t, tracker.frequencies(distances)))
+                if freqs is None:
+                    freqs = tracker.frequencies(distances)
+                rows.append((t, freqs))
         return DistanceSeriesRun(r, t, found, distances, tuple(rows))
 
     return _cells(params.seed, replicates, replicate)

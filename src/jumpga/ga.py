@@ -69,8 +69,9 @@ class Population:
     ``low`` and ``tied`` cache the minimum fitness and the number of members
     at it, so that :func:`ga_step` picks the removed member without scanning
     all mu fitnesses.  The invariant is ``low == min(fitnesses)`` and
-    ``tied == fitnesses.count(low)``; both are derived, so they take no part
-    in ``==`` or ``repr``, and are computed from ``fitnesses`` when not passed.
+    ``tied == fitnesses.count(low)``; both are derived, so construction
+    computes them from ``fitnesses`` and they take no part in ``==`` or
+    ``repr``.
 
     ``last`` is the population's step record: None until its first
     :func:`ga_step`, which builds it; every later step rewrites it in place.
@@ -81,16 +82,15 @@ class Population:
     members: list[int]
     fitnesses: list[int]
     generation: int = 0
-    low: int | None = field(default=None, compare=False, repr=False)
-    tied: int = field(default=0, compare=False, repr=False)
+    low: int = field(init=False, compare=False, repr=False)
+    tied: int = field(init=False, compare=False, repr=False)
     last: StepTrace | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.members = list(self.members)
         self.fitnesses = fits = list(self.fitnesses)
-        if self.low is None:
-            self.low = low = min(fits)
-            self.tied = fits.count(low)
+        self.low = low = min(fits)
+        self.tied = fits.count(low)
 
 
 class IntegrityError(Exception):

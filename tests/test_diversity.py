@@ -114,6 +114,8 @@ def test_species_tracker_matches_full_census_after_every_step():
 
 
 def test_species_tracker_state_equals_a_fresh_census_after_every_chained_step():
+    # ``largest`` grows without a scan and is rescanned only when a copy leaves
+    # a species of the largest size; both branches must run from each start.
     params = GaParams(n=14, k=3, mu=10, p_c=0.7, chi=1.0, seed=45)
     starts = {
         "uniform": lambda rng: init_uniform(params, rng),
@@ -124,16 +126,25 @@ def test_species_tracker_state_equals_a_fresh_census_after_every_chained_step():
         rng = make_rng(45, 0)
         pop = start(rng)
         tracker = SpeciesTracker(pop)
-        same = 0
+        census = Counter(pop.members)
+        same = raised = rescanned = 0
         for _, pop, trace in steps(pop, params, rng, 500):
-            tracker.apply(trace)
+            largest = tracker.largest
+            changed = tracker.apply(trace)
             same += trace.removed_index < params.mu and trace.offspring == trace.removed_genotype
             census_now = Counter(pop.members)
+            assert changed == (census_now != census), name
+            if changed:
+                raised += census_now[trace.offspring] > largest
+                rescanned += (
+                    census[trace.removed_genotype] == largest
+                    and census_now[trace.offspring] <= largest
+                )
+            census = census_now
             assert tracker.counts == census_now, name
             assert tracker.largest == max(census_now.values()), name
-            assert tracker._size_hist == Counter(census_now.values()), name
             assert census_now[tracker.largest_class()] == tracker.largest, name
-        assert same > 0, name
+        assert same > 0 and raised > 0 and rescanned > 0, (name, same, raised, rescanned)
 
 
 def test_pairwise_tracker_matches_full_histogram_after_every_step():
@@ -167,8 +178,9 @@ def test_pairwise_tracker_matches_a_fresh_tracker_at_figure1_shape():
         emptied = grown = 0
         for _, after, trace in steps(pop, params, rng, 1500):
             before = Counter(pop.members)
-            tracker.apply(trace)
-            if trace.removed_index < params.mu and trace.offspring != trace.removed_genotype:
+            changed = tracker.apply(trace)
+            assert changed == (Counter(after.members) != before), name
+            if changed:
                 emptied += before[trace.removed_genotype] == 1
                 grown += before[trace.offspring] > 0
             pop = snapshot(after)  # ``after`` is advanced in place by the next item

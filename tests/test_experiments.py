@@ -379,6 +379,12 @@ def test_survival_monitoring_small_run():
         2000**2 * math.exp(-4 * 9.8795748e-4), rel=1e-6
     )
     assert s.tail_is_vacuous
+    # A lam within rounding of 1/2 gives the threshold mu/2, which the focal
+    # species already meets at takeover, so the first step hits even when it
+    # leaves the multiset unchanged.
+    s = run_survival(p, replicates=6, lam=0.5 + 1e-12, t_max=2000)
+    assert s.threshold == 2
+    assert all(r.focal_hit_time == r.max_hit_time == 1 for r in s.replicates)
 
 
 def test_survival_monitoring_stops_at_the_step_that_creates_the_optimum():

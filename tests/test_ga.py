@@ -490,7 +490,8 @@ def test_check_population_rejects_a_corrupted_minimum_cache():
     assert (pop.low, pop.tied) == (10, 2)
     check_population(pop, params.n, params.k)
     for low, tied in ((11, 2), (10, 1), (4, 1)):
-        bad = Population(pop.members, pop.fitnesses, pop.generation, low, tied)
+        bad = Population(pop.members, pop.fitnesses, pop.generation)
+        bad.low, bad.tied = low, tied
         assert bad == pop  # the cache takes no part in equality
         with pytest.raises(IntegrityError):
             check_population(bad, params.n, params.k)
