@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .core import SettingError, _binomial_walk
+from .core import SettingError, _no_flip
 
 _E = math.e
 
@@ -37,12 +37,12 @@ def _power_product(factors) -> float:
 
 def no_flip_probability(chi: float, n: int) -> float:
     """Probability that mutation at rate chi/n flips no bit: (1 - chi/n)^n,
-    the start of the simulator's flip-count walk (``GaParams.mutation_walk``)."""
+    the first entry of the simulator's flip-count table (``GaParams.mutation_cdf``)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= chi <= n:
         raise ValueError(f"chi must lie in [0, n], got {chi}")
-    return _binomial_walk(n, chi / n)[0]
+    return _no_flip(n, chi / n)
 
 
 def optimum_creation_lower_bound(n: int, k: int, d: int, p_m: float) -> float:

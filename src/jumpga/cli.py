@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 import traceback
@@ -107,9 +108,16 @@ def _defaults(subcommand: str) -> dict:
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser for ``argv`` (default ``sys.argv[1:]``): every subcommand with its help
-    line, and the options of the subcommand ``argv`` names, or of all when it names none."""
+    line, and the options of the subcommand ``argv`` names, or of all when it names none.
+
+    Built once per subcommand named and then shared by every later call, so a
+    caller must not modify it."""
     first = (sys.argv[1:] if argv is None else argv)[:1]
-    only = first[0] if first and first[0] in _HANDLERS else None
+    return _parser(first[0] if first and first[0] in _HANDLERS else None)
+
+
+@functools.cache
+def _parser(only: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumpga",
         description="Steady-state (mu+1) GA laboratory on jump fitness functions",

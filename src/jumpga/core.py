@@ -10,15 +10,19 @@ one iterator over blocks of a counter-seeded PCG64 generator with explicit
 ``(seed, stream)`` indexing, so every run is replayable and independent
 replicates/grid cells get provably disjoint streams.  numpy is imported by
 :func:`make_rng`, not by this module, so a CLI run that makes no stream
-(``--help``, ``bounds``, a usage error) never loads it.  The variation
-operators run inline in :func:`jumpga.ga.ga_step`; their one-at-a-time
-reference versions, which the tests hold the kernel to, live in
-``tests/reference.py``.
+(``--help``, ``bounds``, a usage error) never loads it.  A mutation's flip
+count is one bisection of the Binomial(n, chi/n) table of
+:func:`_binomial_cdf`, built once per :class:`GaParams`; it is the package's
+one inverse CDF, which :meth:`RandomStream.binomial` bisects too.  The
+variation operators run inline in :func:`jumpga.ga.ga_step`; their
+one-at-a-time reference versions, which the tests hold the kernel to, live
+in ``tests/reference.py`` with the walk that the table replaced.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -66,9 +70,10 @@ class GaParams:
         ``chi / n``.
     seed : int
         Base seed (64-bit, non-negative) from which all streams derive.
-    mutation_walk : tuple[float, float]
-        Derived, not settable: ``_binomial_walk(n, p_m)``, which ``ga_step``
-        runs inline, or leaves to ``RandomStream.binomial`` when its start is 0.
+    mutation_cdf : tuple[float, ...]
+        Derived, not settable: ``_binomial_cdf(n, p_m)``, the flip-count
+        table that ``ga_step`` bisects, or ``()`` when it leaves the count to
+        ``RandomStream.binomial``.
     """
 
     n: int
@@ -77,7 +82,7 @@ class GaParams:
     p_c: float
     chi: float
     seed: int = 1
-    mutation_walk: tuple[float, float] = field(init=False, repr=False, compare=False)
+    mutation_cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -92,7 +97,7 @@ class GaParams:
             raise SettingError(f"chi must lie in (0, n], got {self.chi}")
         if not 0 <= self.seed < 2**64:
             raise SettingError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
-        object.__setattr__(self, "mutation_walk", _binomial_walk(self.n, self.p_m))
+        object.__setattr__(self, "mutation_cdf", _binomial_cdf(self.n, self.p_m))
 
     @property
     def p_m(self) -> float:
@@ -159,31 +164,50 @@ class RandomStream:
         return out & ((1 << nbits) - 1)
 
     def binomial(self, n: int, p: float) -> int:
-        """Binomial(n, p) variate via the walk of :func:`_binomial_walk` on one uniform."""
+        """Binomial(n, p) variate: the table of :func:`_binomial_cdf` bisected at one uniform."""
         if p <= 0.0:
             return 0
         if p >= 1.0:
             return n
-        c, ratio = _binomial_walk(n, p)
-        if c == 0.0:
+        cdf = _binomial_cdf(n, p)
+        if not cdf:
             # (1-p)^n underflowed; fall back to the generator's own sampler.
             return int(self.generator.binomial(n, p))
-        u = self._next()
-        cum = c
-        m = 0
-        while u > cum and m < n:
-            m += 1
-            c *= ratio * (n - m + 1) / m
-            cum += c
-        return m
+        m = bisect_left(cdf, self._next())
+        return m if m < len(cdf) else n
 
 
-def _binomial_walk(n: int, p: float) -> tuple[float, float]:
-    """Start (1-p)^n and ratio p/(1-p) of the Binomial(n, p) inverse-CDF walk
-    (start 0.0 at p = 1): the one evaluation of (1-p)^n, for walks and bounds."""
-    if p >= 1.0:
-        return 0.0, math.inf
-    return math.exp(n * math.log1p(-p)), p / (1.0 - p)
+def _no_flip(n: int, p: float) -> float:
+    """(1-p)^n, 0.0 at p = 1: the one evaluation of it, for the flip-count table and bounds."""
+    return math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
+
+
+def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
+    """Running sums of the Binomial(n, p) terms, as the inverse-CDF walk adds them.
+
+    Entry m is the walk's ``cum`` after term m: the first term is (1-p)^n, and
+    each next one is the last times ``p/(1-p) * (n-m+1) / m``, with the walk's
+    float operations in its order.  The table stops at a sum of 1.0 or more,
+    after a zero term, or at m = n.  So for a uniform ``u`` in [0, 1) the walk's
+    count, its first m with ``u <= cum``, is ``bisect_left(table, u)``, and an
+    index past the end means n.  Empty when (1-p)^n underflows or p = 1.  It
+    has at most n + 1 entries, and about 2 000 at most at any n: (1-p)^n
+    underflows once np passes about 745, and below that the terms underflow
+    soon after the mean.
+    """
+    c = _no_flip(n, p)
+    if not c:
+        return ()
+    ratio = p / (1.0 - p)
+    cum = c
+    cdf = [cum]
+    m = 0
+    while cum < 1.0 and c and m < n:
+        m += 1
+        c *= ratio * (n - m + 1) / m
+        cum += c
+        cdf.append(cum)
+    return tuple(cdf)
 
 
 def _blocks(generator: np.random.Generator, size: int, current: list):

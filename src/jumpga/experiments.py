@@ -392,7 +392,8 @@ def run_survival(
 ) -> SurvivalSummary:
     """After takeover (largest species first <= mu/2), monitor for t_max steps
     whether the species that was largest at that moment -- and separately the
-    running maximum over all species -- ever regrows to lam*mu.
+    running maximum over all species -- ever regrows to lam*mu: to
+    ceil(lam*mu) members, and always to more than mu/2.
 
     Monitoring stops early once the focal outcome is decided or if the
     optimum is created (the plateau regime of interest ends there); such
@@ -403,7 +404,9 @@ def run_survival(
     check_at_least(1, replicates=replicates, t_max=t_max)
     cap = _takeover_cap(params, max_iterations)
     c_surv = survival_constant(lam, params.chi, params.p_c)
-    threshold = math.ceil(lam * params.mu - 1e-9)
+    # The tolerance keeps an exact lam*mu from rounding up; the floor of
+    # mu//2 + 1 keeps a lam within it of 1/2 from rounding down to mu/2.
+    threshold = max(math.ceil(lam * params.mu - 1e-9), params.mu // 2 + 1)
 
     def replicate(r: int, rng: RandomStream) -> SurvivalReplicate:
         pop, tracker, hit = _take_over(params, rng, cap)
@@ -417,10 +420,9 @@ def run_survival(
             if trace.optimum_created:
                 interrupted = True
                 break
-            # An unchanged step repeats the last state checked.  Step 1 is
-            # checked regardless: a threshold that rounds down to mu/2 can
-            # already hold at takeover.
-            if not tracker.apply(trace) and m > 1:
+            # An unchanged step repeats the last state checked, and no
+            # species meets the threshold at takeover.
+            if not tracker.apply(trace):
                 continue
             if max_hit is None and tracker.largest >= threshold:
                 max_hit = m

@@ -22,6 +22,7 @@ built by its first step and rewritten in place by every later one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -171,7 +172,8 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     (2) parent index draws (two with crossover, else one; with replacement),
     (3) crossover mask bits, ceil(n/53) words (crossover only; equal parents
         draw them and leave them unused, as their child is the parent),
-    (4) mutation flip count, then flip positions (ascending Floyd draws),
+    (4) mutation flip count m, one uniform, then m flip positions (ascending
+        Floyd draws; none when m = n),
     (5) removal tie-break index, drawn only when two or more candidates tie
         at the minimum fitness of the extended multiset.  The candidates are
         ordered with the offspring (index mu) first when it ties, then the
@@ -182,8 +184,11 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     returns the results, of ``RandomStream.index`` and ``jump_fitness`` and of
     the reference operators ``uniform_crossover`` and ``standard_bit_mutation``
     in ``tests/reference.py``.
-    Every step of a run runs ``params.mutation_walk`` inline, or every one
-    calls ``RandomStream.binomial`` (p_m = 1, or (1-p_m)^n underflows).
+    The flip count is ``bisect_left(params.mutation_cdf, u)``, the count that
+    ``RandomStream.binomial`` draws, with an index past the table's end
+    meaning n; a count of 1 flips its one Floyd position inline.  When the
+    table is empty (p_m = 1, or (1-p_m)^n underflows), every step of the run
+    calls ``RandomStream.binomial`` instead.
 
     The minimum cache carries over: ``low`` and ``tied`` are read from ``pop``
     and written back to it.  They are unchanged when the offspring is removed
@@ -218,21 +223,16 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     else:
         parents = (i,)
         event = _MUTATION
-    c, ratio = params.mutation_walk
-    if c:  # RandomStream.binomial's walk
-        u = draw()
-        cum = c
-        m = 0
-        while u > cum and m < n:
-            m += 1
-            c *= ratio * (n - m + 1) / m
-            cum += c
-    else:
-        m = rng.binomial(n, params.p_m)
-    if m == n:
-        bits ^= (1 << n) - 1
+    cdf = params.mutation_cdf
+    m = bisect_left(cdf, draw()) if cdf else rng.binomial(n, params.p_m)
+    if m == 1:
+        t = int(draw() * n)  # _floyd_mask's one draw for m = 1, and its clamp
+        bits ^= 1 << (t if t < n else n - 1)
     elif m:
-        bits ^= _floyd_mask(rng, n, m)
+        if m == n or m == len(cdf):  # an index just past the table's end also means n
+            bits ^= (1 << n) - 1
+        else:
+            bits ^= _floyd_mask(rng, n, m)
     ones = bits.bit_count()
     k = params.k
     child_fit = k + ones if ones == n or ones <= n - k else n - ones

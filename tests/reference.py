@@ -5,7 +5,8 @@ operators written one at a time, with the same draws: ``manual_step`` and the
 twin-stream tests chain them draw for draw against the kernel, and the
 distribution tests check their law.  ``check_population`` recomputes a
 population's caches from its members, ``snapshot`` keeps a population's state
-across an in-place step, and ``floyd_reference`` is Floyd's sampler on a set.
+across an in-place step, ``floyd_reference`` is Floyd's sampler on a set, and
+``binomial_walk`` is the flip-count walk that the bisected table replaces.
 Genotypes are packed ints, as in the package; ``Genotype`` is the
 ``(bits, n)`` pair that the package once stored, kept here only so that
 pinned digests hash the text they always hashed.
@@ -57,6 +58,25 @@ def standard_bit_mutation(g: int, n: int, p_m: float, rng: RandomStream) -> int:
     if m == n:
         return g ^ ((1 << n) - 1)
     return g ^ _floyd_mask(rng, n, m)
+
+
+def binomial_walk(n: int, p: float, u: float) -> int:
+    """Binomial(n, p) count of the uniform ``u`` by the inverse-CDF walk, as
+    first written: the first m with ``u <= cum``, where ``cum`` adds the terms
+    from (1-p)^n on, each the last times ``p/(1-p) * (n-m+1) / m``; n when
+    there is none.  For 0 < p < 1 with (1-p)^n above 0.
+    """
+    c = math.exp(n * math.log1p(-p))
+    ratio = p / (1.0 - p)
+    cum = c
+    m = 0
+    while u > cum and m < n:
+        if not c:  # every later term is 0 too, so the walk runs on to n
+            return n
+        m += 1
+        c *= ratio * (n - m + 1) / m
+        cum += c
+    return m
 
 
 def floyd_reference(rng, n: int, m: int) -> tuple[set[int], int]:

@@ -6,14 +6,21 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import floyd_reference, hamming_distance, standard_bit_mutation, uniform_crossover
+from reference import (
+    binomial_walk,
+    floyd_reference,
+    hamming_distance,
+    standard_bit_mutation,
+    uniform_crossover,
+)
 
 from jumpga import GaParams, jump_fitness, make_rng
-from jumpga.core import RandomStream, _floyd_mask
+from jumpga.core import RandomStream, _binomial_cdf, _floyd_mask
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +365,44 @@ def test_interleaved_binomial_settings_equal_draws_on_fresh_streams():
         for _ in range(used):
             fresh.uniform()
         assert rng.binomial(n, p) == fresh.binomial(n, p)
+
+
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 12, 40, 100, 200, 10**6, 10**9])
+def test_bisected_cdf_is_the_walk_at_every_boundary(n):
+    cells = 0
+    for chi in (0.25, 1.0, 2.0, 500.0, n / 2, float(n)):
+        if chi > n:
+            continue
+        p = chi / n
+        cdf = _binomial_cdf(n, p)
+        if p == 1.0 or math.exp(n * math.log1p(-p)) == 0.0:
+            assert cdf == ()
+            continue
+        assert 0 < len(cdf) <= n + 1
+        rng = make_rng(119, n)
+        us = [0.0, BELOW_ONE] + [rng.uniform() for _ in range(10_000)]
+        for cum in cdf:
+            us += [math.nextafter(cum, 0.0), cum, math.nextafter(cum, 2.0)]
+        for u in us:
+            if u < 1.0:
+                m = bisect_left(cdf, u)
+                assert (m if m < len(cdf) else n) == binomial_walk(n, p, u), (chi, u)
+        twin = make_rng(119, n)  # RandomStream.binomial bisects the same table
+        for u in us[2:202]:
+            assert twin.binomial(n, p) == binomial_walk(n, p, u)
+        cells += 1
+    assert cells >= 3
+
+
+def test_binomial_cdf_stays_short_at_any_n():
+    # The terms underflow soon after the mean, so the table's length does not grow with n.
+    assert len(GaParams(n=10**9, k=1, mu=2, p_c=0.5, chi=1.0).mutation_cdf) < 2000
+    assert len(GaParams(n=10**6, k=1, mu=2, p_c=0.5, chi=500.0).mutation_cdf) < 2000
+    assert _binomial_cdf(10**6, 0.5) == ()  # (1-p)^n underflows
+    assert _binomial_cdf(40, 1.0) == ()
 
 
 def test_binomial_edge_rates_and_moments():

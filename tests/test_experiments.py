@@ -359,7 +359,7 @@ def test_takeover_is_deterministic():
 # survival monitoring
 
 
-def test_survival_monitoring_small_run():
+def test_survival_monitoring_small_run(monkeypatch):
     p = GaParams(n=30, k=3, mu=4, p_c=0.5, chi=1.0, seed=9)
     s = run_survival(p, replicates=3, lam=0.75, t_max=2000)
     assert s.threshold == 3  # ceil(0.75 * 4)
@@ -379,12 +379,28 @@ def test_survival_monitoring_small_run():
         2000**2 * math.exp(-4 * 9.8795748e-4), rel=1e-6
     )
     assert s.tail_is_vacuous
-    # A lam within rounding of 1/2 gives the threshold mu/2, which the focal
-    # species already meets at takeover, so the first step hits even when it
-    # leaves the multiset unchanged.
+    # A lam within rounding of 1/2 still needs more than mu/2 members, which
+    # no species has at takeover, so monitoring reads the tracker only after
+    # a step that changed the multiset.
+    events = []
+    apply, count = SpeciesTracker.apply, SpeciesTracker.count
+
+    def logged_apply(self, trace):
+        events.append(apply(self, trace))
+        return events[-1]
+
+    def logged_count(self, g):
+        events.append("count")
+        return count(self, g)
+
+    monkeypatch.setattr(SpeciesTracker, "apply", logged_apply)
+    monkeypatch.setattr(SpeciesTracker, "count", logged_count)
     s = run_survival(p, replicates=6, lam=0.5 + 1e-12, t_max=2000)
-    assert s.threshold == 2
-    assert all(r.focal_hit_time == r.max_hit_time == 1 for r in s.replicates)
+    assert s.threshold == 3
+    assert s.monitored_replicates == 6
+    reads = [i for i, e in enumerate(events) if e == "count"]
+    assert reads and all(events[i - 1] is True for i in reads)
+    assert len(reads) < sum(r.monitored_iterations for r in s.replicates)  # some were skipped
 
 
 def test_survival_monitoring_stops_at_the_step_that_creates_the_optimum():

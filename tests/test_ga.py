@@ -10,9 +10,11 @@ from collections import Counter
 from dataclasses import replace
 from itertools import islice
 
+import numpy as np
 import pytest
 from reference import (
     Genotype,
+    binomial_walk,
     check_population,
     hamming_distance,
     snapshot,
@@ -274,8 +276,9 @@ def test_equal_parent_step_matches_manual_step_across_a_refill(offset):
     ],
 )
 def test_each_run_takes_one_mutation_path_fixed_by_its_params(monkeypatch, n, chi, reaches_binomial):
-    # Fresh streams, so each run's first step is covered too: the inline walk
-    # makes no RandomStream.binomial call, the two edge settings one per step.
+    # Fresh streams, so each run's first step is covered too: the table
+    # bisection makes no RandomStream.binomial call, the two edge settings
+    # (an empty table) one per step.
     calls = []
     binomial = RandomStream.binomial
 
@@ -292,20 +295,56 @@ def test_each_run_takes_one_mutation_path_fixed_by_its_params(monkeypatch, n, ch
     assert calls == ([(n, chi / n)] * 120 if reaches_binomial else [])
 
 
-def test_mutation_walk_is_the_no_flip_probability_and_follows_replace():
+def test_mutation_cdf_starts_at_the_no_flip_probability_and_follows_replace():
     for n in (2, 10, 100, 1000):
         for chi in (0.25, 1.0, 2.0, n / 2, n):
             params = GaParams(n=n, k=1, mu=2, p_c=0.5, chi=chi)
-            start, ratio = params.mutation_walk
-            assert start == no_flip_probability(chi, n)  # bit for bit
-            if chi < n:
-                assert ratio == params.p_m / (1 - params.p_m)
+            if params.mutation_cdf:
+                assert params.mutation_cdf[0] == no_flip_probability(chi, n)  # bit for bit
+            else:  # p_m = 1, or (1 - p_m)^n underflows
+                assert chi == n or no_flip_probability(chi, n) == 0.0
     params = GaParams(n=100, k=3, mu=4, p_c=0.5, chi=1.0)
     moved = replace(params, chi=2.0)
-    assert moved.mutation_walk == (no_flip_probability(2.0, 100), 0.02 / 0.98)
-    assert moved.mutation_walk != params.mutation_walk
-    assert replace(moved, chi=1.0) == params  # the walk is derived, not compared
-    assert replace(params, chi=100.0).mutation_walk[0] == 0.0
+    assert moved.mutation_cdf[0] == no_flip_probability(2.0, 100)
+    assert moved.mutation_cdf != params.mutation_cdf
+    assert replace(moved, chi=1.0) == params  # the table is derived, not compared
+    assert replace(params, chi=100.0).mutation_cdf == ()
+
+
+class ScriptedGenerator:
+    """Stands in for a numpy generator: its uniforms are ``values``, then 0.5."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size):
+        block, self.values = self.values[:size], self.values[size:]
+        return np.array(block + [0.5] * (size - len(block)))
+
+
+def scripted_stream(values) -> RandomStream:
+    """A stream whose uniforms are ``values`` in order, then 0.5: it reaches
+    draws that a seeded stream makes with negligible probability."""
+    return RandomStream(ScriptedGenerator(values))
+
+
+@pytest.mark.parametrize("n,chi", [(200, 100.0), (10**6, 500.0)])
+def test_a_flip_count_past_the_table_end_flips_every_bit(n, chi):
+    # Both tables end below 1.0: at n = 200 after the term of m = n, at
+    # n = 10^6 after a zero term.  The largest uniform falls past the end,
+    # where the walk's count is n.
+    params = GaParams(n=n, k=1, mu=2, p_c=0.0, chi=chi)
+    below_one = math.nextafter(1.0, 0.0)
+    assert params.mutation_cdf[-1] < below_one
+    assert binomial_walk(n, params.p_m, below_one) == n
+    for u in (params.mutation_cdf[-1], below_one):
+        count = binomial_walk(n, params.p_m, u)
+        assert scripted_stream([u]).binomial(n, params.p_m) == count
+        # Mutation only, from two all-zero members: coin, parent index, flip
+        # count, flip positions (Floyd's draws, 0.5 each), then the tie-break.
+        pop = Population([0, 0], [1, 1])
+        _, trace = ga_step(pop, params, scripted_stream([0.5, 0.0, u]))
+        assert trace.offspring.bit_count() == count
 
 
 # sha256 of 10^4-step trace streams: any change to a draw, a tie-break or a

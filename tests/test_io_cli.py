@@ -3,6 +3,7 @@ exit codes, and byte-level determinism of emitted artifacts."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -280,6 +281,35 @@ def test_argparse_failures_exit_2_and_help_exits_0(capsys):
     assert main(["nosuchcommand"]) == 2
     assert main(["run", "--bogus"]) == 2
     assert main(["--help"]) == 0
+    capsys.readouterr()
+
+
+def test_repeated_main_calls_reuse_one_parser(tmp_path, monkeypatch, capsys):
+    argv = ["bounds", "--out", str(tmp_path / "o"), "--mus", "4", "--n", "20", "--format", "csv"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+    assert cli.build_parser(argv) is cli.build_parser(["bounds"])
+    assert cli.build_parser(["run"]) is not cli.build_parser(["bounds"])
+    capsys.readouterr()
+
+
+def test_a_reused_parser_still_exits_0_on_help_and_2_on_a_usage_error(capsys):
+    for _ in range(2):
+        assert main(["run", "--help"]) == 0
+        assert main(["run", "--bogus"]) == 2
+        assert main(["run", "--mu", "x"]) == 2
+        assert main(["--help"]) == 0
+        assert main([]) == 2
+        assert parse_cli(["run", "--mu", "8"])["mu"] == 8
     capsys.readouterr()
 
 
