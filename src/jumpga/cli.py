@@ -272,16 +272,16 @@ def _cmd_figure1(params: GaParams, cfg: dict, out: Path) -> int:
     )
     header = ("iteration",) + tuple(f"d{d}" for d in runs[0].distances)
     for dr in runs:
-        write_series_csv(dr.rows, out / f"figure1_seed{dr.replicate}.csv", header)
+        write_series_csv(dr.runs, out / f"figure1_seed{dr.replicate}.csv", header)
         if cfg["svg"]:
             render_svg(
-                dr.rows,
+                dr.runs,
                 out / f"figure1_seed{dr.replicate}.svg",
                 dr.distances,
                 title=f"pairwise distance frequencies (stream {dr.replicate})",
             )
     write_json(
-        {"runs": [_fields_except(dr, "distances", "rows") for dr in runs]},
+        {"runs": [_fields_except(dr, "distances", "runs") for dr in runs]},
         out / "figure1_summary.json",
     )
     return 0

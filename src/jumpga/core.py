@@ -12,8 +12,9 @@ replicates/grid cells get provably disjoint streams.  numpy is imported by
 :func:`make_rng`, not by this module, so a CLI run that makes no stream
 (``--help``, ``bounds``, a usage error) never loads it.  A mutation's flip
 count is one bisection of the Binomial(n, chi/n) table of
-:func:`_binomial_cdf`, built once per :class:`GaParams`; it is the package's
-one inverse CDF, which :meth:`RandomStream.binomial` bisects too.  The
+:func:`_binomial_cdf`, built once per (n, p) and shared by every
+:class:`GaParams` and :meth:`RandomStream.binomial` call that asks for it; it
+is the package's one inverse CDF.  The
 variation operators run inline in :func:`jumpga.ga.ga_step`; their
 one-at-a-time reference versions, which the tests hold the kernel to, live
 in ``tests/reference.py`` with the walk that the table replaced.
@@ -21,6 +22,7 @@ in ``tests/reference.py`` with the walk that the table replaced.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -182,6 +184,7 @@ def _no_flip(n: int, p: float) -> float:
     return math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
 
 
+@functools.lru_cache(maxsize=64)
 def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
     """Running sums of the Binomial(n, p) terms, as the inverse-CDF walk adds them.
 
@@ -193,7 +196,8 @@ def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
     index past the end means n.  Empty when (1-p)^n underflows or p = 1.  It
     has at most n + 1 entries, and about 2 000 at most at any n: (1-p)^n
     underflows once np passes about 745, and below that the terms underflow
-    soon after the mean.
+    soon after the mean.  The last 64 tables asked for are kept, so a caller
+    that draws many counts at one (n, p) builds its table once.
     """
     c = _no_flip(n, p)
     if not c:

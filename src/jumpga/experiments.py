@@ -456,17 +456,24 @@ def run_survival(
 
 @dataclass(frozen=True)
 class DistanceSeriesRun:
-    """One replicate's series: ``rows`` holds ``(iteration, frequencies)``,
-    one frequency per entry of ``distances``.  Consecutive rows hold the same
-    frequency tuple object while the population's multiset is unchanged (the
-    runner keeps its last tuple until a step changes the multiset), so a
-    writer may format each object once."""
+    """One replicate's series as its unchanged stretches: ``runs`` holds
+    ``(iterations, frequencies)``, where ``iterations`` is a range of row
+    times, stepping by the stride, over which the population's multiset did
+    not change, and ``frequencies`` has one entry per item of ``distances``.
+    Each stretch starts at the first row time after a step that changed the
+    multiset, so consecutive stretches may still hold equal values."""
 
     replicate: int
     iterations: int
     found_optimum: bool
     distances: tuple[int, ...]
-    rows: tuple[tuple[int, tuple[float, ...]], ...]
+    runs: tuple[tuple[range, tuple[float, ...]], ...]
+
+    @property
+    def rows(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
+        """One ``(iteration, frequencies)`` per row, each stretch's tuple
+        object repeated over its rows."""
+        return tuple((t, freqs) for times, freqs in self.runs for t in times)
 
 
 def run_figure1(
@@ -479,7 +486,9 @@ def run_figure1(
     population *before* the optimum appears, so every pairwise distance is
     even and at most 2k; row 0 is the initial population.  Rows come every
     ``stride`` steps (default 1 up to mu = 64, else 10); the cap defaults to
-    10**7 iterations.
+    10**7 iterations.  A replicate records one stretch per change of the
+    multiset, not one row per step: the frequencies are computed once per
+    stretch, at its first row.
     """
     check_at_least(1, replicates=replicates, stride=stride)
     check_at_least(0, max_iterations=max_iterations)
@@ -491,21 +500,21 @@ def run_figure1(
     def replicate(r: int, rng: RandomStream) -> DistanceSeriesRun:
         pop = init_monomorphic_plateau(params, rng)
         tracker = PairwiseDistanceTracker(pop)
-        freqs = tracker.frequencies(distances)
-        rows = [(0, freqs)]
-        found = False
+        runs = []
+        start, freqs = 0, tracker.frequencies(distances)
+        changed = found = False
         t = 0
         for t, _, trace in steps(pop, params, rng, cap):
             if trace.optimum_created:
                 found = True
                 break
-            if tracker.apply(trace):
-                freqs = None  # recomputed at the next row
-            if t % stride == 0:
-                if freqs is None:
-                    freqs = tracker.frequencies(distances)
-                rows.append((t, freqs))
-        return DistanceSeriesRun(r, t, found, distances, tuple(rows))
+            changed = tracker.apply(trace) or changed
+            if changed and t % stride == 0:
+                runs.append((range(start, t, stride), freqs))
+                start, freqs = t, tracker.frequencies(distances)
+                changed = False
+        runs.append((range(start, t if found else t + 1, stride), freqs))
+        return DistanceSeriesRun(r, t, found, distances, tuple(runs))
 
     return _cells(params.seed, replicates, replicate)
 

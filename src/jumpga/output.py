@@ -34,15 +34,16 @@ def _quoted(s: str) -> str:
 def write_series_csv(rows, path, header) -> None:
     """Write one table; every cell reads as :func:`format_value` gives it.
 
-    A cell that is a tuple fills one column per item.  Its text is built once
-    for each run of consecutive rows that hold that same tuple object: reuse
-    is by identity, never by equality, so equal tuples whose items format
-    apart (``(1.0, 0.0)`` and ``(True, -0.0)``) each get their own text.
-    Each distinct float is formatted once per file.  The memo holds exact
-    floats only, and no zero, so values that compare equal but format apart
-    (``1``/``True``/``1.0``, ``0.0``/``-0.0``) never share an entry.  Other
-    text is quoted as csv.writer quotes it (:func:`_quoted`), and a row of
-    one empty field is written as ``""``.
+    A cell that is a tuple fills one column per item.  A row whose first cell
+    is a ``range`` stands for one line per item of the range, each line that
+    item followed by the row's other cells, so a stretch of lines that differ
+    only in their first column is one row: ``DistanceSeriesRun.runs`` is
+    written as it is held, and the shared cells of a stretch are formatted
+    once.  Each distinct float is formatted once per file.  The memo holds
+    exact floats only, and no zero, so values that compare equal but format
+    apart (``1``/``True``/``1.0``, ``0.0``/``-0.0``) never share an entry.
+    Other text is quoted as csv.writer quotes it (:func:`_quoted`), and a row
+    of one empty field is written as ``""``.
     """
     memo: dict[float, str] = {}
     get = memo.get
@@ -60,6 +61,9 @@ def write_series_csv(rows, path, header) -> None:
             return str(v)
         return _quoted(format_value(v))
 
+    def texts(cells) -> list[str]:
+        return [cell(x) for v in cells for x in (v if type(v) is tuple else (v,))]
+
     def line(fields: list[str]) -> str:
         text = ",".join(fields)
         if not text and fields:
@@ -67,18 +71,13 @@ def write_series_csv(rows, path, header) -> None:
         return text + "\n"
 
     def lines():
-        held, held_text = None, ""
         for row in rows:
-            fields = []
-            for v in row:
-                if type(v) is tuple:
-                    if v is not held:
-                        held, held_text = v, ",".join([cell(x) for x in v])
-                    if v:
-                        fields.append(held_text)
-                else:
-                    fields.append(cell(v))
-            yield line(fields)
+            if row and type(row[0]) is range:
+                if row[0]:
+                    tail = ",".join(["", *texts(row[1:])]) + "\n"
+                    yield tail.join(map(str, row[0])) + tail
+            else:
+                yield line(texts(row))
 
     with open(path, "w", newline="") as f:
         f.write(line([_quoted(h) for h in header]))
@@ -116,14 +115,16 @@ def _fmt(x: float) -> str:
 def render_svg(rows, path, distances, title: str = "") -> None:
     """Plot distance-frequency series as one self-contained SVG.
 
-    ``rows`` is a sequence of ``(iteration, frequencies)`` with one frequency
-    per entry of ``distances``; frequencies live in [0, 1].  Output bytes are
-    a pure function of the inputs.
+    ``rows`` is a sequence of stretches ``(iterations, frequencies)``, as
+    ``DistanceSeriesRun.runs`` holds them: each item of the range
+    ``iterations`` is one point, and every point of a stretch has the
+    stretch's frequencies, one per entry of ``distances``, in [0, 1].  Output
+    bytes are a pure function of the inputs.
     """
-    rows = list(rows)
-    if not rows:
+    runs = [(times, freqs) for times, freqs in rows if times]
+    if not runs:
         raise ValueError("nothing to plot: empty series")
-    x_max = max(t for t, _ in rows)
+    x_max = max(times[-1] for times, _ in runs)
     span = x_max if x_max > 0 else 1
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
@@ -173,19 +174,22 @@ def render_svg(rows, path, distances, title: str = "") -> None:
         f'<text x="{_fmt(_ML + plot_w / 2)}" y="{_fmt(_H - 8)}" font-family="monospace" '
         f'font-size="12" text-anchor="middle">iteration</text>'
     )
-    # x is formatted once per plot and each distinct y once per series (equal
-    # frequencies give equal sy(f)); "%.2f" rounds exactly as _fmt does.
-    xs = ["%.2f" % sx(t) for t, _ in rows]
+    # x is formatted once per point and each distinct y once per series (equal
+    # frequencies give equal sy(f)); "%.2f" rounds exactly as _fmt does.  The
+    # points of a stretch share their y, so one join writes them all.
+    xs = [["%.2f" % sx(t) for t in times] for times, _ in runs]
     for ci, d in enumerate(distances):
         color = _PALETTE[ci % len(_PALETTE)]
-        fs = [freqs[ci] for _, freqs in rows]
-        ys = {f: "%.2f" % sy(f) for f in set(fs)}
-        if len(rows) == 1:
-            parts.append(f'<circle cx="{xs[0]}" cy="{ys[fs[0]]}" r="3" fill="{color}"/>')
+        fs = [freqs[ci] for _, freqs in runs]
+        ys = {f: ",%.2f" % sy(f) for f in set(fs)}
+        pts = [(ys[f] + " ").join(x) + ys[f] for x, f in zip(xs, fs)]
+        if len(xs) == 1 and len(xs[0]) == 1:
+            cx, cy = pts[0].split(",")
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>')
         else:
-            pts = " ".join(map(",".join, zip(xs, map(ys.__getitem__, fs))))
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+                f'<polyline points="{" ".join(pts)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
             )
         ly = _MT + 16 + 18 * ci
         lx = _ML + plot_w + 12

@@ -469,7 +469,7 @@ def test_distance_series_default_stride_follows_mu():
 
 
 def test_distance_series_rows_share_one_frequency_tuple_per_unchanged_stretch():
-    # The CSV writer formats a tuple once per run of rows holding that object.
+    # ``rows`` repeats each stretch's one tuple object over the stretch's rows.
     p = GaParams(n=100, k=4, mu=32, p_c=1.0, chi=1.0, seed=11)
     (dr,) = run_figure1(p, replicates=1, max_iterations=3000)
     freqs = [f for _, f in dr.rows]
@@ -477,6 +477,39 @@ def test_distance_series_rows_share_one_frequency_tuple_per_unchanged_stretch():
     # Each object fills one stretch of consecutive rows and no other row.
     assert len({id(f) for f in starts}) == len(starts) == len({id(f) for f in freqs})
     assert len(starts) < len(freqs)
+
+
+def test_distance_series_runs_expand_to_the_rows_of_a_per_step_loop():
+    # The runner's stretches, expanded, are the rows that a loop counting every
+    # pair at every row time gives on the same stream, and a stretch starts at
+    # each row time after a step that changed the multiset, and only there.
+    p = GaParams(n=60, k=3, mu=12, p_c=1.0, chi=1.0, seed=5)
+    for stride, cap in ((1, 3000), (12, 10**6), (7, 500)):
+        (dr,) = run_figure1(p, replicates=1, stride=stride, max_iterations=cap)
+        rng = make_rng(p.seed, stream=0)
+        pop = init_monomorphic_plateau(p, rng)
+
+        def row(t, members):
+            counts = Counter((a ^ b).bit_count() for i, a in enumerate(members) for b in members[:i])
+            return t, tuple(counts[d] / (p.mu * (p.mu - 1) // 2) for d in dr.distances)
+
+        rows, starts, changed = [row(0, pop.members)], [0], False
+        for t, work, trace in steps(pop, p, rng, cap):
+            if trace.optimum_created:
+                break
+            changed |= trace.removed_index < p.mu and trace.offspring != trace.removed_genotype
+            if t % stride == 0:
+                rows.append(row(t, work.members))
+                if changed:
+                    starts.append(t)
+                    changed = False
+        assert dr.rows == tuple(rows)
+        times = [r for r, _ in dr.runs]
+        assert [r.start for r in times] == starts
+        assert all(r and r.step == stride for r in times)
+        assert [r.stop for r in times[:-1]] == starts[1:]
+        # The last stretch ends before the step that found the optimum, or after the cap.
+        assert times[-1].stop == dr.iterations + (not dr.found_optimum)
 
 
 def test_distance_series_distinct_replicates_differ():

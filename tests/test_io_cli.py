@@ -119,6 +119,39 @@ def test_write_series_csv_reuses_tuple_text_by_identity_not_equality(tmp_path):
     assert path.read_bytes() == b"t,a,b\n1,1,0\n2,true,-0\n"
 
 
+def test_write_series_csv_range_rows_stand_for_one_line_per_item(tmp_path):
+    shared = (0.5, None, "a,b", 0.0)
+    rows = [
+        (range(0, 3), shared),
+        (range(3, 3), (9.0,)),  # an empty range writes no line
+        (range(3, 12, 4), (), 1.5),
+        (range(12, 13), ""),
+        (range(13, 15),),
+        (15, shared),
+    ]
+    flat = [(t, *row[1:]) for row in rows[:-1] for t in row[0]] + rows[-1:]
+    path = tmp_path / "runs.csv"
+    write_series_csv(rows, path, tuple("abcdef"))
+    assert path.read_bytes() == csv_reference(flat, tuple("abcdef"))
+
+
+def test_render_svg_draws_each_stretch_as_its_points(tmp_path):
+    # A stretch is its points: the figure1 series drawn from its stretches
+    # equals the same series drawn one point per stretch.
+    p = GaParams(n=40, k=3, mu=10, p_c=1.0, chi=1.0, seed=3)
+    (dr,) = run_figure1(p, replicates=1, stride=3, max_iterations=500)
+    assert any(len(times) > 1 for times, _ in dr.runs)
+    points = [(range(t, t + 1), freqs) for t, freqs in dr.rows]
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    render_svg(dr.runs, a, dr.distances, title="t")
+    render_svg(points, b, dr.distances, title="t")
+    assert a.read_bytes() == b.read_bytes()
+    render_svg([(range(5, 5), (1.0,)), (range(0, 1), (0.5,))], a, (0,))
+    assert a.read_text().count("<circle") == 1
+    with pytest.raises(ValueError):
+        render_svg([(range(2, 2), (1.0,))], a, (0,))
+
+
 def test_write_series_csv_quotes_text_as_csv_writer_does(tmp_path):
     header = ("plain", "with,comma")
     rows = [
@@ -150,7 +183,7 @@ def test_write_json_sorted_and_deterministic(tmp_path):
 
 
 def test_render_svg_deterministic_with_one_line_per_distance(tmp_path):
-    rows = [(t, (1.0 - t / 100, t / 200, t / 200)) for t in range(0, 101, 10)]
+    rows = [(range(t, t + 1), (1.0 - t / 100, t / 200, t / 200)) for t in range(0, 101, 10)]
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
     render_svg(rows, p1, (0, 2, 4), title="demo")
     render_svg(rows, p2, (0, 2, 4), title="demo")
@@ -577,6 +610,93 @@ def test_figure1_with_no_step_writes_one_row_and_a_point_per_distance(tmp_path):
     assert names == sorted(p.name for p in out_b.iterdir() if p.name != "config.resolved")
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# sha256 of every figure1 artifact but config.resolved at the series' edge
+# shapes: the optimum found off a stride boundary (and on one, by replicate 6
+# at step 7728 = 644 * 12), the default stride 10 at mu = 65 with the cap on a
+# row time, stride 7 with the cap between row times, and the one-row series of
+# caps 0 and 1.
+_FIGURE1_EDGE_PINS = {
+    "optimum_off_stride": (
+        ["--n", "60", "--k", "3", "--mu", "12", "--stride", "12", "--seed", "5"],
+        {
+            "figure1_seed0.csv": "f7f64a74082bd17c848c5f000d09e5113d03f3570a551c73817eaebd0f9f2fb3",
+            "figure1_seed0.svg": "e28ba39c3feaacd03e37c9c06d00c6135e35891a59845651b3b7128e7ce9b171",
+            "figure1_seed1.csv": "342910cc98ab1f04cb3105a6cf542a545499d6846342ad4f00efe877f577dd66",
+            "figure1_seed1.svg": "b4565f99bb378255c93a8e99f791d8423647e48b4dd72c6224057922d61498f2",
+            "figure1_seed2.csv": "6b615ad1955b0a0b23e9583e4267777783ca2f52e39f9618b434f3480fe67ce8",
+            "figure1_seed2.svg": "7c4d9bda61d4103b9e1a9f0008925ce7bb2ca1694a32901e2d19ce7b04faf8df",
+            "figure1_seed3.csv": "ee6a2f63956bd6cb8a60348dcd6d66a0723920e52b68412b5b30e75e96f24114",
+            "figure1_seed3.svg": "19a128ff8872b1c5d4daa262b456785e9dff6aea9f5b35eccbc40e6550a83c28",
+            "figure1_seed4.csv": "af21e1a5d710470644f739547fdf1f89988fac23c145fb554d9c81a64de26a13",
+            "figure1_seed4.svg": "4cbaedf9de63747c61d05b4d57f81bcc0fd6bf57b438064ba6c4b7f3af608fc2",
+            "figure1_seed5.csv": "e8b47b0f3c398e935a4f4537258a0f9d290a5ef3e7a86ea1959e7f6f301015bb",
+            "figure1_seed5.svg": "8b7db45895867d045de618806c43140791411f352fb5e2ebdce4dd19b5e68cc6",
+            "figure1_seed6.csv": "ca36334715f86d50fc2e3e1946af32bcbc2f19200252b7e85f49f3be143c6cdb",
+            "figure1_seed6.svg": "a14b8e853827c0ee6a4a2055caf2894cfbfe33aabfa24c0552fb3f739c0b92aa",
+            "figure1_seed7.csv": "52a8fb5600d7a879e30db1a245c7463651a186a3fa59ca55bf40f15f7bfa844c",
+            "figure1_seed7.svg": "5645a2ffc6ac22a67a8b2fee50a7150ed564472145a2a591fc312beb805464ad",
+            "figure1_seed8.csv": "930f3c3b4157d9a4600c77f55a62ab680b5078d588e79e6f4904bae1af107f41",
+            "figure1_seed8.svg": "29129a23004eb2019a819570f2fd81bad260fe5b6a40c566680f7f70ee3cd7da",
+            "figure1_seed9.csv": "51fc44a1e77a6a32fcac3d7366cfb590c971dca5867082f4197771f65a16010a",
+            "figure1_seed9.svg": "86029c11e5719c33320a04889d37de06f2b52fbc36cd55096401c2ef323ffb8f",
+            "figure1_summary.json": "5291999d6b15aa2b736efe1568978328eb7625f970e7428fa745111897223c9c",
+        },
+    ),
+    "default_stride_10": (
+        ["--n", "100", "--k", "3", "--mu", "65", "--max-iterations", "2000", "--replicates", "2"],
+        {
+            "figure1_seed0.csv": "6c24e9060e7145d01b601e438f7096b0e5c343890584ae31d5db48c8508346ca",
+            "figure1_seed0.svg": "b374a8be90ebacdf03a80b57f02fccd436ebca5e56bb62dd30745b8db302091f",
+            "figure1_seed1.csv": "6c33bb7a64943edab2e80399822f37ca9e8376c123d4efc1f9bb22fc64af3827",
+            "figure1_seed1.svg": "156391c7524f992bcaad7ce3d335835a6738000bcf1d1d29af67be5e9d83ab97",
+            "figure1_summary.json": "0f6c95731761666195ee913aecedba4fd07188e01cd7b4188075658f7b7df44e",
+        },
+    ),
+    "stride_7": (
+        ["--stride", "7", "--max-iterations", "2000", "--replicates", "2"],
+        {
+            "figure1_seed0.csv": "7590159d8283c820776032671577a18f23f275023bb99dbd9357e24a81f88a8a",
+            "figure1_seed0.svg": "53c8273a8539c7ecca009808ffb911fbc5fce04eb9e67383ed77e606f8247c44",
+            "figure1_seed1.csv": "38f02c1582a34e77b5d5f84af85a2f3922a856a56e2d9be68a46b620102ef500",
+            "figure1_seed1.svg": "ac6ba82e7c3dbe7cc3989c6c6ba20cf690b34b1bd00e293e00d46e1726c38391",
+            "figure1_summary.json": "0f6c95731761666195ee913aecedba4fd07188e01cd7b4188075658f7b7df44e",
+        },
+    ),
+    "no_step": (
+        ["--max-iterations", "0", "--replicates", "2"],
+        {
+            "figure1_seed0.csv": "f53b05d7a9226ec6f831717b76bb8b2f436ec9694beaf502bbfdc8b365d8be09",
+            "figure1_seed0.svg": "05a471db732588b469d56fa9bf79cda555c45b4d667b61f924ddab8ceeee7f6b",
+            "figure1_seed1.csv": "f53b05d7a9226ec6f831717b76bb8b2f436ec9694beaf502bbfdc8b365d8be09",
+            "figure1_seed1.svg": "5a32e4623d50ca522e56e16b52b87ddba4a77678ab6787463794e523a230eacc",
+            "figure1_summary.json": "ed9c87ecc6c59c89e18953bd8eaff3aad4c36aef5165ddd8fbf3bc7a920a4505",
+        },
+    ),
+    "one_step": (
+        ["--max-iterations", "1", "--replicates", "2"],
+        {
+            "figure1_seed0.csv": "3b171599d6dd59791a24fa63f667d1ab48e0e1375a5fa740b1b74404bf1159e7",
+            "figure1_seed0.svg": "d5c81b168ab8d2925acba18d94d9affebedb3a391d5ef23642bb63e3bdc56388",
+            "figure1_seed1.csv": "3b171599d6dd59791a24fa63f667d1ab48e0e1375a5fa740b1b74404bf1159e7",
+            "figure1_seed1.svg": "ed03ee16549b57e3150cb29c37a09cad8083f4a64e3a1db435e5ada8ef09e6a4",
+            "figure1_summary.json": "817e5be1cc846c360ebb2f2990df723b272664488c9718d67bf2ad400e15caeb",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FIGURE1_EDGE_PINS))
+def test_figure1_edge_shapes_keep_their_artifact_bytes(tmp_path, case):
+    args, pins = _FIGURE1_EDGE_PINS[case]
+    assert main(["figure1", "--out", str(tmp_path)] + args) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+        if p.name != "config.resolved"
+    }
+    assert digests == pins
 
 
 def test_oracle_subcommand_reports_exact_bound_and_mc(tmp_path, capsys):

@@ -36,6 +36,21 @@ def test_step_cost_prints_one_row_per_setting(capsys):
     assert err.startswith("wall ")
 
 
+def test_figure1_cost_prints_one_row_per_part_and_the_series_size(capsys):
+    study = load_study("figure1_cost")
+    assert study.main(["--max-iterations", "30", "--repeats", "1"]) == 0
+    out, err = capsys.readouterr()
+    header, rule, *rows, total, blank, sizes = out.splitlines()
+    assert header.startswith("| part | ms per job") and rule == "| --- | --- |"
+    cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows + [total]]
+    assert [name for name, _ in cells] == [*study.PARTS, "total"]
+    assert all(float(ms) >= 0 for _, ms in cells)
+    # Three replicates of rows 0..30 at stride 1, in at least one stretch each.
+    assert blank == "" and sizes.startswith("93 rows in ")
+    assert sizes.endswith(" unchanged stretches per job")
+    assert err.startswith("wall ")
+
+
 def test_code_size_counts_code_lines_and_its_rows_sum_to_the_total(capsys):
     study = load_study("code_size")
     source = (
