@@ -36,8 +36,9 @@ def _power_product(factors) -> float:
 
 
 def no_flip_probability(chi: float, n: int) -> float:
-    """Probability that mutation at rate chi/n flips no bit: (1 - chi/n)^n,
-    the first entry of the simulator's flip-count table (``GaParams.mutation_cdf``)."""
+    """Probability that mutation at rate chi/n flips no bit: (1 - chi/n)^n.
+    Wherever it is a normal double, it is bit for bit the first entry of the
+    simulator's flip-count table (``GaParams.mutation_cdf``)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= chi <= n:

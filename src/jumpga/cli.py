@@ -79,29 +79,6 @@ _OPTIONS = {
     "mc_trials": (int, "Monte Carlo trials for an optional cross-check (0: none)", None),
 }
 
-# Config-file section -> (subcommand help, defaults of the section's settings);
-# [common] holds the settings every subcommand takes.
-_SECTIONS = {
-    "common": (None, {"out": "out", "seed": 1, "n": 100, "k": 3, "mu": 20, "pc": 0.5, "chi": 1.0}),
-    "run": ("plain GA runs to a stop condition",
-            {"replicates": 1, "max_iterations": 1_000_000, "stop": "optimum"}),
-    "takeover": ("time until the largest species falls to mu/2",
-                 {"replicates": 50, "max_iterations": None}),
-    "survival": ("species-regrowth monitoring after takeover",
-                 {"replicates": 30, "lam": 0.75, "t_max": 100_000, "max_iterations": None}),
-    "figure1": ("pairwise-distance frequency series until the optimum",
-                {"replicates": 10, "stride": None, "max_iterations": 10_000_000, "svg": True}),
-    "compare": ("crossover arm vs mutation-only arm",
-                {"replicates": 20, "max_iterations": None}),
-    "bounds": ("tabulate every closed-form bound over a grid",
-               {"mus": "4,8,16", "format": "text"}),
-    "sweep": ("Monte Carlo bound checks over a (mu, y, event) grid",
-              {"trials": 100_000, "mus": "4,8,16"}),
-    "oracle": ("exact vs closed-form optimum-creation probability",
-               {"d": 1, "mc_trials": 0}),
-}
-
-
 def _defaults(subcommand: str) -> dict:
     return {**_SECTIONS["common"][1], **_SECTIONS[subcommand][1]}
 
@@ -113,7 +90,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     Built once per subcommand named and then shared by every later call, so a
     caller must not modify it."""
     first = (sys.argv[1:] if argv is None else argv)[:1]
-    return _parser(first[0] if first and first[0] in _HANDLERS else None)
+    return _parser(first[0] if first and first[0] in _SECTIONS else None)
 
 
 @functools.cache
@@ -123,7 +100,7 @@ def _parser(only: str | None) -> argparse.ArgumentParser:
         description="Steady-state (mu+1) GA laboratory on jump fitness functions",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for sub, (sub_help, _) in _SECTIONS.items():
+    for sub, (sub_help, _, _) in _SECTIONS.items():
         if sub_help is None:
             continue
         sp = subs.add_parser(sub, help=sub_help, description=sub_help)
@@ -414,15 +391,26 @@ def _cmd_oracle(params: GaParams, cfg: dict, out: Path) -> int:
     return 0
 
 
-_HANDLERS = {
-    "run": _cmd_run,
-    "takeover": _cmd_takeover,
-    "survival": _cmd_survival,
-    "figure1": _cmd_figure1,
-    "compare": _cmd_compare,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
+# Config-file section -> (subcommand help, defaults of the section's
+# settings, handler); [common] holds the settings every subcommand takes.
+_SECTIONS = {
+    "common": (None, {"out": "out", "seed": 1, "n": 100, "k": 3, "mu": 20, "pc": 0.5, "chi": 1.0}, None),
+    "run": ("plain GA runs to a stop condition",
+            {"replicates": 1, "max_iterations": 1_000_000, "stop": "optimum"}, _cmd_run),
+    "takeover": ("time until the largest species falls to mu/2",
+                 {"replicates": 50, "max_iterations": None}, _cmd_takeover),
+    "survival": ("species-regrowth monitoring after takeover",
+                 {"replicates": 30, "lam": 0.75, "t_max": 100_000, "max_iterations": None}, _cmd_survival),
+    "figure1": ("pairwise-distance frequency series until the optimum",
+                {"replicates": 10, "stride": None, "max_iterations": 10_000_000, "svg": True}, _cmd_figure1),
+    "compare": ("crossover arm vs mutation-only arm",
+                {"replicates": 20, "max_iterations": None}, _cmd_compare),
+    "bounds": ("tabulate every closed-form bound over a grid",
+               {"mus": "4,8,16", "format": "text"}, _cmd_bounds),
+    "sweep": ("Monte Carlo bound checks over a (mu, y, event) grid",
+              {"trials": 100_000, "mus": "4,8,16"}, _cmd_sweep),
+    "oracle": ("exact vs closed-form optimum-creation probability",
+               {"d": 1, "mc_trials": 0}, _cmd_oracle),
 }
 
 
@@ -450,7 +438,7 @@ def main(argv=None) -> int:
         params = GaParams(
             n=cfg["n"], k=cfg["k"], mu=cfg["mu"], p_c=cfg["pc"], chi=cfg["chi"], seed=cfg["seed"]
         )
-        return _HANDLERS[cfg["subcommand"]](params, cfg, out)
+        return _SECTIONS[cfg["subcommand"]][2](params, cfg, out)
     except SettingError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

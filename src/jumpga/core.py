@@ -11,10 +11,11 @@ one iterator over blocks of a counter-seeded PCG64 generator with explicit
 replicates/grid cells get provably disjoint streams.  numpy is imported by
 :func:`make_rng`, not by this module, so a CLI run that makes no stream
 (``--help``, ``bounds``, a usage error) never loads it.  A mutation's flip
-count is one bisection of the Binomial(n, chi/n) table of
-:func:`_binomial_cdf`, built once per (n, p) and shared by every
-:class:`GaParams` and :meth:`RandomStream.binomial` call that asks for it; it
-is the package's one inverse CDF.  The
+count is one uniform, bisected into the Binomial(n, chi/n) table of
+:func:`_binomial_cdf` at every chi in (0, n]; the table is built once per
+(n, p) and shared by every :class:`GaParams` and
+:meth:`RandomStream.binomial` call that asks for it, and it is the package's
+one inverse CDF.  So every draw is a uniform of the stream's blocks.  The
 variation operators run inline in :func:`jumpga.ga.ga_step`; their
 one-at-a-time reference versions, which the tests hold the kernel to, live
 in ``tests/reference.py`` with the walk that the table replaced.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
@@ -74,8 +76,7 @@ class GaParams:
         Base seed (64-bit, non-negative) from which all streams derive.
     mutation_cdf : tuple[float, ...]
         Derived, not settable: ``_binomial_cdf(n, p_m)``, the flip-count
-        table that ``ga_step`` bisects, or ``()`` when it leaves the count to
-        ``RandomStream.binomial``.
+        table that ``ga_step`` bisects; never empty, and its last entry is 1.0.
     """
 
     n: int
@@ -117,10 +118,11 @@ class RandomStream:
     Every scalar draw used by the GA (coins, indices, bit masks, binomial
     counts) is derived from consecutive uniforms of this stream, which makes
     the draw order of a step easy to state and replay exactly.  Vectorized
-    consumers can use the underlying numpy ``generator`` directly; mixing the
-    two is still deterministic because blocks are fetched at fixed points in
-    the consumption sequence: the next block of ``BLOCK`` uniforms comes from
-    ``generator`` when a draw finds the current one used up.
+    consumers can use the underlying numpy ``generator`` directly.  The
+    stream itself takes nothing from it but its blocks: the next block of
+    ``BLOCK`` uniforms comes from ``generator.random`` when a draw finds the
+    current one used up, so the generator's state is fixed by the number of
+    uniforms drawn.
 
     The uniforms are served by one C-level iterator chained over the blocks
     (as Python floats), so each draw is one ``__next__`` call.  The stream
@@ -166,17 +168,9 @@ class RandomStream:
         return out & ((1 << nbits) - 1)
 
     def binomial(self, n: int, p: float) -> int:
-        """Binomial(n, p) variate: the table of :func:`_binomial_cdf` bisected at one uniform."""
-        if p <= 0.0:
-            return 0
-        if p >= 1.0:
-            return n
-        cdf = _binomial_cdf(n, p)
-        if not cdf:
-            # (1-p)^n underflowed; fall back to the generator's own sampler.
-            return int(self.generator.binomial(n, p))
-        m = bisect_left(cdf, self._next())
-        return m if m < len(cdf) else n
+        """Binomial(n, p) variate for p in [0, 1]: the table of :func:`_binomial_cdf`
+        bisected at one uniform."""
+        return bisect_left(_binomial_cdf(n, p), self._next())
 
 
 def _no_flip(n: int, p: float) -> float:
@@ -184,33 +178,51 @@ def _no_flip(n: int, p: float) -> float:
     return math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
 
 
+def _log_term(n: int, p: float, m: int) -> float:
+    """log of the Binomial(n, p) term of m, for 0 < p < 1."""
+    log_choose = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+    return log_choose + m * math.log(p) + (n - m) * math.log1p(-p)
+
+
 @functools.lru_cache(maxsize=64)
 def _binomial_cdf(n: int, p: float) -> tuple[float, ...]:
-    """Running sums of the Binomial(n, p) terms, as the inverse-CDF walk adds them.
+    """Running sums of the Binomial(n, p) terms, ending at exactly 1.0, so that
+    ``bisect_left(table, u)`` is the count of a uniform ``u`` in [0, 1), for
+    every p in [0, 1].
 
-    Entry m is the walk's ``cum`` after term m: the first term is (1-p)^n, and
-    each next one is the last times ``p/(1-p) * (n-m+1) / m``, with the walk's
-    float operations in its order.  The table stops at a sum of 1.0 or more,
-    after a zero term, or at m = n.  So for a uniform ``u`` in [0, 1) the walk's
-    count, its first m with ``u <= cum``, is ``bisect_left(table, u)``, and an
-    index past the end means n.  Empty when (1-p)^n underflows or p = 1.  It
-    has at most n + 1 entries, and about 2 000 at most at any n: (1-p)^n
-    underflows once np passes about 745, and below that the terms underflow
-    soon after the mean.  The last 64 tables asked for are kept, so a caller
+    The sums start at the first term that is a normal double.  That is
+    (1-p)^n, unless it is below ``sys.float_info.min`` (np above about 708 at
+    large n, or p = 1); then the first count with a normal term is found in
+    log space, and each count below it gets the entry -1.0, under every
+    uniform.  Each next term is the last times ``p/(1-p) * (n-m+1) / m``, in
+    that order of float operations.  The sums stop once one reaches 1.0,
+    before a zero term, or at m = n, and the last is then set to 1.0.
+
+    A table has at most n + 1 entries.  Where (1-p)^n is normal, the terms
+    underflow soon after the mean, so it has fewer than about 2 000 at any
+    n; only where (1-p)^n is not normal can the -1.0 entries make it longer,
+    up to n + 1 at p = 1.  The last 64 tables asked for are kept, so a caller
     that draws many counts at one (n, p) builds its table once.
     """
+    if p == 1.0:
+        return (-1.0,) * n + (1.0,)
     c = _no_flip(n, p)
-    if not c:
-        return ()
+    m = 0
+    if c < sys.float_info.min:  # the terms rise up to the mode, whose term is normal
+        log_term = functools.partial(_log_term, n, p)
+        m = bisect_left(range(int((n + 1) * p) + 1), math.log(sys.float_info.min), key=log_term)
+        c = math.exp(log_term(m))
     ratio = p / (1.0 - p)
     cum = c
-    cdf = [cum]
-    m = 0
-    while cum < 1.0 and c and m < n:
+    cdf = [-1.0] * m + [cum]
+    while cum < 1.0 and m < n:
         m += 1
         c *= ratio * (n - m + 1) / m
+        if not c:
+            break
         cum += c
         cdf.append(cum)
+    cdf[-1] = 1.0
     return tuple(cdf)
 
 

@@ -172,8 +172,8 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     (2) parent index draws (two with crossover, else one; with replacement),
     (3) crossover mask bits, ceil(n/53) words (crossover only; equal parents
         draw them and leave them unused, as their child is the parent),
-    (4) mutation flip count m, one uniform, then m flip positions (ascending
-        Floyd draws; none when m = n),
+    (4) mutation flip count m, one uniform at every chi, then m flip
+        positions (ascending Floyd draws; none when m = n),
     (5) removal tie-break index, drawn only when two or more candidates tie
         at the minimum fitness of the extended multiset.  The candidates are
         ordered with the offspring (index mu) first when it ties, then the
@@ -185,10 +185,8 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     the reference operators ``uniform_crossover`` and ``standard_bit_mutation``
     in ``tests/reference.py``.
     The flip count is ``bisect_left(params.mutation_cdf, u)``, the count that
-    ``RandomStream.binomial`` draws, with an index past the table's end
-    meaning n; a count of 1 flips its one Floyd position inline.  When the
-    table is empty (p_m = 1, or (1-p_m)^n underflows), every step of the run
-    calls ``RandomStream.binomial`` instead.
+    ``RandomStream.binomial`` draws; a count of 1 flips its one Floyd position
+    inline.
 
     The minimum cache carries over: ``low`` and ``tied`` are read from ``pop``
     and written back to it.  They are unchanged when the offspring is removed
@@ -223,16 +221,12 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     else:
         parents = (i,)
         event = _MUTATION
-    cdf = params.mutation_cdf
-    m = bisect_left(cdf, draw()) if cdf else rng.binomial(n, params.p_m)
+    m = bisect_left(params.mutation_cdf, draw())
     if m == 1:
         t = int(draw() * n)  # _floyd_mask's one draw for m = 1, and its clamp
         bits ^= 1 << (t if t < n else n - 1)
     elif m:
-        if m == n or m == len(cdf):  # an index just past the table's end also means n
-            bits ^= (1 << n) - 1
-        else:
-            bits ^= _floyd_mask(rng, n, m)
+        bits ^= (1 << n) - 1 if m == n else _floyd_mask(rng, n, m)
     ones = bits.bit_count()
     k = params.k
     child_fit = k + ones if ones == n or ones <= n - k else n - ones

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 import weakref
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -372,37 +374,89 @@ BELOW_ONE = math.nextafter(1.0, 0.0)
 
 @pytest.mark.parametrize("n", [2, 12, 40, 100, 200, 10**6, 10**9])
 def test_bisected_cdf_is_the_walk_at_every_boundary(n):
+    # Wherever the walk's running sum covers u the two agree; above it the
+    # walk runs on to n, and the table gives its last count.
     cells = 0
     for chi in (0.25, 1.0, 2.0, 500.0, n / 2, float(n)):
         if chi > n:
             continue
         p = chi / n
+        if p == 1.0 or math.exp(n * math.log1p(-p)) < sys.float_info.min:
+            continue  # no walk to compare with: see the subnormal-band and short-table tests
         cdf = _binomial_cdf(n, p)
-        if p == 1.0 or math.exp(n * math.log1p(-p)) == 0.0:
-            assert cdf == ()
-            continue
-        assert 0 < len(cdf) <= n + 1
+        assert 2 <= len(cdf) <= n + 1 and cdf[-1] == 1.0
         rng = make_rng(119, n)
         us = [0.0, BELOW_ONE] + [rng.uniform() for _ in range(10_000)]
         for cum in cdf:
             us += [math.nextafter(cum, 0.0), cum, math.nextafter(cum, 2.0)]
+        last = len(cdf) - 1
         for u in us:
             if u < 1.0:
-                m = bisect_left(cdf, u)
-                assert (m if m < len(cdf) else n) == binomial_walk(n, p, u), (chi, u)
+                m, walk = bisect_left(cdf, u), binomial_walk(n, p, u)
+                if u <= cdf[-2]:
+                    assert m == walk, (chi, u)
+                else:
+                    assert m == last and walk in (last, n), (chi, u)
         twin = make_rng(119, n)  # RandomStream.binomial bisects the same table
         for u in us[2:202]:
-            assert twin.binomial(n, p) == binomial_walk(n, p, u)
+            assert twin.binomial(n, p) == bisect_left(cdf, u)
         cells += 1
     assert cells >= 3
 
 
 def test_binomial_cdf_stays_short_at_any_n():
-    # The terms underflow soon after the mean, so the table's length does not grow with n.
+    # The terms underflow soon after the mean, so the table's length does not
+    # grow with n while (1-p)^n is a normal double.  Past that, the counts
+    # below the first normal term hold -1.0, and no table is empty.
     assert len(GaParams(n=10**9, k=1, mu=2, p_c=0.5, chi=1.0).mutation_cdf) < 2000
     assert len(GaParams(n=10**6, k=1, mu=2, p_c=0.5, chi=500.0).mutation_cdf) < 2000
-    assert _binomial_cdf(10**6, 0.5) == ()  # (1-p)^n underflows
-    assert _binomial_cdf(40, 1.0) == ()
+    cdf = _binomial_cdf(10**6, 0.5)
+    first = cdf.count(-1.0)
+    assert cdf[:first] == (-1.0,) * first and cdf[first] >= sys.float_info.min
+    assert 0 < first < len(cdf) <= 10**6 + 1 and cdf[-1] == 1.0
+    assert _binomial_cdf(40, 1.0) == (-1.0,) * 40 + (1.0,)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_binomial_cdf_is_the_exact_law_at_small_n(n):
+    # Oracle: the cumulative sums in exact rationals at the float p = chi/n.
+    for chi in (1e-3, 1.0, n / 2, float(n)):
+        p = Fraction(chi / n)
+        cdf = _binomial_cdf(n, chi / n)
+        assert cdf[-1] == 1.0
+        cum = Fraction(0)
+        for m, entry in enumerate(cdf):
+            cum += math.comb(n, m) * p**m * (1 - p) ** (n - m)
+            if entry == -1.0:
+                assert cum < 1e-300, (chi, m)
+            else:
+                assert abs(entry - cum) <= 1e-13, (chi, m)
+
+
+def binomial_log_pmf(n: int, p: float, m: int) -> float:
+    log_choose = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+    return log_choose + m * math.log(p) + (n - m) * math.log1p(-p)
+
+
+@pytest.mark.parametrize(
+    "n,chi",
+    [(10**4, chi) for chi in (680.0, 690.0, 700.0, 717.25, 718.75, 750.0, 1000.0)]
+    + [(10**6, chi) for chi in (700.0, 710.0, 730.0, 743.25, 744.0, 745.0, 800.0)],
+)
+def test_binomial_cdf_holds_the_law_across_the_subnormal_band(n, chi):
+    # (1-p)^n leaves the normal doubles at chi of about 684 (n = 10^4) and
+    # 708 (n = 10^6), and reaches 0 at about 719 and 745.  The oracle is the
+    # log-space pmf; the total variation is bounded by the gap on the first
+    # hi + 1 counts plus the mass beyond them.
+    p = chi / n
+    cdf = _binomial_cdf(n, p)
+    hi = min(n, len(cdf) + 200)
+    oracle = [math.exp(binomial_log_pmf(n, p, m)) for m in range(hi + 1)]
+    sums = [max(entry, 0.0) for entry in cdf] + [1.0] * (hi + 1 - len(cdf))
+    table = [b - a for a, b in zip([0.0] + sums, sums)]
+    gap = math.fsum(abs(a - b) for a, b in zip(table, oracle))
+    assert (gap + abs(1.0 - math.fsum(oracle))) / 2 <= 1e-8
+    assert cdf[-1] == 1.0
 
 
 def test_binomial_edge_rates_and_moments():

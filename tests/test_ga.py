@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import statistics
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
@@ -22,6 +23,7 @@ from reference import (
     uniform_crossover,
 )
 
+from jumpga import ga
 from jumpga import (
     EventClass,
     GaParams,
@@ -194,9 +196,10 @@ def removal_branch(fits: list[int], child_fit: int, removed: int) -> str:
 
 # Each cell names the case of the removal rule it must hit at least once; the
 # ids of the first four cells are their n-k-mu-p_c values.  The last three
-# reach the kernel's edge paths: chi = n flips every bit with no draw, (1-p_m)^n
-# underflows at n = 1000, chi = 600 (the generator's own binomial), and equal
-# plateau parents at n = 120 draw and discard a three-word crossover mask.
+# reach the kernel's edge paths: chi = n flips every bit after drawing its
+# count, (1-p_m)^n underflows at n = 1000, chi = 600 (a table that starts
+# with -1.0 entries), and equal plateau parents at n = 120 draw and discard a
+# three-word crossover mask.
 DRAW_ORDER_CELLS = [
     pytest.param(2, 1, 2, 0.5, 1.0, init_uniform, 200, "all_tie_child_ties", id="2-1-2-0.5"),
     pytest.param(12, 3, 5, 0.7, 1.0, init_uniform, 200, "unique_minimum", id="12-3-5-0.7"),
@@ -266,19 +269,19 @@ def test_equal_parent_step_matches_manual_step_across_a_refill(offset):
 
 
 @pytest.mark.parametrize(
-    "n,chi,reaches_binomial",
+    "n,chi",
     [
-        pytest.param(40, 1.0, False, id="n40-chi1"),
-        pytest.param(12, 3.0, False, id="n12-chi3"),
-        pytest.param(200, 0.5, False, id="n200-chi0.5"),
-        pytest.param(10, 10.0, True, id="chi-n-flips-all"),
-        pytest.param(1000, 600.0, True, id="binomial-underflow"),
+        pytest.param(40, 1.0, id="n40-chi1"),
+        pytest.param(12, 3.0, id="n12-chi3"),
+        pytest.param(200, 0.5, id="n200-chi0.5"),
+        pytest.param(10, 10.0, id="chi-n-flips-all"),
+        pytest.param(1000, 600.0, id="binomial-underflow"),
     ],
 )
-def test_each_run_takes_one_mutation_path_fixed_by_its_params(monkeypatch, n, chi, reaches_binomial):
-    # Fresh streams, so each run's first step is covered too: the table
-    # bisection makes no RandomStream.binomial call, the two edge settings
-    # (an empty table) one per step.
+def test_each_run_takes_one_mutation_path_fixed_by_its_params(monkeypatch, n, chi):
+    # Fresh streams, so each run's first step is covered too: every setting,
+    # chi = n and an underflowing (1-p_m)^n among them, bisects its table and
+    # makes no RandomStream.binomial call.
     calls = []
     binomial = RandomStream.binomial
 
@@ -292,23 +295,25 @@ def test_each_run_takes_one_mutation_path_fixed_by_its_params(monkeypatch, n, ch
     for stream in (1, 2, 3):
         for _ in steps(pop, params, make_rng(23, stream), 40):
             pass
-    assert calls == ([(n, chi / n)] * 120 if reaches_binomial else [])
+    assert calls == []
 
 
 def test_mutation_cdf_starts_at_the_no_flip_probability_and_follows_replace():
     for n in (2, 10, 100, 1000):
         for chi in (0.25, 1.0, 2.0, n / 2, n):
             params = GaParams(n=n, k=1, mu=2, p_c=0.5, chi=chi)
-            if params.mutation_cdf:
-                assert params.mutation_cdf[0] == no_flip_probability(chi, n)  # bit for bit
-            else:  # p_m = 1, or (1 - p_m)^n underflows
-                assert chi == n or no_flip_probability(chi, n) == 0.0
+            cdf = params.mutation_cdf
+            assert cdf and cdf[-1] == 1.0
+            if no_flip_probability(chi, n) >= sys.float_info.min:
+                assert cdf[0] == no_flip_probability(chi, n)  # bit for bit
+            else:  # p_m = 1, or (1 - p_m)^n is not a normal double
+                assert cdf[0] == -1.0
     params = GaParams(n=100, k=3, mu=4, p_c=0.5, chi=1.0)
     moved = replace(params, chi=2.0)
     assert moved.mutation_cdf[0] == no_flip_probability(2.0, 100)
     assert moved.mutation_cdf != params.mutation_cdf
     assert replace(moved, chi=1.0) == params  # the table is derived, not compared
-    assert replace(params, chi=100.0).mutation_cdf == ()
+    assert replace(params, chi=100.0).mutation_cdf == (-1.0,) * 100 + (1.0,)
 
 
 class ScriptedGenerator:
@@ -329,22 +334,95 @@ def scripted_stream(values) -> RandomStream:
 
 
 @pytest.mark.parametrize("n,chi", [(200, 100.0), (10**6, 500.0)])
-def test_a_flip_count_past_the_table_end_flips_every_bit(n, chi):
-    # Both tables end below 1.0: at n = 200 after the term of m = n, at
-    # n = 10^6 after a zero term.  The largest uniform falls past the end,
-    # where the walk's count is n.
+def test_the_largest_uniform_flips_the_last_count_with_a_nonzero_term(n, chi):
+    # The running sums saturate below 1.0: at n = 200 after the term of m = n,
+    # at n = 10^6 before a zero term.  The table's last entry is 1.0, so the
+    # largest uniform gets the table's last count, where the walk runs on to
+    # n; at the last sum below 1.0 the two agree.
     params = GaParams(n=n, k=1, mu=2, p_c=0.0, chi=chi)
+    cdf = params.mutation_cdf
     below_one = math.nextafter(1.0, 0.0)
-    assert params.mutation_cdf[-1] < below_one
+    last = len(cdf) - 1
+    assert cdf[-1] == 1.0 and cdf[-2] < below_one
     assert binomial_walk(n, params.p_m, below_one) == n
-    for u in (params.mutation_cdf[-1], below_one):
-        count = binomial_walk(n, params.p_m, u)
+    assert (last == n) == (n == 200)
+    for u, count in ((cdf[-2], binomial_walk(n, params.p_m, cdf[-2])), (below_one, last)):
         assert scripted_stream([u]).binomial(n, params.p_m) == count
         # Mutation only, from two all-zero members: coin, parent index, flip
         # count, flip positions (Floyd's draws, 0.5 each), then the tie-break.
         pop = Population([0, 0], [1, 1])
         _, trace = ga_step(pop, params, scripted_stream([0.5, 0.0, u]))
         assert trace.offspring.bit_count() == count
+
+
+def test_no_step_flips_every_bit_where_the_no_flip_term_is_subnormal(monkeypatch):
+    # At n = 10^6, chi = 744, (1-p_m)^n is the smallest subnormal, 5e-324:
+    # running sums started from it miss 1 by about 0.15, and a uniform above
+    # them would flip every bit (50 of these 400 steps).  Floyd's positions
+    # are stood in for by the m lowest bits after the same m draws, so a step
+    # costs microseconds rather than 10^6-bit mask updates; the flip count is
+    # what is under test.
+    def low_bits(rng, n, m):
+        for _ in range(m):
+            rng.uniform()
+        return (1 << m) - 1
+
+    monkeypatch.setattr(ga, "_floyd_mask", low_bits)
+    n = 10**6
+    params = GaParams(n=n, k=1, mu=2, p_c=0.0, chi=744.0)
+    rng = make_rng(1, 0)
+    counts = [ga_step(Population([0, 0], [1, 1]), params, rng)[1].offspring.bit_count() for _ in range(400)]
+    assert max(counts) < n
+    assert abs(statistics.fmean(counts) - 744) <= 4 * math.sqrt(744 / 400)
+
+
+def documented_draws(before: Population, trace: StepTrace, params: GaParams) -> int:
+    """Uniforms a mutation-only step takes by the draw order of ``ga_step``: the
+    coin, the parent index, the flip count, m Floyd positions unless m = n,
+    and the tie-break when two or more of the extended multiset tie at the minimum."""
+    m = (before.members[trace.parent_indices[0]] ^ trace.offspring).bit_count()
+    fits = before.fitnesses
+    low = min(fits)
+    ties = fits.count(low) + (trace.offspring_fitness == low)
+    return 3 + (m if m < params.n else 0) + (trace.offspring_fitness >= low and ties > 1)
+
+
+class CountingGenerator:
+    """Wraps a numpy generator, counting the blocks a stream fetches from it."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.blocks = 0
+
+    def random(self, size):
+        self.blocks += 1
+        return self.generator.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+
+@pytest.mark.parametrize(
+    "n,chi", [pytest.param(1000, 1000.0, id="chi-n"), pytest.param(1000, 600.0, id="binomial-underflow")]
+)
+def test_mutation_steps_draw_only_whole_blocks_of_uniforms(n, chi):
+    # The generator's state afterwards is that of a twin that made one
+    # random(BLOCK) call per block fetched, and the uniforms drawn are the
+    # documented draws of each step, summed.
+    params = GaParams(n=n, k=3, mu=4, p_c=0.0, chi=chi, seed=29)
+    pop = init_uniform(params, make_rng(29, 0))
+    counting = CountingGenerator(make_rng(29, 1).generator)
+    rng = RandomStream(counting)
+    documented = 0
+    for _ in range(100):
+        before = snapshot(pop)
+        _, trace = ga_step(pop, params, rng)
+        documented += documented_draws(before, trace, params)
+    assert (counting.blocks - 1) * RandomStream.BLOCK + rng._pos == documented
+    twin = make_rng(29, 1).generator
+    for _ in range(counting.blocks):
+        twin.random(RandomStream.BLOCK)
+    assert counting.generator.bit_generator.state == twin.bit_generator.state
 
 
 # sha256 of 10^4-step trace streams: any change to a draw, a tie-break or a

@@ -488,7 +488,7 @@ def test_value_error_raised_mid_run_is_a_runtime_failure(tmp_path, monkeypatch, 
     def broken(params, cfg, out):
         raise ValueError("bug inside the experiment")
 
-    monkeypatch.setitem(cli._HANDLERS, "run", broken)
+    monkeypatch.setitem(cli._SECTIONS, "run", cli._SECTIONS["run"][:2] + (broken,))
     assert main(["run", "--out", str(tmp_path / "r")]) == 1
     assert "failure: ValueError: bug inside the experiment" in capsys.readouterr().err
 
@@ -497,7 +497,7 @@ def test_runtime_failure_prints_the_traceback_before_the_failure_line(tmp_path, 
     def handler_that_raises(params, cfg, out):
         raise ValueError("bug inside the experiment")
 
-    monkeypatch.setitem(cli._HANDLERS, "run", handler_that_raises)
+    monkeypatch.setitem(cli._SECTIONS, "run", cli._SECTIONS["run"][:2] + (handler_that_raises,))
     assert main(["run", "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
