@@ -29,6 +29,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
+from math import floor
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -150,21 +151,22 @@ class RandomStream:
         return self._next()
 
     def index(self, bound: int) -> int:
-        """Uniform integer in [0, bound): the next uniform times ``bound``, rounded down."""
-        i = int(self._next() * bound)
+        """Uniform integer in [0, bound): ``floor(u * bound)`` of the next uniform ``u``
+        (on [0, 1) the same integer as ``int(u * bound)``), clamped below ``bound``."""
+        i = floor(self._next() * bound)
         return i if i < bound else bound - 1
 
     def random_bits(self, nbits: int) -> int:
         """Integer whose low ``nbits`` bits are independent fair coin flips.
 
-        Takes the next ceil(nbits / 53) uniforms and the word ``int(u * 2**53)``
-        of each (exact: numpy's doubles are multiples of ``2**-53``), lowest
-        bits from the first.
+        Takes the next ceil(nbits / 53) uniforms and the word ``floor(u * 2**53)``
+        of each (exact: numpy's doubles are multiples of ``2**-53``, and on
+        [0, 1) it equals ``int(u * 2**53)``), lowest bits from the first.
         """
         draw = self._next
         out = 0
         for shift in range(0, nbits, 53):
-            out |= int(draw() * _TWO53) << shift
+            out |= floor(draw() * _TWO53) << shift
         return out & ((1 << nbits) - 1)
 
     def binomial(self, n: int, p: float) -> int:
@@ -255,14 +257,15 @@ def _floyd_mask(rng: RandomStream, n: int, m: int) -> int:
     """Bitmask of a uniform random m-subset of range(n) (Floyd's sampling algorithm).
 
     Draws exactly ``m`` uniforms, one per element, for ``j`` ranging over
-    ``n-m .. n-1`` in ascending order: ``t``, the uniform turned into an
-    index below ``j + 1`` as :meth:`RandomStream.index` does, joins the
-    subset, or ``j`` does when ``t`` is already in it.
+    ``n-m .. n-1`` in ascending order: ``t = floor(u * (j + 1))`` of the
+    uniform ``u`` (equal to ``int(u * (j + 1))`` on [0, 1)), clamped below
+    ``j + 1`` as :meth:`RandomStream.index` does, joins the subset, or ``j``
+    does when ``t`` is already in it.
     """
     draw = rng._next
     mask = 0
     for j in range(n - m, n):
-        t = int(draw() * (j + 1))
+        t = floor(draw() * (j + 1))
         bit = 1 << (t if t <= j else j)  # the rounding and clamp of RandomStream.index(j + 1)
         mask |= (1 << j) if mask & bit else bit
     return mask

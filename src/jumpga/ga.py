@@ -27,6 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import count
+from math import floor
 
 from .core import (
     GaParams,
@@ -184,9 +185,13 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     returns the results, of ``RandomStream.index`` and ``jump_fitness`` and of
     the reference operators ``uniform_crossover`` and ``standard_bit_mutation``
     in ``tests/reference.py``.
-    The flip count is ``bisect_left(params.mutation_cdf, u)``, the count that
-    ``RandomStream.binomial`` draws; a count of 1 flips its one Floyd position
-    inline.
+    Every index and mask word turns its uniform ``u`` into an integer as
+    ``floor(u * bound)``, which equals ``int(u * bound)`` on [0, 1), with
+    each index clamped below its bound.  The flip count is
+    ``bisect_left(params.mutation_cdf, u)``, the count that
+    ``RandomStream.binomial`` draws, taken as 0 or 1 when ``u`` is at most the
+    table's first or second entry and bisected from entry 2 otherwise; a
+    count of 1 flips its one Floyd position inline.
 
     The minimum cache carries over: ``low`` and ``tied`` are read from ``pop``
     and written back to it.  They are unchanged when the offspring is removed
@@ -198,13 +203,14 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     n = params.n
     members = pop.members
     draw = rng._next
-    # Each index is RandomStream.index inline: int(u * bound), clamped below bound.
+    # Each index is RandomStream.index inline: floor(u * bound), which equals
+    # int(u * bound) on [0, 1) and costs less, clamped below bound.
     crossover = draw() < params.p_c
-    i = int(draw() * mu)
+    i = floor(draw() * mu)
     i = i if i < mu else mu - 1
     bits = members[i]
     if crossover:
-        j = int(draw() * mu)
+        j = floor(draw() * mu)
         j = j if j < mu else mu - 1
         parents = (i, j)
         b = members[j]
@@ -212,7 +218,7 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
         if diff:
             mask = 0
             for shift in range(0, n, 53):
-                mask |= int(draw() * 2.0**53) << shift  # RandomStream.random_bits's words
+                mask |= floor(draw() * 2.0**53) << shift  # RandomStream.random_bits's words
             bits = b ^ (diff & mask)  # parent i's bit where the mask is set
         else:
             for _ in range(0, n, 53):
@@ -221,9 +227,13 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     else:
         parents = (i,)
         event = _MUTATION
-    m = bisect_left(params.mutation_cdf, draw())
+    # bisect_left(cdf, u) with its first two entries checked first: they hold
+    # most counts at small chi, and the last entry is 1.0 > u, so a table of
+    # one or two entries is never read past its end.
+    cdf, u = params.mutation_cdf, draw()
+    m = 0 if u <= cdf[0] else 1 if u <= cdf[1] else bisect_left(cdf, u, 2)
     if m == 1:
-        t = int(draw() * n)  # _floyd_mask's one draw for m = 1, and its clamp
+        t = floor(draw() * n)  # _floyd_mask's one draw for m = 1, and its clamp
         bits ^= 1 << (t if t < n else n - 1)
     elif m:
         bits ^= (1 << n) - 1 if m == n else _floyd_mask(rng, n, m)
@@ -240,7 +250,7 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     else:
         child_ties = child_fit == low
         size = tied + child_ties
-        pos = int(draw() * size) if size > 1 else 0
+        pos = floor(draw() * size) if size > 1 else 0
         pos = pos if pos < size else size - 1
         if child_ties:
             pos -= 1  # position 0 is the offspring

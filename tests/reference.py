@@ -3,10 +3,13 @@
 ``ga_step`` runs each operator inline on packed ints.  These are the same
 operators written one at a time, with the same draws: ``manual_step`` and the
 twin-stream tests chain them draw for draw against the kernel, and the
-distribution tests check their law.  ``check_population`` recomputes a
-population's caches from its members, ``snapshot`` keeps a population's state
-across an in-place step, ``floyd_reference`` is Floyd's sampler on a set, and
-``binomial_walk`` is the flip-count walk that the bisected table replaces.
+distribution tests check their law.  ``draw_index`` and ``draw_bits`` turn
+uniforms into integers in the documented ``int`` form, which the package
+computes as ``floor``, so the twin-stream tests hold one form to the other.
+``check_population`` recomputes a population's caches from its members,
+``snapshot`` keeps a population's state across an in-place step,
+``floyd_reference`` is Floyd's sampler on a set, and ``binomial_walk`` is the
+flip-count walk that the bisected table replaces.
 Genotypes are packed ints, as in the package; ``Genotype`` is the
 ``(bits, n)`` pair that the package once stored, kept here only so that
 pinned digests hash the text they always hashed.
@@ -37,9 +40,23 @@ def hamming_distance(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
+def draw_index(rng: RandomStream, bound: int) -> int:
+    """The documented index draw: ``min(int(u * bound), bound - 1)`` of the next uniform ``u``."""
+    return min(int(rng.uniform() * bound), bound - 1)
+
+
+def draw_bits(rng: RandomStream, nbits: int) -> int:
+    """The documented mask draw: the words ``int(u * 2**53)`` of the next
+    ceil(nbits / 53) uniforms, lowest bits from the first, cut to ``nbits`` bits."""
+    out = 0
+    for shift in range(0, nbits, 53):
+        out |= int(rng.uniform() * 2**53) << shift
+    return out & ((1 << nbits) - 1)
+
+
 def uniform_crossover(a: int, b: int, n: int, rng: RandomStream) -> int:
     """Each of the ``n`` positions independently takes ``a``'s bit or ``b``'s bit with equal probability."""
-    mask = rng.random_bits(n)
+    mask = draw_bits(rng, n)
     return (a & mask) | (b & ~mask)
 
 
@@ -84,7 +101,7 @@ def floyd_reference(rng, n: int, m: int) -> tuple[set[int], int]:
     chosen: set[int] = set()
     collisions = 0
     for j in range(n - m, n):
-        t = rng.index(j + 1)
+        t = draw_index(rng, j + 1)
         if t in chosen:
             chosen.add(j)
             collisions += 1

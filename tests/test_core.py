@@ -11,10 +11,13 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import (
     binomial_walk,
+    draw_bits,
+    draw_index,
     floyd_reference,
     hamming_distance,
     standard_bit_mutation,
@@ -290,6 +293,38 @@ def test_draws_equal_the_float_buffer_reconstruction(nbits):
             assert rng.index(7) == ref.index(7)
             assert rng.index(1_000_003) == ref.index(1_000_003)
         assert rng._pos == ref.pos
+
+
+def test_index_and_mask_words_equal_the_int_forms_on_a_twin_stream():
+    # The stream turns u into floor(u * bound); the documented form is
+    # int(u * bound).  They agree on [0, 1): 120 000 index draws, 100 000
+    # mask words, then each bound's cell edges i / bound and their neighbours.
+    bounds = (2, 3, 12, 53, 128, 200)
+    rng, twin = make_rng(117), make_rng(117)
+    for _ in range(20_000):
+        for bound in bounds:
+            assert rng.index(bound) == draw_index(twin, bound)
+    for _ in range(25_000):
+        mask = rng.random_bits(4 * 53)
+        for shift in range(0, 4 * 53, 53):
+            assert mask >> shift & (2**53 - 1) == int(twin.uniform() * 2**53)
+    assert rng._pos == twin._pos
+    for bound in bounds:
+        edges = [e for i in range(bound) for e in (i / bound, math.nextafter(i / bound, 1.0))]
+        edges += [math.nextafter(i / bound, 0.0) for i in range(1, bound + 1)]
+        rng, twin = (RandomStream(EdgeGenerator(edges)) for _ in range(2))
+        assert [rng.index(bound) for _ in edges] == [draw_index(twin, bound) for _ in edges]
+        assert [rng.random_bits(53) for _ in edges] == [draw_bits(twin, 53) for _ in edges]
+
+
+class EdgeGenerator:
+    """Stands in for a numpy generator: its uniforms are ``values``, over and over."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size):
+        return np.resize(np.array(self.values), size)
 
 
 def test_cursor_counts_the_draws_of_the_current_block_as_the_float_buffer_does():

@@ -7,6 +7,7 @@ import math
 import random
 import statistics
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
@@ -17,6 +18,7 @@ from reference import (
     Genotype,
     binomial_walk,
     check_population,
+    draw_index,
     hamming_distance,
     snapshot,
     standard_bit_mutation,
@@ -134,12 +136,12 @@ def manual_step(pop: Population, params: GaParams, rng) -> tuple[Population, dic
     """
     mu = params.mu
     if rng.uniform() < params.p_c:
-        i, j = rng.index(mu), rng.index(mu)
+        i, j = draw_index(rng, mu), draw_index(rng, mu)
         parents = (i, j)
         child = uniform_crossover(pop.members[i], pop.members[j], params.n, rng)
         child = standard_bit_mutation(child, params.n, params.p_m, rng)
     else:
-        i = rng.index(mu)
+        i = draw_index(rng, mu)
         parents = (i,)
         child = standard_bit_mutation(pop.members[i], params.n, params.p_m, rng)
     cf = jump_fitness(child, params.n, params.k)
@@ -150,7 +152,7 @@ def manual_step(pop: Population, params: GaParams, rng) -> tuple[Population, dic
             low, ties = f, [r]
         elif f == low:
             ties.append(r)
-    removed = ties[0] if len(ties) == 1 else ties[rng.index(len(ties))]
+    removed = ties[0] if len(ties) == 1 else ties[draw_index(rng, len(ties))]
     members, fits = list(pop.members), list(pop.fitnesses)
     if removed < mu:
         members[removed], fits[removed] = child, cf
@@ -353,6 +355,23 @@ def test_the_largest_uniform_flips_the_last_count_with_a_nonzero_term(n, chi):
         pop = Population([0, 0], [1, 1])
         _, trace = ga_step(pop, params, scripted_stream([0.5, 0.0, u]))
         assert trace.offspring.bit_count() == count
+
+
+@pytest.mark.parametrize("n,chi", [(100, 1.0), (10**4, 744.0), (40, 40.0)])
+def test_the_flip_count_is_the_bisection_at_the_first_two_entries(n, chi):
+    # The kernel decides counts 0 and 1 from the table's first two entries
+    # and bisects the rest.  The tables: an ordinary one, one that starts
+    # with -1.0 entries ((1 - p_m)^n is subnormal) and the p_m = 1 table,
+    # whose entries are all -1.0 but the last.
+    params = GaParams(n=n, k=1, mu=2, p_c=0.0, chi=chi)
+    cdf = params.mutation_cdf
+    uniforms = [0.0, math.nextafter(1.0, 0.0)]
+    for entry in cdf[:2]:
+        uniforms += [entry, math.nextafter(entry, 1.0)]
+    for u in uniforms:
+        # Coin, parent index, flip count, then Floyd's draws and the tie-break.
+        _, trace = ga_step(Population([0, 0], [1, 1]), params, scripted_stream([0.5, 0.0, u]))
+        assert trace.offspring.bit_count() == bisect_left(cdf, u), u
 
 
 def test_no_step_flips_every_bit_where_the_no_flip_term_is_subnormal(monkeypatch):

@@ -69,3 +69,18 @@ def test_code_size_counts_code_lines_and_its_rows_sum_to_the_total(capsys):
     assert [name.strip() for name, _ in rows] == modules
     assert total[0].strip() == "total" and int(total[1]) == sum(int(lines) for _, lines in rows)
     assert rest[-1] == f"`jumpga.__all__`: {len(jumpga.__all__)} names"
+
+
+def test_draw_cost_prints_one_row_per_n(capsys):
+    study = load_study("draw_cost")
+    assert study.main(["--uniforms", "200", "--repeats", "1"]) == 0
+    out, err = capsys.readouterr()
+    header, rule, *rows = out.splitlines()
+    assert header.startswith("| n | table entries | decided by two entries |")
+    assert rule.startswith("| --- |")
+    assert len(rows) == len(study.NS)
+    for n, row in zip(study.NS, rows):
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        assert cells[0] == str(n) and len(cells) == 3 + len(study.BODIES)
+        assert 0 < float(cells[2]) < 1
+    assert err.startswith("wall ")
