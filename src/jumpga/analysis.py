@@ -104,7 +104,7 @@ def close_crossover_increase_bound(y: int, mu: int, chi: float, n: int) -> float
     """
     _check_transition_args(y, mu, chi, n, mu)
     lead = (mu - y) * y * (mu + y) / (2 * (mu + 1) * mu * mu)
-    return lead * no_flip_probability(chi, n)
+    return lead * _no_flip(n, chi / n)
 
 
 def close_crossover_decrease_bound(y: int, mu: int, chi: float, n: int) -> float:
@@ -115,7 +115,7 @@ def close_crossover_decrease_bound(y: int, mu: int, chi: float, n: int) -> float
     """
     _check_transition_args(y, mu, chi, n, mu - 1)
     lead = y * (mu - y) * (mu * (1 + chi / 2) + y * chi / 2) / (2 * (mu + 1) * mu * mu)
-    return lead * no_flip_probability(chi, n)
+    return lead * _no_flip(n, chi / n)
 
 
 def mutation_only_transition_bounds(y: int, mu: int, chi: float, n: int) -> tuple[float, float]:
@@ -126,7 +126,7 @@ def mutation_only_transition_bounds(y: int, mu: int, chi: float, n: int) -> tupl
     O((mu-y)^2 / (n*mu^2)); for the decrease it is a valid lower bound.
     """
     _check_transition_args(y, mu, chi, n, mu)
-    lead = y * (mu - y) / (mu * (mu + 1)) * no_flip_probability(chi, n)
+    lead = y * (mu - y) / (mu * (mu + 1)) * _no_flip(n, chi / n)
     return lead, lead
 
 

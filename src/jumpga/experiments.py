@@ -95,7 +95,7 @@ def two_species_population(
         other_bits ^= 1 << idx
     members = [bits] * y + [other_bits] * (mu - y)
     fits = [jump_fitness(bits, n, k)] * y + [jump_fitness(other_bits, n, k)] * (mu - y)
-    pop = Population(members, fits, 0)
+    pop = Population(members, fits)
     return pop, bits, other_bits
 
 
@@ -124,18 +124,17 @@ def _count_moves(
 
     ``population`` is never written.  Every trial steps one copy of it, which
     is then put back: the replaced member, whose fitness was the minimum
-    ``low``, and the copy's ``low``, ``tied`` and ``generation``.
+    ``low``, and the copy's ``low`` and ``tied``.
     """
     check_at_least(1, trials=trials)
     mu = params.mu
     work = replace(population)
     members, fits = work.members, work.fitnesses
-    generation, low, tied = work.generation, work.low, work.tied
+    low, tied = work.low, work.tied
     accepted = attempts = ups = downs = 0
     while accepted < trials and attempts < cap:
         _, trace = ga_step(work, params, rng)
         attempts += 1
-        work.generation = generation
         r = trace.removed_index
         if r < mu:
             members[r] = trace.removed_genotype

@@ -17,7 +17,9 @@ never write it.
 
 A step builds neither a genotype nor a record: genotypes are packed ints
 (see :mod:`jumpga.core`), and each population keeps one :class:`StepTrace`,
-built by its first step and rewritten in place by every later one.
+built by its first step and rewritten in place by every later one.  Steps are
+counted once, by the ``t`` that :func:`steps` yields: neither a population
+nor a record holds a step count.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class Population:
     ``members`` and ``fitnesses`` are parallel lists that the population owns:
     construction copies whatever sequences it is given, so a population never
     shares a list with its caller, and ``dataclasses.replace(pop)`` is an
-    independent copy.  ``generation`` counts applied iterations.  Member order
-    carries no meaning beyond indexing within a single step.
-    :func:`ga_step` advances a population in place.
+    independent copy.  Member order carries no meaning beyond indexing within
+    a single step.  :func:`ga_step` advances a population in place.  Two
+    populations are equal when their members and fitnesses are.
 
     ``low`` and ``tied`` cache the minimum fitness and the number of members
     at it, so that :func:`ga_step` picks the removed member without scanning
@@ -83,7 +85,6 @@ class Population:
 
     members: list[int]
     fitnesses: list[int]
-    generation: int = 0
     low: int = field(init=False, compare=False, repr=False)
     tied: int = field(init=False, compare=False, repr=False)
     last: StepTrace | None = field(default=None, init=False, compare=False, repr=False)
@@ -103,6 +104,12 @@ class IntegrityError(Exception):
 class StepTrace:
     """Record of one iteration, sufficient to replay population deltas.
 
+    It holds what the step decided: the event, the parent indices, the
+    offspring and the member removed.  What follows from those is left to the
+    reader: the step number is the ``t`` that :func:`steps` yields, and the
+    offspring's fitness is ``jump_fitness(offspring, n, k)``.
+    ``optimum_created`` is stored because every runner reads it on every
+    step.
     ``removed_index`` indexes the extended multiset: values ``0..mu-1`` name
     pre-step members, value ``mu`` means the offspring itself was removed (so
     the population multiset is unchanged).  ``removed_genotype`` is the
@@ -111,11 +118,9 @@ class StepTrace:
     with ``dataclasses.replace(trace)``.
     """
 
-    t: int
     event: EventClass
     parent_indices: tuple[int, ...]
     offspring: int
-    offspring_fitness: int
     removed_index: int
     removed_genotype: int
     optimum_created: bool
@@ -151,7 +156,7 @@ def init_uniform(params: GaParams, rng: RandomStream) -> Population:
     n = params.n
     members = [rng.random_bits(n) for _ in range(params.mu)]
     fits = [jump_fitness(g, n, params.k) for g in members]
-    return Population(members, fits, 0)
+    return Population(members, fits)
 
 
 def init_monomorphic_plateau(params: GaParams, rng: RandomStream) -> Population:
@@ -159,14 +164,15 @@ def init_monomorphic_plateau(params: GaParams, rng: RandomStream) -> Population:
     n = params.n
     g = ((1 << n) - 1) ^ _floyd_mask(rng, n, params.k)
     f = jump_fitness(g, n, params.k)
-    return Population([g] * params.mu, [f] * params.mu, 0)
+    return Population([g] * params.mu, [f] * params.mu)
 
 
 def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Population, StepTrace]:
     """Advance ``pop`` one iteration in place; returns ``(pop, trace)``, the
     population being the one passed in and the trace its record ``pop.last``,
     which the next step on ``pop`` rewrites.  Copy a population or a trace
-    first (``dataclasses.replace``) to keep its state.
+    first (``dataclasses.replace``) to keep its state.  The step counts
+    nothing: its caller numbers the steps, as :func:`steps` does.
 
     Scalar draws happen in a fixed order so that traces replay exactly:
     (1) crossover coin ``u < p_c`` with ``u`` uniform on [0, 1),
@@ -263,8 +269,6 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
             for _ in range(pos):
                 removed = fits.index(low, removed + 1)
 
-    t = pop.generation + 1
-    pop.generation = t
     if removed == mu:
         removed_genotype = bits
     else:
@@ -282,13 +286,11 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     optimum = child_fit == n + k
     trace = pop.last
     if trace is None:
-        pop.last = trace = StepTrace(t, event, parents, bits, child_fit, removed, removed_genotype, optimum)
+        pop.last = trace = StepTrace(event, parents, bits, removed, removed_genotype, optimum)
     else:
-        trace.t = t
         trace.event = event
         trace.parent_indices = parents
         trace.offspring = bits
-        trace.offspring_fitness = child_fit
         trace.removed_index = removed
         trace.removed_genotype = removed_genotype
         trace.optimum_created = optimum

@@ -1,6 +1,9 @@
-"""The package's export list: every name in ``__all__`` exists, and the list is pinned."""
+"""The package's export list: every name in ``__all__`` exists, and the list is
+pinned, as are the fields of the records that every step writes."""
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import jumpga
 
@@ -62,3 +65,21 @@ _EXPORTS = [
 
 def test_export_list_is_pinned():
     assert sorted(jumpga.__all__) == _EXPORTS
+
+
+# The records every step writes: adding a per-step field is a deliberate edit
+# of these lists.
+_STEP_TRACE_FIELDS = [
+    "event",
+    "parent_indices",
+    "offspring",
+    "removed_index",
+    "removed_genotype",
+    "optimum_created",
+]
+_POPULATION_INIT_FIELDS = ["members", "fitnesses"]
+
+
+def test_step_record_fields_are_pinned():
+    assert [f.name for f in fields(jumpga.StepTrace)] == _STEP_TRACE_FIELDS
+    assert [f.name for f in fields(jumpga.Population) if f.init] == _POPULATION_INIT_FIELDS

@@ -30,7 +30,7 @@ from jumpga import (
 
 
 def population_of(n: int, k: int, *bits: int) -> Population:
-    return Population(bits, tuple(jump_fitness(g, n, k) for g in bits), 0)
+    return Population(bits, tuple(jump_fitness(g, n, k) for g in bits))
 
 
 def test_census_counts_distinct_genotypes():
@@ -199,11 +199,9 @@ def test_trackers_reject_inconsistent_traces():
     absent = pop.members[0] ^ 0b1010101
     assert absent not in pop.members
     bogus = StepTrace(
-        t=trace.t,
         event=trace.event,
         parent_indices=trace.parent_indices,
         offspring=trace.offspring,
-        offspring_fitness=trace.offspring_fitness,
         removed_index=0,
         removed_genotype=absent,
         optimum_created=False,

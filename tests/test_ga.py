@@ -48,7 +48,7 @@ from jumpga import (
 
 
 def population_of(params: GaParams, *bits: int) -> Population:
-    return Population(bits, tuple(jump_fitness(b, params.n, params.k) for b in bits), 0)
+    return Population(bits, tuple(jump_fitness(b, params.n, params.k) for b in bits))
 
 
 def multiset(pop: Population) -> Counter:
@@ -156,7 +156,7 @@ def manual_step(pop: Population, params: GaParams, rng) -> tuple[Population, dic
     members, fits = list(pop.members), list(pop.fitnesses)
     if removed < mu:
         members[removed], fits[removed] = child, cf
-    new = Population(members, fits, pop.generation + 1)
+    new = Population(members, fits)
     return new, dict(parents=parents, offspring=child, removed=removed)
 
 
@@ -232,7 +232,8 @@ def test_step_follows_documented_draw_order(n, k, mu, p_c, chi, start, count, br
         assert trace.offspring == manual["offspring"]
         assert trace.removed_index == manual["removed"]
         assert pop_a == pop_b
-        branches[removal_branch(fits, trace.offspring_fitness, trace.removed_index)] += 1
+        child_fit = jump_fitness(trace.offspring, n, k)
+        branches[removal_branch(fits, child_fit, trace.removed_index)] += 1
     assert branches[branch] >= 1, dict(branches)
     assert rng_a.uniform() == rng_b.uniform()
 
@@ -400,10 +401,11 @@ def documented_draws(before: Population, trace: StepTrace, params: GaParams) -> 
     coin, the parent index, the flip count, m Floyd positions unless m = n,
     and the tie-break when two or more of the extended multiset tie at the minimum."""
     m = (before.members[trace.parent_indices[0]] ^ trace.offspring).bit_count()
+    child_fit = jump_fitness(trace.offspring, params.n, params.k)
     fits = before.fitnesses
     low = min(fits)
-    ties = fits.count(low) + (trace.offspring_fitness == low)
-    return 3 + (m if m < params.n else 0) + (trace.offspring_fitness >= low and ties > 1)
+    ties = fits.count(low) + (child_fit == low)
+    return 3 + (m if m < params.n else 0) + (child_fit >= low and ties > 1)
 
 
 class CountingGenerator:
@@ -445,8 +447,10 @@ def test_mutation_steps_draw_only_whole_blocks_of_uniforms(n, chi):
 
 
 # sha256 of 10^4-step trace streams: any change to a draw, a tie-break or a
-# record field changes the digest.  Each genotype is hashed as the repr of a
-# (bits, n) ``Genotype`` pair, the text these digests were first taken on.
+# record field changes the digest.  The digests hash the text they were first
+# taken on: each genotype is the repr of a (bits, n) ``Genotype`` pair, and
+# the step number and the offspring's fitness, which records and populations
+# once held, come from the ``t`` each drive yields and from ``jump_fitness``.
 TRACE_PINS = [
     pytest.param(
         40, 3, 12, 0.5, init_uniform,
@@ -478,20 +482,20 @@ def test_trace_stream_matches_pinned_digest(n, k, mu, p_c, start, digest, drive)
     start_pop = start(params, make_rng(2023, 0))
     before = snapshot(start_pop)
     h = hashlib.sha256()
-    for _, pop, tr in drive(start_pop, params, make_rng(2023, 1), 10_000):
+    for t, pop, tr in drive(start_pop, params, make_rng(2023, 1), 10_000):
         fields = (
-            tr.t,
+            t,
             tr.event.value,
             tr.parent_indices,
             Genotype(tr.offspring, n),
-            tr.offspring_fitness,
+            jump_fitness(tr.offspring, n, k),
             tr.removed_index,
             Genotype(tr.removed_genotype, n),
             tr.optimum_created,
         )
         h.update(repr(fields).encode())
     members = tuple(Genotype(g, n) for g in pop.members)
-    h.update(repr((members, tuple(pop.fitnesses), pop.generation)).encode())
+    h.update(repr((members, tuple(pop.fitnesses), t)).encode())
     assert h.hexdigest() == digest
     assert start_pop == before
 
@@ -502,17 +506,17 @@ def test_step_leaves_its_input_population_unchanged():
     for start, p_c in ((init_uniform, 0.5), (init_monomorphic_plateau, 1.0)):
         params = GaParams(n=30, k=3, mu=16, p_c=p_c, chi=1.0, seed=8)
         pop = start(params, make_rng(8, 0))
-        before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
+        before = (tuple(pop.members), tuple(pop.fitnesses), pop.low, pop.tied)
         for _ in steps(pop, params, make_rng(8, 1), 300):
             pass
         res = run(pop, params, StopCondition(max_iterations=300), make_rng(8, 1))
         assert res.iterations > 0 and res.population is not pop
-        assert (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied) == before
+        assert (tuple(pop.members), tuple(pop.fitnesses), pop.low, pop.tied) == before
     params = GaParams(n=60, k=3, mu=8, p_c=1.0, chi=1.0, seed=9)
     pop, focal, _ = two_species_population(params, 5, 1, make_rng(9, 0))
-    before = (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied)
+    before = (tuple(pop.members), tuple(pop.fitnesses), pop.low, pop.tied)
     estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 500, make_rng(9, 1))
-    assert (tuple(pop.members), tuple(pop.fitnesses), pop.generation, pop.low, pop.tied) == before
+    assert (tuple(pop.members), tuple(pop.fitnesses), pop.low, pop.tied) == before
 
 
 def test_a_population_owns_its_storage():
@@ -532,7 +536,7 @@ def test_a_population_owns_its_storage():
                 discarded += 1
             elif trace.offspring != trace.removed_genotype:
                 replaced += 1
-        assert replaced and discarded and pop.generation == 200
+        assert replaced and discarded
         assert (members, fits) == (list(start.members), list(start.fitnesses))
     before = snapshot(start)
     res = run(start, params, StopCondition(max_iterations=100), make_rng(3, 2))
@@ -552,10 +556,10 @@ def test_a_population_rewrites_its_one_step_record():
     assert first is pop.last
     kept, text = replace(first), repr(first)
     assert replace(pop).last is None
-    for t in range(2, 50):
+    for _ in range(48):
         _, trace = ga_step(pop, params, rng)
-        assert trace is pop.last is first and trace.t == t
-    assert repr(kept) == text and kept.t == 1
+        assert trace is pop.last is first
+    assert repr(kept) == text != repr(first)
 
 
 def test_steps_yields_one_record_per_run():
@@ -626,7 +630,7 @@ def test_check_population_rejects_a_corrupted_minimum_cache():
     assert (pop.low, pop.tied) == (10, 2)
     check_population(pop, params.n, params.k)
     for low, tied in ((11, 2), (10, 1), (4, 1)):
-        bad = Population(pop.members, pop.fitnesses, pop.generation)
+        bad = Population(pop.members, pop.fitnesses)
         bad.low, bad.tied = low, tied
         assert bad == pop  # the cache takes no part in equality
         with pytest.raises(IntegrityError):
@@ -650,7 +654,8 @@ def test_minimum_cache_holds_after_every_chained_step():
             check_population(pop, params.n, params.k)
             low, tied = pop.low, pop.tied
             for _, pop, trace in drive(pop, params, make_rng(12, 1), 500):
-                if tied == 1 and trace.removed_index < params.mu and trace.offspring_fitness > low:
+                child_fit = jump_fitness(trace.offspring, params.n, params.k)
+                if tied == 1 and trace.removed_index < params.mu and child_fit > low:
                     recomputed[drive.__name__, name] += 1
                 check_population(pop, params.n, params.k)
                 low, tied = pop.low, pop.tied
@@ -670,7 +675,7 @@ def test_step_discards_strictly_worst_offspring_without_touching_population():
         if trace.removed_index == params.mu:
             assert multiset(pop) == before
             assert trace.removed_genotype == trace.offspring
-            if trace.offspring_fitness < min(pop.fitnesses):
+            if jump_fitness(trace.offspring, params.n, params.k) < min(pop.fitnesses):
                 seen_discard = True
         if trace.optimum_created:
             break
@@ -693,20 +698,19 @@ def test_step_trace_bookkeeping_matches_population_change():
     params = GaParams(n=14, k=3, mu=6, p_c=0.5, chi=1.0, seed=23)
     pop = init_uniform(params, make_rng(23, 0))
     rng = make_rng(23, 1)
-    for t in range(1, 401):
+    for _ in range(400):
         before = multiset(pop)
         prev = snapshot(pop)
         pop, trace = ga_step(pop, params, rng)
-        assert trace.t == t
-        assert pop.generation == t
         assert len(pop.members) == params.mu
-        assert trace.offspring_fitness == jump_fitness(trace.offspring, params.n, params.k)
-        assert trace.optimum_created == (trace.offspring_fitness == params.n + params.k)
+        child_fit = jump_fitness(trace.offspring, params.n, params.k)
+        assert trace.optimum_created == (child_fit == params.n + params.k)
         after = multiset(pop)
         if trace.removed_index == params.mu:
             assert after == before
         else:
             assert trace.removed_genotype == prev.members[trace.removed_index]
+            assert pop.fitnesses[trace.removed_index] == child_fit
             expected = Counter(before)
             expected[trace.offspring] += 1
             expected[trace.removed_genotype] -= 1
@@ -873,8 +877,11 @@ def test_steps_chain_ga_step_on_the_same_stream():
     assert rng.uniform() == hand_rng.uniform()
 
     # Without a limit the chain goes on: its 501st item is step 501.
-    t, pop, trace = next(islice(steps(start, params, make_rng(21, 1)), 500, None))
-    assert t == pop.generation == trace.t == 501
+    t, pop, _ = next(islice(steps(start, params, make_rng(21, 1)), 500, None))
+    hand, hand_rng = snapshot(start), make_rng(21, 1)
+    for _ in range(501):
+        ga_step(hand, params, hand_rng)
+    assert t == 501 and pop == hand
 
 
 def test_small_instances_reach_the_optimum_from_every_seed():

@@ -14,10 +14,21 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import jumpga.core
 import jumpga.diversity
 import jumpga.ga
-from jumpga import GaParams, ga_step, init_monomorphic_plateau, init_uniform, make_rng, steps
+from jumpga import (
+    GaParams,
+    ga_step,
+    init_monomorphic_plateau,
+    init_uniform,
+    make_rng,
+    run_survival,
+    run_takeover,
+    steps,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -29,32 +40,58 @@ def load_tracer():
     return module
 
 
-def test_steps_calls_ga_step_once_per_yielded_step(monkeypatch):
-    calls = 0
+@pytest.fixture
+def ga_step_calls(monkeypatch) -> list:
+    """A list that grows by one item on each call of ``jumpga.ga.ga_step``."""
+    calls = []
     inner = jumpga.ga.ga_step
 
     def counting(pop, params, rng):
-        nonlocal calls
-        calls += 1
+        calls.append(None)
         return inner(pop, params, rng)
 
     monkeypatch.setattr(jumpga.ga, "ga_step", counting)
+    return calls
+
+
+def test_steps_calls_ga_step_once_per_yielded_step(ga_step_calls):
     params = GaParams(n=30, k=3, mu=8, p_c=0.5, chi=1.0, seed=3)
     for start in (init_uniform, init_monomorphic_plateau):
         rng = make_rng(3, 0)
         pop = start(params, rng)
-        calls = 0
+        ga_step_calls.clear()
         yielded = 0
-        for t, _, trace in steps(pop, params, rng, 400):
+        for t, _, _ in steps(pop, params, rng, 400):
             yielded += 1
-            assert calls == t == trace.t
-        assert yielded == calls == 400
-        calls = 0
+            assert len(ga_step_calls) == t
+        assert yielded == len(ga_step_calls) == 400
+        ga_step_calls.clear()
         for t, _, _ in steps(pop, params, rng):
-            assert calls == t
+            assert len(ga_step_calls) == t
             if t == 50:
                 break
-        assert calls == 50
+        assert len(ga_step_calls) == 50
+
+
+def test_runner_step_counts_add_up_to_the_ga_step_calls(ga_step_calls):
+    # Survival hands the takeover population on to a second chain of steps,
+    # and each chain counts its own steps.  The cap of 300 censors one of the
+    # eight takeovers; of the others, four end on a focal regrowth, two run
+    # to t_max and one stops at the optimum.
+    params = GaParams(n=30, k=3, mu=8, p_c=1.0, chi=1.0, seed=3)
+    cap = 300
+    survival = run_survival(params, 8, 0.6, 300, max_iterations=cap)
+    reps = survival.replicates
+    assert sum(r.takeover_censored for r in reps) == 1
+    assert any(r.optimum_interrupted for r in reps)
+    assert any(r.monitored_iterations == 300 for r in reps)
+    taken = sum((cap if r.takeover_censored else r.takeover_time) + r.monitored_iterations for r in reps)
+    assert taken == len(ga_step_calls)
+    ga_step_calls.clear()
+    takeover = run_takeover(params, 8, max_iterations=cap)
+    assert takeover.censored == 1
+    taken = sum(cap if r.censored else r.hitting_time for r in takeover.replicates)
+    assert taken == len(ga_step_calls)
 
 
 def test_every_method_the_tracer_wraps_is_defined_on_its_class():
