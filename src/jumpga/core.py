@@ -78,6 +78,10 @@ class GaParams:
     mutation_cdf : tuple[float, ...]
         Derived, not settable: ``_binomial_cdf(n, p_m)``, the flip-count
         table that ``ga_step`` bisects; never empty, and its last entry is 1.0.
+    mask_shifts : tuple[int, ...]
+        Derived, not settable: ``tuple(range(53, n, 53))``, the shifts of the
+        crossover mask's words after the first, which ``ga_step`` iterates;
+        empty when one word covers n (n <= 53).
     """
 
     n: int
@@ -87,6 +91,7 @@ class GaParams:
     chi: float
     seed: int = 1
     mutation_cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    mask_shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -102,6 +107,7 @@ class GaParams:
         if not 0 <= self.seed < 2**64:
             raise SettingError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
         object.__setattr__(self, "mutation_cdf", _binomial_cdf(self.n, self.p_m))
+        object.__setattr__(self, "mask_shifts", tuple(range(53, self.n, 53)))
 
     @property
     def p_m(self) -> float:

@@ -15,9 +15,11 @@ is the one loop through which every runner steps a population forward;
 ``steps``, ``run`` and every runner built on them copy their start once and
 never write it.
 
-A step builds neither a genotype nor a record: genotypes are packed ints
-(see :mod:`jumpga.core`), and each population keeps one :class:`StepTrace`,
-built by its first step and rewritten in place by every later one.  Steps are
+A step builds no genotype, record or range: genotypes are packed ints (see
+:mod:`jumpga.core`), each population keeps one :class:`StepTrace`, built by
+its first step and rewritten in place by every later one, and what is fixed
+for a setting (the flip-count table and the crossover mask's word shifts) is
+built once, by :class:`~jumpga.core.GaParams`.  Steps are
 counted once, by the ``t`` that :func:`steps` yields: neither a population
 nor a record holds a step count.
 """
@@ -177,8 +179,10 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
     Scalar draws happen in a fixed order so that traces replay exactly:
     (1) crossover coin ``u < p_c`` with ``u`` uniform on [0, 1),
     (2) parent index draws (two with crossover, else one; with replacement),
-    (3) crossover mask bits, ceil(n/53) words (crossover only; equal parents
-        draw them and leave them unused, as their child is the parent),
+    (3) crossover mask bits, ceil(n/53) words (crossover only): the first
+        word unshifted, then one word at each shift of
+        ``params.mask_shifts``; equal parents draw them and leave them
+        unused, as their child is the parent,
     (4) mutation flip count m, one uniform at every chi, then m flip
         positions (ascending Floyd draws; none when m = n),
     (5) removal tie-break index, drawn only when two or more candidates tie
@@ -222,12 +226,13 @@ def ga_step(pop: Population, params: GaParams, rng: RandomStream) -> tuple[Popul
         b = members[j]
         diff = bits ^ b
         if diff:
-            mask = 0
-            for shift in range(0, n, 53):
-                mask |= floor(draw() * 2.0**53) << shift  # RandomStream.random_bits's words
+            mask = floor(draw() * 2.0**53)  # RandomStream.random_bits's words
+            for shift in params.mask_shifts:
+                mask |= floor(draw() * 2.0**53) << shift
             bits = b ^ (diff & mask)  # parent i's bit where the mask is set
         else:
-            for _ in range(0, n, 53):
+            draw()
+            for _ in params.mask_shifts:
                 draw()
         event = _CLOSE if diff.bit_count() <= 2 else _DISTANT
     else:

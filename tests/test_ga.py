@@ -201,7 +201,10 @@ def removal_branch(fits: list[int], child_fit: int, removed: int) -> str:
 # reach the kernel's edge paths: chi = n flips every bit after drawing its
 # count, (1-p_m)^n underflows at n = 1000, chi = 600 (a table that starts
 # with -1.0 entries), and equal plateau parents at n = 120 draw and discard a
-# three-word crossover mask.
+# three-word crossover mask.  The three ``mask-`` cells sit at the mask's word
+# boundaries: n = 53 is one word (no shifts), n = 54 puts one position in a
+# second word, and n = 106 is two full words; from a monomorphic plateau at
+# p_c = 1 each crosses both equal and differing parents.
 DRAW_ORDER_CELLS = [
     pytest.param(2, 1, 2, 0.5, 1.0, init_uniform, 200, "all_tie_child_ties", id="2-1-2-0.5"),
     pytest.param(12, 3, 5, 0.7, 1.0, init_uniform, 200, "unique_minimum", id="12-3-5-0.7"),
@@ -215,6 +218,9 @@ DRAW_ORDER_CELLS = [
     pytest.param(10, 2, 6, 0.5, 10.0, init_uniform, 200, "child_strictly_worst", id="chi-n-flips-all"),
     pytest.param(1000, 3, 4, 0.5, 600.0, init_uniform, 100, "unique_minimum", id="binomial-underflow"),
     pytest.param(120, 3, 8, 1.0, 1.0, init_monomorphic_plateau, 200, "all_tie_child_ties", id="plateau-three-words"),
+    pytest.param(53, 3, 4, 1.0, 1.0, init_monomorphic_plateau, 200, "all_tie_child_ties", id="mask-one-word"),
+    pytest.param(54, 3, 4, 1.0, 1.0, init_monomorphic_plateau, 400, "all_tie_child_ties", id="mask-second-word-one-bit"),
+    pytest.param(106, 3, 4, 1.0, 1.0, init_monomorphic_plateau, 400, "all_tie_child_ties", id="mask-two-full-words"),
 ]
 
 
@@ -249,12 +255,26 @@ def test_draw_order_cells_cover_every_removal_branch():
     }
 
 
-@pytest.mark.parametrize("offset", [2, 3, 4, 5, 6, 7])
-def test_equal_parent_step_matches_manual_step_across_a_refill(offset):
-    # Coin, two indices, four unused mask words, then the flip count: started
-    # at BLOCK - 2 the block refills at the second index, at BLOCK - 3 to
-    # BLOCK - 6 inside the mask words that equal parents draw and discard.
-    params = GaParams(n=200, k=3, mu=4, p_c=1.0, chi=1.0, seed=19)
+@pytest.mark.parametrize(
+    "n,k,mu,p_c,chi,start,count,branch", [c for c in DRAW_ORDER_CELLS if c.id.startswith("mask-")]
+)
+def test_word_boundary_cells_cross_equal_and_differing_parents(n, k, mu, p_c, chi, start, count, branch):
+    params = GaParams(n=n, k=k, mu=mu, p_c=p_c, chi=chi, seed=17)
+    pop = snapshot(start(params, make_rng(17, 0)))
+    rng = make_rng(17, 1)
+    equal_parents = set()
+    for _ in range(count):
+        before = list(pop.members)
+        _, trace = ga_step(pop, params, rng)
+        i, j = trace.parent_indices
+        equal_parents.add(before[i] == before[j])
+    assert equal_parents == {True, False}
+
+
+def check_equal_parent_step_across_a_refill(n: int, offset: int) -> None:
+    """One equal-parent crossover step at n, its first draw ``offset`` uniforms
+    before a block ends, against ``manual_step`` on a twin stream."""
+    params = GaParams(n=n, k=3, mu=4, p_c=1.0, chi=1.0, seed=19)
     pop = init_monomorphic_plateau(params, make_rng(19, 0))
     rng, twin = make_rng(19, 1), make_rng(19, 1)
     for stream in (rng, twin):
@@ -269,6 +289,22 @@ def test_equal_parent_step_matches_manual_step_across_a_refill(offset):
     assert new == want
     assert rng._pos == twin._pos
     assert rng.uniform() == twin.uniform()
+
+
+@pytest.mark.parametrize("offset", [2, 3, 4, 5, 6, 7])
+def test_equal_parent_step_matches_manual_step_across_a_refill(offset):
+    # Coin, two indices, four unused mask words, then the flip count: started
+    # at BLOCK - 2 the block refills at the second index, at BLOCK - 3 to
+    # BLOCK - 6 inside the mask words that equal parents draw and discard.
+    check_equal_parent_step_across_a_refill(200, offset)
+
+
+@pytest.mark.parametrize("offset", [2, 3, 4, 5])
+def test_equal_parent_two_word_step_matches_manual_step_across_a_refill(offset):
+    # Coin, two indices, two unused mask words (the first unshifted, the
+    # second at GaParams.mask_shifts' one shift), then the flip count: started
+    # at BLOCK - 3 or BLOCK - 4 the block refills inside the mask words.
+    check_equal_parent_step_across_a_refill(106, offset)
 
 
 @pytest.mark.parametrize(
@@ -317,6 +353,20 @@ def test_mutation_cdf_starts_at_the_no_flip_probability_and_follows_replace():
     assert moved.mutation_cdf != params.mutation_cdf
     assert replace(moved, chi=1.0) == params  # the table is derived, not compared
     assert replace(params, chi=100.0).mutation_cdf == (-1.0,) * 100 + (1.0,)
+
+
+def test_mask_shifts_are_derived_per_setting_and_follow_replace():
+    for n in (2, 53, 54, 106, 107):
+        assert GaParams(n=n, k=1, mu=2, p_c=0.5, chi=1.0).mask_shifts == tuple(range(53, n, 53))
+    params = GaParams(n=106, k=3, mu=4, p_c=1.0, chi=1.0)
+    assert replace(params, n=107).mask_shifts == (53, 106)
+    assert replace(params, n=53).mask_shifts == ()
+    with pytest.raises(TypeError):
+        GaParams(n=106, k=3, mu=4, p_c=1.0, chi=1.0, mask_shifts=())
+    assert "mask_shifts" not in repr(params)
+    other = replace(params)
+    object.__setattr__(other, "mask_shifts", ())  # derived: not compared, not hashed
+    assert other == params and hash(other) == hash(params)
 
 
 class ScriptedGenerator:

@@ -27,12 +27,13 @@ def test_step_cost_prints_one_row_per_setting(capsys):
     assert study.main(["--steps", "20"]) == 0
     out, err = capsys.readouterr()
     header, rule, *rows = out.splitlines()
-    assert header.startswith("| n | k | mu | start |") and rule.startswith("| --- |")
+    assert header.startswith("| n | k | mu | p_c | start |") and rule.startswith("| --- |")
     assert len(rows) == len(study.SETTINGS)
-    for (n, mu, start), row in zip(study.SETTINGS, rows):
+    for (n, mu, p_c, start), row in zip(study.SETTINGS, rows):
         cells = [c.strip() for c in row.strip("|").split("|")]
-        assert cells[:4] == [str(n), "3", str(mu), start]
-        assert float(cells[4]) > 0
+        assert cells[:5] == [str(n), "3", str(mu), f"{p_c:g}", start]
+        assert float(cells[5]) > 0
+    assert {p_c for _, _, p_c, _ in study.SETTINGS} == {0.5, 1.0}
     assert err.startswith("wall ")
 
 
