@@ -11,7 +11,6 @@ from .analysis import (
     exact_optimum_probability,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,
-    no_flip_probability,
     optimum_creation_lower_bound,
     runtime_bound,
     survival_constant,
@@ -80,7 +79,6 @@ __all__ = [
     "make_rng",
     "mutation_only_increase_oscale",
     "mutation_only_transition_bounds",
-    "no_flip_probability",
     "optimum_creation_lower_bound",
     "run",
     "run_bound_sweep",

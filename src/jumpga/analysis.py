@@ -35,17 +35,6 @@ def _power_product(factors) -> float:
     return math.exp(total)
 
 
-def no_flip_probability(chi: float, n: int) -> float:
-    """Probability that mutation at rate chi/n flips no bit: (1 - chi/n)^n.
-    Wherever it is a normal double, it is bit for bit the first entry of the
-    simulator's flip-count table (``GaParams.mutation_cdf``)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if not 0.0 <= chi <= n:
-        raise ValueError(f"chi must lie in [0, n], got {chi}")
-    return _no_flip(n, chi / n)
-
-
 def optimum_creation_lower_bound(n: int, k: int, d: int, p_m: float) -> float:
     """Lower bound on creating the all-ones string from two plateau parents.
 

@@ -32,7 +32,7 @@ from .analysis import (
     runtime_bound,
     survival_constant,
 )
-from .core import GaParams, SettingError
+from .core import GaParams, SettingError, check_at_least
 from .experiments import (
     run_bound_sweep,
     run_comparison,
@@ -363,7 +363,8 @@ def _cmd_sweep(params: GaParams, cfg: dict, out: Path) -> int:
 
 def _cmd_oracle(params: GaParams, cfg: dict, out: Path) -> int:
     n, k, d = params.n, params.k, cfg["d"]
-    # first: the bound judges d and p_m before the pair is built from them
+    check_at_least(0, mc_trials=cfg["mc_trials"])  # 0: no cross-check
+    # the bound judges d and p_m before the pair is built from them
     bound = optimum_creation_lower_bound(n, k, d, params.p_m)
     # canonical plateau pair at Hamming distance 2d: zero blocks 0..k-1 and d..k+d-1
     full = (1 << n) - 1

@@ -115,12 +115,13 @@ def _set_bits(mask: int) -> list[int]:
 
 def _count_moves(
     params: GaParams, population: Population, species: int, event: EventClass | None,
-    trials: int, cap: int, rng: RandomStream,
+    trials: int, rng: RandomStream,
 ) -> tuple[int, int, int, int]:
-    """Single steps from ``population`` until ``trials`` are accepted or ``cap``
-    are taken; a step is accepted when its event class is ``event`` (every
-    step when ``event`` is None).  Returns ``(accepted, attempts, ups, downs)``,
-    ``ups``/``downs`` counting accepted steps that grow/shrink ``species``.
+    """Single steps from ``population`` until ``trials`` are accepted or
+    ``50 * trials`` are taken; a step is accepted when its event class is
+    ``event`` (every step when ``event`` is None, which the cap never stops).
+    Returns ``(accepted, attempts, ups, downs)``, ``ups``/``downs`` counting
+    accepted steps that grow/shrink ``species``.
 
     ``population`` is never written.  Every trial steps one copy of it, which
     is then put back: the replaced member, whose fitness was the minimum
@@ -132,6 +133,7 @@ def _count_moves(
     members, fits = work.members, work.fitnesses
     low, tied = work.low, work.tied
     accepted = attempts = ups = downs = 0
+    cap = 50 * trials
     while accepted < trials and attempts < cap:
         _, trace = ga_step(work, params, rng)
         attempts += 1
@@ -182,19 +184,17 @@ def estimate_transition(
     event: EventClass,
     trials: int,
     rng: RandomStream,
-    *,
-    max_attempts: int | None = None,
 ) -> ConditionedEstimate:
     """Estimate one-step increase/decrease probabilities for ``species``
     conditioned on ``event``, by rejection sampling over the production step.
 
-    Repeats single steps from the same start population until ``trials``
-    accepted samples or ``max_attempts`` total steps (default 50x target;
-    0 takes no step).
+    Takes single steps from the same start population until ``trials`` steps
+    of class ``event`` are accepted or ``50 * trials`` steps are taken.  So an
+    event rarer than 1 in 50 steps usually stops at that cap with fewer
+    accepted trials than asked for, and an impossible one with none; the
+    result reports both counts.
     """
-    check_at_least(0, max_attempts=max_attempts)
-    cap = 50 * trials if max_attempts is None else max_attempts
-    accepted, attempts, ups, downs = _count_moves(params, population, species, event, trials, cap, rng)
+    accepted, attempts, ups, downs = _count_moves(params, population, species, event, trials, rng)
     y = population.members.count(species)
     if accepted:
         pp = ups / accepted
@@ -215,12 +215,6 @@ class MonteCarloFrequency(NamedTuple):
     trials: int
 
 
-# Trials per vectorized batch.  The frequency depends on it, as each batch
-# draws all its crossover coins (kept packed) before its mutation coins; both
-# come in row slabs, which take the uniforms of one (batch, n) draw.
-_SAMPLE_BATCH = 250_000
-
-
 def sample_optimum_creation_frequency(
     a: int,
     b: int,
@@ -233,12 +227,17 @@ def sample_optimum_creation_frequency(
     """Monte Carlo frequency of reaching the all-ones string with one
     crossover-plus-mutation of the length-``n`` parents ``(a, b)``.
 
-    Vectorized across trials (bit matrices over the numpy generator backing
-    ``make_rng(seed, stream)``, made once ``trials`` passes its check, drawn
-    ``_SAMPLE_BATCH`` trials at a time); per trial the operator semantics
-    match ``standard_bit_mutation(uniform_crossover(a, b))`` exactly, with the
-    reference operators of ``tests/reference.py``.  It imports numpy itself,
-    after its checks, as :func:`jumpga.core.make_rng` does.
+    Trial i takes uniforms 2n*i ... 2n*i + 2n - 1 of the numpy generator
+    backing ``make_rng(seed, stream)``: first its n crossover coins (position
+    j comes from ``a`` when its coin is below 1/2), then its n mutation coins
+    (position j flips when its coin is below ``p_m``), position 0 first in
+    each.  So the hit count is that of one ``generator.random((trials, 2,
+    n))`` draw, and a run of T trials is the prefix of any longer run.  The
+    draw is taken a slab of trials at a time, sized only to hold 8 MiB of
+    uniforms.  Per trial the law is that of ``standard_bit_mutation(
+    uniform_crossover(a, b))`` with the reference operators of
+    ``tests/reference.py``, which draw differently.  It imports numpy itself,
+    after its check, as :func:`jumpga.core.make_rng` does.
     """
     check_at_least(1, trials=trials)
     import numpy as np
@@ -246,19 +245,12 @@ def sample_optimum_creation_frequency(
     gen = make_rng(seed, stream).generator
     a_row = np.array([(a >> i) & 1 for i in range(n)], dtype=bool)
     b_row = np.array([(b >> i) & 1 for i in range(n)], dtype=bool)
-    slab = max(1, (1 << 20) // n)  # rows per draw: 8 MiB of uniforms at a time
+    slab = max(1, (1 << 19) // n)
     hits = 0
-    left = trials
-    while left:
-        m = min(_SAMPLE_BATCH, left)
-        left -= m
-        take_a = np.empty((m, (n + 7) // 8), dtype=np.uint8)  # packed, one bit per coin
-        for r in range(0, m, slab):
-            take_a[r : r + slab] = np.packbits(gen.random((min(slab, m - r), n)) < 0.5, axis=1)
-        for r in range(0, m, slab):
-            coins = np.unpackbits(take_a[r : r + slab], axis=1, count=n).view(bool)
-            child = np.where(coins, a_row, b_row)
-            hits += int((child ^ (gen.random(child.shape) < p_m)).all(axis=1).sum())
+    for start in range(0, trials, slab):
+        coins = gen.random((min(slab, trials - start), 2, n))
+        child = np.where(coins[:, 0] < 0.5, a_row, b_row)
+        hits += int((child ^ (coins[:, 1] < p_m)).all(axis=1).sum())
     freq = hits / trials
     stderr = math.sqrt(freq * (1 - freq) / trials)
     return MonteCarloFrequency(freq, stderr, hits, trials)

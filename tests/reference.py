@@ -150,7 +150,7 @@ def estimate_unconditioned_drift(
     rng: RandomStream,
 ) -> DriftEstimate:
     """Mean one-step size change of ``species`` over all event classes."""
-    _, _, ups, downs = _count_moves(params, population, species, None, trials, trials, rng)
+    _, _, ups, downs = _count_moves(params, population, species, None, trials, rng)
     mean = (ups - downs) / trials
     second_moment = (ups + downs) / trials
     stderr = math.sqrt(max(second_moment - mean * mean, 0.0) / trials)

@@ -542,7 +542,7 @@ _CLI_PINS = {
         "transitions.csv": "018cc53599a0d86c94522d6d6e20e1b54be8ddc21848fcc97cd0ec49ed282d69",
     },
     "oracle": {
-        "oracle.json": "434281f4c623deda55f832144f03f167bfe6f831990229bcf92958cfe25fb286",
+        "oracle.json": "4b1bf7183f9394ffeafd5aa592c1b60a146a14e72b275f9cbaf3e07f9ff24a27",
     },
 }
 

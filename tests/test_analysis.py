@@ -17,11 +17,11 @@ from jumpga import (
     exact_optimum_probability,
     mutation_only_increase_oscale,
     mutation_only_transition_bounds,
-    no_flip_probability,
     optimum_creation_lower_bound,
     runtime_bound,
     survival_constant,
 )
+from jumpga.core import _no_flip
 
 
 def plateau_pair(n: int, k: int, d: int) -> tuple[int, int]:
@@ -37,19 +37,11 @@ def plateau_pair(n: int, k: int, d: int) -> tuple[int, int]:
 
 
 def test_no_flip_probability_values():
-    assert no_flip_probability(1.0, 100) == pytest.approx(0.99**100, rel=1e-12)
-    assert no_flip_probability(0.0, 50) == 1.0
-    assert no_flip_probability(50.0, 50) == 0.0
-    assert no_flip_probability(2.0, 1000) == pytest.approx((1 - 2 / 1000) ** 1000, rel=1e-9)
-
-
-def test_no_flip_probability_domain():
-    with pytest.raises(ValueError):
-        no_flip_probability(1.0, 0)
-    with pytest.raises(ValueError):
-        no_flip_probability(-0.5, 10)
-    with pytest.raises(ValueError):
-        no_flip_probability(11.0, 10)
+    # (1 - chi/n)^n, as the bounds and the flip-count table evaluate it.
+    assert _no_flip(100, 1.0 / 100) == pytest.approx(0.99**100, rel=1e-12)
+    assert _no_flip(50, 0.0 / 50) == 1.0
+    assert _no_flip(50, 50.0 / 50) == 0.0
+    assert _no_flip(1000, 2.0 / 1000) == pytest.approx((1 - 2 / 1000) ** 1000, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +182,7 @@ def test_decrease_bound_matches_two_case_derivation():
                     * (mu - y)
                     * (y * (1 + chi) + (mu - y) * (1 + chi / 2))
                     / (2 * (mu + 1) * mu * mu)
-                    * no_flip_probability(chi, n)
+                    * _no_flip(n, chi / n)
                 )
                 assert close_crossover_decrease_bound(y, mu, chi, n) == pytest.approx(
                     oracle, rel=1e-12

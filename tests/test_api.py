@@ -1,9 +1,12 @@
-"""The package's export list: every name in ``__all__`` exists, and the list is
-pinned, as are the fields of the records that every step writes."""
+"""The package's export list: every name in ``__all__`` exists, has a user in
+the package, and the list is pinned, as are the fields of the records that
+every step writes."""
 
 from __future__ import annotations
 
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import jumpga
 
@@ -45,7 +48,6 @@ _EXPORTS = [
     "make_rng",
     "mutation_only_increase_oscale",
     "mutation_only_transition_bounds",
-    "no_flip_probability",
     "optimum_creation_lower_bound",
     "run",
     "run_bound_sweep",
@@ -65,6 +67,22 @@ _EXPORTS = [
 
 def test_export_list_is_pinned():
     assert sorted(jumpga.__all__) == _EXPORTS
+
+
+def test_every_export_has_a_user_in_the_package():
+    # A public name that only the tests use belongs in the tests.  A user is a
+    # Name or an Attribute in a module of the package other than __init__.py,
+    # its own definition not counted.
+    used = set()
+    for path in Path(jumpga.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(jumpga.__all__) - used) == []
 
 
 # The records every step writes: adding a per-step field is a deliberate edit

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from reference import (
@@ -140,28 +140,18 @@ def test_estimate_transition_flags_scarce_acceptance():
 
 def test_estimate_transition_impossible_event_is_inconclusive_not_an_error():
     # Distance-2 parents can never produce a distant-crossover event, so the
-    # sampler exhausts its attempt budget with zero accepted trials.
+    # sampler exhausts its attempt budget of 50 steps per trial with zero
+    # accepted trials.
     params = GaParams(n=40, k=3, mu=6, p_c=1.0, chi=1.0, seed=5)
     pop, focal, _ = two_species_population(params, 3, 1, make_rng(5, 0))
+    trials = 100
     est = estimate_transition(
-        params, pop, focal, EventClass.CROSSOVER_DISTANT, 1000, make_rng(5, 1), max_attempts=5000
+        params, pop, focal, EventClass.CROSSOVER_DISTANT, trials, make_rng(5, 1)
     )
     assert est.trials == 0
-    assert est.attempts == 5000
+    assert est.attempts == 50 * trials
     assert est.inconclusive
     assert est.p_plus_hat == est.p_minus_hat == 0.0
-
-
-def test_estimate_transition_rejects_a_negative_attempt_cap_before_any_draw():
-    params = GaParams(n=40, k=3, mu=6, p_c=1.0, chi=1.0, seed=5)
-    pop, focal, _ = two_species_population(params, 3, 1, make_rng(5, 0))
-    rng = make_rng(5, 1)
-    with pytest.raises(SettingError, match="max_attempts must be non-negative"):
-        estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 100, rng, max_attempts=-3)
-    assert rng.uniform() == make_rng(5, 1).uniform()
-    # A cap of 0 takes no step.
-    est = estimate_transition(params, pop, focal, EventClass.CROSSOVER_CLOSE, 100, rng, max_attempts=0)
-    assert (est.trials, est.attempts, est.inconclusive) == (0, 0, True)
 
 
 def test_estimate_unconditioned_drift_structure():
@@ -178,8 +168,9 @@ def test_estimate_unconditioned_drift_structure():
 
 
 def test_estimators_match_pinned_values():
-    # Exact results of the two estimators on two cells, including a capped
-    # run; any change to their counting or to a draw changes them.
+    # Exact results of the two estimators on two cells, including a run that
+    # the attempt cap stops; any change to their counting or to a draw
+    # changes them.
     p = GaParams(n=60, k=3, mu=8, p_c=0.5, chi=1.0, seed=41)
     pop, focal, _ = two_species_population(p, 5, 1, make_rng(41, 0))
     assert estimate_transition(
@@ -194,11 +185,13 @@ def test_estimators_match_pinned_values():
 
     p = GaParams(n=40, k=2, mu=6, p_c=0.7, chi=1.5, seed=42)
     pop, focal, _ = two_species_population(p, 4, 2, make_rng(42, 0))
+    # At p_c = 0.99 about 1 % of steps are mutation-only, so the cap of 50
+    # steps per trial stops the run with about half the trials accepted.
     assert estimate_transition(
-        p, pop, focal, EventClass.CROSSOVER_DISTANT, 1500, make_rng(42, 3), max_attempts=2500
+        replace(p, p_c=0.99), pop, focal, EventClass.MUTATION_ONLY, 600, make_rng(42, 3)
     ) == ConditionedEstimate(
-        EventClass.CROSSOVER_DISTANT, 4, 0.007334963325183374, 0.13814180929095354,
-        0.002983483802004539, 0.012064347129399485, 818, 2500, False,
+        EventClass.MUTATION_ONLY, 4, 0.05190311418685121, 0.03460207612456748,
+        0.013048907327355674, 0.01075116030632547, 289, 30000, False,
     )
     assert estimate_unconditioned_drift(p, pop, focal, 3000, make_rng(42, 2)) == DriftEstimate(
         4, -0.03333333333333333, 0.005524356842069357, 3000, 89, 189
@@ -258,19 +251,44 @@ def test_sampled_creation_frequency_matches_exact_probability_both_routes():
     assert abs(hits / trials - exact) <= 3 * se
 
 
-def test_sampled_creation_frequency_is_pinned_across_batches_and_slabs():
-    # Three batches at n = 12, each drawn in several row slabs: the hit count
-    # is that of drawing each batch's two matrices whole.
+def one_draw_hits(a: int, b: int, n: int, p_m: float, trials: int, seed: int, stream: int) -> int:
+    """The documented sampler as one ``random((trials, 2, n))`` draw: trial i's
+    row 0 holds its crossover coins (below 1/2 takes ``a``'s bit), row 1 its
+    mutation coins (below ``p_m`` flips), column j for position j."""
+    u = make_rng(seed, stream).generator.random((trials, 2, n))
+    hits = 0
+    for take_a, flip in zip((u[:, 0] < 0.5).tolist(), (u[:, 1] < p_m).tolist()):
+        child = sum(((a if t else b) >> j & 1) << j for j, t in enumerate(take_a))
+        hits += child ^ sum(f << j for j, f in enumerate(flip)) == (1 << n) - 1
+    return hits
+
+
+def test_sampled_creation_frequency_is_one_draw_of_its_trials():
+    # The sampler takes its uniforms a slab of (1 << 19) // n trials at a time;
+    # around one slab and across several, the last one partial, the hits are
+    # those of a single draw.  The parents differ at one position, so the hit
+    # rate is 1/2 * (1 - p_m)^(n - 1), about 0.45: a trial moved, dropped or
+    # drawn out of order changes the count more often than not.
+    n, p_m = 200, 0.0005
+    full = (1 << n) - 1
+    a, b = full, full ^ (1 << 100)
+    slab = (1 << 19) // n
+    for trials in (slab - 1, slab + 1, 3 * slab + 5):
+        mc = sample_optimum_creation_frequency(a, b, n, p_m, trials, 6, 1)
+        assert mc.trials == trials
+        assert mc.hits == one_draw_hits(a, b, n, p_m, trials, 6, 1) > trials // 3
+
+
+def test_sampled_creation_frequency_is_pinned_across_slabs():
+    # 14 slabs at n = 12, the last one partial.
     n = 12
     full = (1 << n) - 1
     a, b = full ^ 0b011, full ^ 0b110
     mc = sample_optimum_creation_frequency(a, b, n, 0.1, 600_001, 5, 2)
-    assert (mc.hits, mc.trials) == (5844, 600_001)
+    assert (mc.hits, mc.trials) == (5859, 600_001)
 
 
-def test_sampled_creation_frequency_certain_event(monkeypatch):
-    # A small batch runs the loop over many batches, the last one partial.
-    monkeypatch.setattr(experiments, "_SAMPLE_BATCH", 64)
+def test_sampled_creation_frequency_certain_event():
     n = 10
     opt = (1 << n) - 1
     mc = sample_optimum_creation_frequency(opt, opt, n, 0.0, 1000, 1, 0)

@@ -40,11 +40,11 @@ from jumpga import (
     init_uniform,
     jump_fitness,
     make_rng,
-    no_flip_probability,
     run,
     steps,
     two_species_population,
 )
+from jumpga.core import _no_flip
 
 
 def population_of(params: GaParams, *bits: int) -> Population:
@@ -343,13 +343,13 @@ def test_mutation_cdf_starts_at_the_no_flip_probability_and_follows_replace():
             params = GaParams(n=n, k=1, mu=2, p_c=0.5, chi=chi)
             cdf = params.mutation_cdf
             assert cdf and cdf[-1] == 1.0
-            if no_flip_probability(chi, n) >= sys.float_info.min:
-                assert cdf[0] == no_flip_probability(chi, n)  # bit for bit
+            if _no_flip(n, chi / n) >= sys.float_info.min:
+                assert cdf[0] == _no_flip(n, chi / n)  # bit for bit
             else:  # p_m = 1, or (1 - p_m)^n is not a normal double
                 assert cdf[0] == -1.0
     params = GaParams(n=100, k=3, mu=4, p_c=0.5, chi=1.0)
     moved = replace(params, chi=2.0)
-    assert moved.mutation_cdf[0] == no_flip_probability(2.0, 100)
+    assert moved.mutation_cdf[0] == _no_flip(100, 2.0 / 100)
     assert moved.mutation_cdf != params.mutation_cdf
     assert replace(moved, chi=1.0) == params  # the table is derived, not compared
     assert replace(params, chi=100.0).mutation_cdf == (-1.0,) * 100 + (1.0,)

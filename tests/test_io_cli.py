@@ -416,6 +416,8 @@ def test_out_of_domain_settings_exit_2_before_the_experiment(tmp_path, monkeypat
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if "--chi" in argv:  # p_m has no option of its own: the line names what it comes from
         assert err == "error: p_m = chi/n must lie in (0, 1), got 1.0\n"
+    if "--mc-trials" in argv:  # the oracle judges its own trial count, 0 included
+        assert err == "error: mc_trials must be non-negative, got -5\n"
 
 
 @pytest.mark.parametrize(
