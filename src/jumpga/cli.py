@@ -44,7 +44,7 @@ from .experiments import (
     sweep_grid_ys,
 )
 from .ga import StopCondition
-from .output import format_value, render_svg, write_json, write_series_csv
+from .output import TextCache, format_value, render_svg, write_json, write_series_csv
 
 ENV_OUTPUT_DIR = "JUMPGA_OUTPUT_DIR"
 
@@ -248,14 +248,16 @@ def _cmd_figure1(params: GaParams, cfg: dict, out: Path) -> int:
         params, cfg["replicates"], stride=cfg["stride"], max_iterations=cfg["max_iterations"]
     )
     header = ("iteration",) + tuple(f"d{d}" for d in runs[0].distances)
+    cache = TextCache()  # the replicates share row times, values and spans
     for dr in runs:
-        write_series_csv(dr.runs, out / f"figure1_seed{dr.replicate}.csv", header)
+        write_series_csv(dr.runs, out / f"figure1_seed{dr.replicate}.csv", header, cache=cache)
         if cfg["svg"]:
             render_svg(
                 dr.runs,
                 out / f"figure1_seed{dr.replicate}.svg",
                 dr.distances,
                 title=f"pairwise distance frequencies (stream {dr.replicate})",
+                cache=cache,
             )
     write_json(
         {"runs": [_fields_except(dr, "distances", "runs") for dr in runs]},

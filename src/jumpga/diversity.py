@@ -134,4 +134,4 @@ class PairwiseDistanceTracker:
         """Share of pairs at each distance in ``distances``."""
         counts = self.counts
         tp = self.total_pairs
-        return tuple(counts.get(d, 0) / tp for d in distances)
+        return tuple([counts.get(d, 0) / tp for d in distances])

@@ -3,12 +3,15 @@
 Formatting is pinned so reruns with identical inputs produce byte-identical
 files: floats at 9 significant digits with '.' as decimal separator, '\\n'
 line endings, sorted JSON keys, and SVG built from fixed-precision strings
-with no external assets.
+with no external assets.  A job that writes several series passes its CSV and
+SVG writes one :class:`TextCache`, so each number text is formatted once per
+job; what the cache holds changes no byte.
 """
 
 from __future__ import annotations
 
 import json
+from math import copysign
 
 
 def format_value(v) -> str:
@@ -31,7 +34,27 @@ def _quoted(s: str) -> str:
     return s
 
 
-def write_series_csv(rows, path, header) -> None:
+class TextCache:
+    """The number texts that one job's writers share.
+
+    A ``figure1`` job writes a CSV and an SVG per replicate, and its series
+    share row times, frequency values and, when censored at one cap, their x
+    span.  Passed to every writer of the job, one cache formats each of these
+    texts once per job.  It holds only texts that its writers would format
+    again, so no output byte depends on it.  Make one per job and drop it with
+    the job: nothing formatted is kept from one job to the next.
+    """
+
+    def __init__(self) -> None:
+        # Exact floats only, and zeros by sign, so values that compare equal
+        # but format apart (1/True/1.0, 0.0/-0.0) never share an entry.
+        self.floats: dict[float, str] = {}
+        self.zeros = {1.0: format_value(0.0), -1.0: format_value(-0.0)}
+        self.iterations: list[str] = []  # str(t) at index t
+        self.labels: dict[int, list[str]] = {}  # per x span, the x text of t at index t
+
+
+def write_series_csv(rows, path, header, *, cache: TextCache | None = None) -> None:
     """Write one table; every cell reads as :func:`format_value` gives it.
 
     A cell that is a tuple fills one column per item.  A row whose first cell
@@ -39,23 +62,24 @@ def write_series_csv(rows, path, header) -> None:
     item followed by the row's other cells, so a stretch of lines that differ
     only in their first column is one row: ``DistanceSeriesRun.runs`` is
     written as it is held, and the shared cells of a stretch are formatted
-    once.  Each distinct float is formatted once per file.  The memo holds
-    exact floats only, and no zero, so values that compare equal but format
-    apart (``1``/``True``/``1.0``, ``0.0``/``-0.0``) never share an entry.
-    Other text is quoted as csv.writer quotes it (:func:`_quoted`), and a row
-    of one empty field is written as ``""``.
+    once.  Each distinct float, and each item of a range at step 1 that starts
+    at 0 or later and at most one past the items formatted so far (as the
+    stretches of a series do), is formatted once per ``cache``: a job that
+    writes several tables passes them one :class:`TextCache`, and the default
+    is a fresh one.  Other text is quoted as csv.writer quotes it
+    (:func:`_quoted`), and a row of one empty field is written as ``""``.
     """
-    memo: dict[float, str] = {}
+    if cache is None:
+        cache = TextCache()
+    memo, zeros, its = cache.floats, cache.zeros, cache.iterations
     get = memo.get
 
     def cell(v) -> str:
         t = type(v)
         if t is float:
-            s = get(v)
+            s = get(v) if v else zeros[copysign(1.0, v)]
             if s is None:
-                s = format_value(v)
-                if v:
-                    memo[v] = s
+                s = memo[v] = format_value(v)
             return s
         if t is int:
             return str(v)
@@ -73,9 +97,16 @@ def write_series_csv(rows, path, header) -> None:
     def lines():
         for row in rows:
             if row and type(row[0]) is range:
-                if row[0]:
+                r = row[0]
+                if r:
                     tail = ",".join(["", *texts(row[1:])]) + "\n"
-                    yield tail.join(map(str, row[0])) + tail
+                    if r.step == 1 and 0 <= r.start <= len(its):
+                        if len(its) < r.stop:
+                            its.extend(map(str, range(len(its), r.stop)))
+                        items = its[r.start : r.stop]
+                    else:
+                        items = map(str, r)
+                    yield tail.join(items) + tail
             else:
                 yield line(texts(row))
 
@@ -112,15 +143,19 @@ def _fmt(x: float) -> str:
     return format(x, ".2f")
 
 
-def render_svg(rows, path, distances, title: str = "") -> None:
+def render_svg(rows, path, distances, title: str = "", *, cache: TextCache | None = None) -> None:
     """Plot distance-frequency series as one self-contained SVG.
 
     ``rows`` is a sequence of stretches ``(iterations, frequencies)``, as
     ``DistanceSeriesRun.runs`` holds them: each item of the range
     ``iterations`` is one point, and every point of a stretch has the
     stretch's frequencies, one per entry of ``distances``, in [0, 1].  Output
-    bytes are a pure function of the inputs.
+    bytes are a pure function of the inputs.  Each point's x text is formatted
+    once per ``cache`` and x span; a job that draws several series passes them
+    one :class:`TextCache`, and the default is a fresh one.
     """
+    if cache is None:
+        cache = TextCache()
     runs = [(times, freqs) for times, freqs in rows if times]
     if not runs:
         raise ValueError("nothing to plot: empty series")
@@ -174,10 +209,25 @@ def render_svg(rows, path, distances, title: str = "") -> None:
         f'<text x="{_fmt(_ML + plot_w / 2)}" y="{_fmt(_H - 8)}" font-family="monospace" '
         f'font-size="12" text-anchor="middle">iteration</text>'
     )
-    # x is formatted once per point and each distinct y once per series (equal
-    # frequencies give equal sy(f)); "%.2f" rounds exactly as _fmt does.  The
-    # points of a stretch share their y, so one join writes them all.
-    xs = [["%.2f" % sx(t) for t in times] for times, _ in runs]
+    # x is formatted once per point and span.  The span's texts hold the x of
+    # each t at index t, formatted in one "%" up to x_max when that formats no
+    # more texts than the series has points (as when its stretches tile 0 ..
+    # x_max at step 1); a stretch at step 1 that they cover reads a slice, and
+    # any other is formatted as it is drawn.  Each distinct y is formatted once
+    # per series (equal frequencies give equal sy(f)), and "%.2f" rounds
+    # exactly as _fmt does.  The points of a stretch share their y, so one join
+    # writes them all.
+    texts = cache.labels.setdefault(span, [])
+    if len(texts) <= x_max < len(texts) + sum(len(t) for t, _ in runs):
+        missing = range(len(texts), x_max + 1)
+        texts += ("%.2f " * len(missing) % tuple([_ML + plot_w * (t / span) for t in missing])).split()
+    done = len(texts)
+    xs = [
+        texts[t.start : t.stop]
+        if t.step == 1 and 0 <= t.start and t.stop <= done
+        else ["%.2f" % sx(x) for x in t]
+        for t, _ in runs
+    ]
     for ci, d in enumerate(distances):
         color = _PALETTE[ci % len(_PALETTE)]
         fs = [freqs[ci] for _, freqs in runs]

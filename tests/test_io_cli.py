@@ -30,7 +30,7 @@ from jumpga import (
     run_figure1,
 )
 from jumpga.cli import ENV_OUTPUT_DIR, main, parse_cli, write_resolved_config
-from jumpga.output import format_value, render_svg, write_json, write_series_csv
+from jumpga.output import TextCache, format_value, render_svg, write_json, write_series_csv
 
 
 # ---------------------------------------------------------------------------
@@ -73,17 +73,20 @@ def test_write_series_csv_is_byte_deterministic(tmp_path):
 
 
 def test_write_series_csv_never_merges_equal_values_that_format_apart(tmp_path):
-    # 1 == True == 1.0 and 0.0 == -0.0, yet each formats differently.
+    # 1 == True == 1.0 and 0.0 == -0.0, yet each formats differently, also
+    # across two files written with one cache, in either order.
     rows = [
         (1, True, 1.0, 0.0, -0.0, None),
         (1.0, 1, True, -0.0, 0.0, 1),
         (True, 1.0, 1, None, -0.0, 0.0),
         (-0.0, 0.0, None, 1.0, True, 1),
     ]
-    path = tmp_path / "mixed.csv"
-    write_series_csv(iter(rows), path, tuple("abcdef"))
-    cells = "".join(",".join(format_value(v) for v in row) + "\n" for row in rows)
-    assert path.read_bytes() == ("a,b,c,d,e,f\n" + cells).encode()
+    cache = TextCache()
+    for name, table in (("mixed.csv", rows), ("reversed.csv", [row[::-1] for row in rows[::-1]])):
+        path = tmp_path / name
+        write_series_csv(iter(table), path, tuple("abcdef"), cache=cache)
+        cells = "".join(",".join(format_value(v) for v in row) + "\n" for row in table)
+        assert path.read_bytes() == ("a,b,c,d,e,f\n" + cells).encode()
 
 
 def csv_reference(rows, header) -> bytes:
@@ -120,19 +123,38 @@ def test_write_series_csv_reuses_tuple_text_by_identity_not_equality(tmp_path):
 
 
 def test_write_series_csv_range_rows_stand_for_one_line_per_item(tmp_path):
+    # The second table, written with the first one's cache, reads back times
+    # the first formatted, starts past them, and mixes in ranges that the
+    # cache does not serve: stepped, offset, empty, negative.
     shared = (0.5, None, "a,b", 0.0)
-    rows = [
-        (range(0, 3), shared),
-        (range(3, 3), (9.0,)),  # an empty range writes no line
-        (range(3, 12, 4), (), 1.5),
-        (range(12, 13), ""),
-        (range(13, 15),),
-        (15, shared),
+    tables = [
+        [
+            (range(0, 3), shared),
+            (range(3, 3), (9.0,)),  # an empty range writes no line
+            (range(3, 12, 4), (), 1.5),
+            (range(12, 13), ""),
+            (range(13, 15),),
+            (15, shared),
+        ],
+        [
+            (range(1, 14), (-0.0, 0.5)),
+            (range(40, 43), shared),
+            (range(14, 21), 2.5),
+            (range(30, 30), (1.0,)),
+            (range(2, 12, 3), 0.0),
+            (range(-2, 2), ()),
+            (range(9, 1, -3), True),
+            (range(21, 25),),
+        ],
     ]
-    flat = [(t, *row[1:]) for row in rows[:-1] for t in row[0]] + rows[-1:]
-    path = tmp_path / "runs.csv"
-    write_series_csv(rows, path, tuple("abcdef"))
-    assert path.read_bytes() == csv_reference(flat, tuple("abcdef"))
+    cache = TextCache()
+    for i, rows in enumerate(tables):
+        flat = [(t, *row[1:]) for row in rows if type(row[0]) is range for t in row[0]]
+        flat += [row for row in rows if type(row[0]) is not range]
+        path = tmp_path / f"runs{i}.csv"
+        write_series_csv(rows, path, tuple("abcdef"), cache=cache)
+        assert path.read_bytes() == csv_reference(flat, tuple("abcdef"))
+    assert cache.iterations == [str(t) for t in range(25)]
 
 
 def test_render_svg_draws_each_stretch_as_its_points(tmp_path):
@@ -146,6 +168,16 @@ def test_render_svg_draws_each_stretch_as_its_points(tmp_path):
     render_svg(dr.runs, a, dr.distances, title="t")
     render_svg(points, b, dr.distances, title="t")
     assert a.read_bytes() == b.read_bytes()
+    # Series of one x span drawn with one cache: stretches with gaps, then
+    # stretches that tile the span, the gaps again, and times from below 0,
+    # each as if alone.
+    cache = TextCache()
+    gaps = [(range(0, 2), (1.0,)), (range(7, 9), (0.5,)), (range(40, 41), (0.0,))]
+    tiles = [(range(0, 30), (0.25,)), (range(30, 41), (0.5,))]
+    for rows in (gaps, tiles, gaps, [(range(-3, 2), (0.5,)), *tiles[1:]]):
+        render_svg(rows, a, (0,), cache=cache)
+        render_svg(rows, b, (0,))
+        assert a.read_bytes() == b.read_bytes()
     render_svg([(range(5, 5), (1.0,)), (range(0, 1), (0.5,))], a, (0,))
     assert a.read_text().count("<circle") == 1
     with pytest.raises(ValueError):
@@ -612,6 +644,43 @@ def test_figure1_with_no_step_writes_one_row_and_a_point_per_distance(tmp_path):
     assert names == sorted(p.name for p in out_b.iterdir() if p.name != "config.resolved")
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("seed", [2, 6])
+def test_figure1_job_writes_each_series_as_it_is_written_alone(tmp_path, monkeypatch, seed, stride):
+    # Two replicates are censored at the cap of 150, so they share their row
+    # times and x span, and one finds the optimum (last at seed 2, first at
+    # seed 6).  The job's one cache must not change a byte of any series.
+    caches = []
+    for name in ("write_series_csv", "render_svg"):
+
+        def spy(*args, cache, writer=getattr(cli, name), **kwargs):
+            caches.append(cache)
+            writer(*args, cache=cache, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    args = ["--n", "16", "--k", "2", "--mu", "6", "--pc", "1.0", "--seed", str(seed),
+            "--replicates", "3", "--max-iterations", "150", "--stride", str(stride)]
+    for job in ("a", "b"):
+        assert main(["figure1", "--out", str(tmp_path / job)] + args) == 0
+    # One cache per job, shared by the job's six writes and by no other job.
+    assert len(caches) == 12 and caches[0] is not caches[6]
+    assert all(cache is caches[0] for cache in caches[:6])
+    assert all(cache is caches[6] for cache in caches[6:])
+    p = GaParams(n=16, k=2, mu=6, p_c=1.0, chi=1.0, seed=seed)
+    series = run_figure1(p, 3, stride=stride, max_iterations=150)
+    assert sorted(dr.iterations for dr in series if not dr.found_optimum) == [150, 150]
+    assert sum(dr.found_optimum for dr in series) == 1
+    header = ("iteration",) + tuple(f"d{d}" for d in series[0].distances)
+    alone = tmp_path / "alone"
+    for dr in series:
+        write_series_csv(dr.runs, alone.with_suffix(".csv"), header)
+        title = f"pairwise distance frequencies (stream {dr.replicate})"
+        render_svg(dr.runs, alone.with_suffix(".svg"), dr.distances, title=title)
+        for suffix in (".csv", ".svg"):
+            written = (tmp_path / "a" / f"figure1_seed{dr.replicate}").with_suffix(suffix)
+            assert written.read_bytes() == alone.with_suffix(suffix).read_bytes()
 
 
 # sha256 of every figure1 artifact but config.resolved at the series' edge

@@ -11,11 +11,13 @@ read, or moves a listed method to a base class or a slot, breaks
 from __future__ import annotations
 
 import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import jumpga.cli
 import jumpga.core
 import jumpga.diversity
 import jumpga.ga
@@ -29,6 +31,7 @@ from jumpga import (
     run_takeover,
     steps,
 )
+from jumpga.output import render_svg, write_series_csv
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -125,3 +128,25 @@ def test_the_tracer_step_hook_reads_each_step_record():
         assert len(tracer.step_ns) == 2000
         events += want
     assert set(events) == {"crossover_close", "crossover_distant", "mutation_only"}
+
+
+def test_the_tracer_write_hooks_count_the_bytes_of_a_figure1_job(tmp_path, monkeypatch):
+    # The write hooks add getsize(args[1]), so the path stays the second
+    # positional argument of both writers, and the job's text cache goes by
+    # keyword.  Wrapped as --trace 1 wraps them, the writers of one job count
+    # the bytes of the files it wrote.
+    writers = {"csv": write_series_csv, "svg": render_svg}
+    tracer = load_tracer().Tracer()
+    for kind, writer in writers.items():
+        params = list(inspect.signature(writer).parameters.values())
+        assert params[1].name == "path" and params[1].kind is params[1].POSITIONAL_OR_KEYWORD
+        assert params[-1].name == "cache" and params[-1].kind is params[-1].KEYWORD_ONLY
+        traced = tracer.wrap(f"output.{writer.__name__}", writer, tracer._after_write(kind))
+        monkeypatch.setattr(jumpga.cli, writer.__name__, traced)
+    argv = ["figure1", "--out", str(tmp_path), "--n", "16", "--k", "2", "--mu", "6", "--seed", "2",
+            "--replicates", "3", "--max-iterations", "150"]
+    assert jumpga.cli.main(argv) == 0
+    for kind, writer in writers.items():
+        files = list(tmp_path.glob(f"figure1_seed*.{kind}"))
+        assert tracer.stats[f"output.{writer.__name__}"][0] == len(files) == 3
+        assert tracer.bytes[kind] == sum(f.stat().st_size for f in files) > 0
