@@ -248,7 +248,7 @@ def _cmd_figure1(params: GaParams, cfg: dict, out: Path) -> int:
         params, cfg["replicates"], stride=cfg["stride"], max_iterations=cfg["max_iterations"]
     )
     header = ("iteration",) + tuple(f"d{d}" for d in runs[0].distances)
-    cache = TextCache()  # the replicates share row times, values and spans
+    cache = TextCache()  # the replicates share frequency values and x spans
     for dr in runs:
         write_series_csv(dr.runs, out / f"figure1_seed{dr.replicate}.csv", header, cache=cache)
         if cfg["svg"]:

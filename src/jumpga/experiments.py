@@ -85,14 +85,12 @@ def two_species_population(
     zero_mask = _floyd_mask(rng, n, k)
     zeros = _set_bits(zero_mask)
     bits = ((1 << n) - 1) ^ zero_mask
+    ones = _set_bits(bits)
     other_bits = bits
     for idx in _set_bits(_floyd_mask(rng, k, delta)):
         other_bits ^= 1 << zeros[idx]
     for idx in _set_bits(_floyd_mask(rng, n - k, delta)):
-        for z in zeros:  # the idx-th one: step over the zeros at or below it
-            if z <= idx:
-                idx += 1
-        other_bits ^= 1 << idx
+        other_bits ^= 1 << ones[idx]
     members = [bits] * y + [other_bits] * (mu - y)
     fits = [jump_fitness(bits, n, k)] * y + [jump_fitness(other_bits, n, k)] * (mu - y)
     pop = Population(members, fits)
@@ -459,12 +457,6 @@ class DistanceSeriesRun:
     found_optimum: bool
     distances: tuple[int, ...]
     runs: tuple[tuple[range, tuple[float, ...]], ...]
-
-    @property
-    def rows(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
-        """One ``(iteration, frequencies)`` per row, each stretch's tuple
-        object repeated over its rows."""
-        return tuple((t, freqs) for times, freqs in self.runs for t in times)
 
 
 def run_figure1(

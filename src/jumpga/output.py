@@ -4,8 +4,9 @@ Formatting is pinned so reruns with identical inputs produce byte-identical
 files: floats at 9 significant digits with '.' as decimal separator, '\\n'
 line endings, sorted JSON keys, and SVG built from fixed-precision strings
 with no external assets.  A job that writes several series passes its CSV and
-SVG writes one :class:`TextCache`, so each number text is formatted once per
-job; what the cache holds changes no byte.
+SVG writes one :class:`TextCache`, so each frequency text and x label is
+formatted once per job; row times are formatted as they are written, and what
+the cache holds changes no byte.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ class TextCache:
     """The number texts that one job's writers share.
 
     A ``figure1`` job writes a CSV and an SVG per replicate, and its series
-    share row times, frequency values and, when censored at one cap, their x
-    span.  Passed to every writer of the job, one cache formats each of these
-    texts once per job.  It holds only texts that its writers would format
-    again, so no output byte depends on it.  Make one per job and drop it with
-    the job: nothing formatted is kept from one job to the next.
+    share frequency values and, when censored at one cap, their x span.
+    Passed to every writer of the job, one cache formats each frequency text
+    and x label once per job; row times are formatted as they are written, so
+    the cache keeps no text per CSV row.  It holds only texts that its writers
+    would format again, so no output byte depends on it.  Make one per job and
+    drop it with the job: nothing formatted is kept from one job to the next.
     """
 
     def __init__(self) -> None:
@@ -50,7 +52,6 @@ class TextCache:
         # but format apart (1/True/1.0, 0.0/-0.0) never share an entry.
         self.floats: dict[float, str] = {}
         self.zeros = {1.0: format_value(0.0), -1.0: format_value(-0.0)}
-        self.iterations: list[str] = []  # str(t) at index t
         self.labels: dict[int, list[str]] = {}  # per x span, the x text of t at index t
 
 
@@ -61,17 +62,16 @@ def write_series_csv(rows, path, header, *, cache: TextCache | None = None) -> N
     is a ``range`` stands for one line per item of the range, each line that
     item followed by the row's other cells, so a stretch of lines that differ
     only in their first column is one row: ``DistanceSeriesRun.runs`` is
-    written as it is held, and the shared cells of a stretch are formatted
-    once.  Each distinct float, and each item of a range at step 1 that starts
-    at 0 or later and at most one past the items formatted so far (as the
-    stretches of a series do), is formatted once per ``cache``: a job that
-    writes several tables passes them one :class:`TextCache`, and the default
-    is a fresh one.  Other text is quoted as csv.writer quotes it
+    written as it is held, the shared cells of a stretch are formatted once,
+    and the items of the range are formatted as they are written.  Each
+    distinct float is formatted once per ``cache``: a job that writes several
+    tables passes them one :class:`TextCache`, and the default is a fresh
+    one.  Other text is quoted as csv.writer quotes it
     (:func:`_quoted`), and a row of one empty field is written as ``""``.
     """
     if cache is None:
         cache = TextCache()
-    memo, zeros, its = cache.floats, cache.zeros, cache.iterations
+    memo, zeros = cache.floats, cache.zeros
     get = memo.get
 
     def cell(v) -> str:
@@ -100,13 +100,7 @@ def write_series_csv(rows, path, header, *, cache: TextCache | None = None) -> N
                 r = row[0]
                 if r:
                     tail = ",".join(["", *texts(row[1:])]) + "\n"
-                    if r.step == 1 and 0 <= r.start <= len(its):
-                        if len(its) < r.stop:
-                            its.extend(map(str, range(len(its), r.stop)))
-                        items = its[r.start : r.stop]
-                    else:
-                        items = map(str, r)
-                    yield tail.join(items) + tail
+                    yield tail.join(map(str, r)) + tail
             else:
                 yield line(texts(row))
 

@@ -8,8 +8,9 @@ uniforms into integers in the documented ``int`` form, which the package
 computes as ``floor``, so the twin-stream tests hold one form to the other.
 ``check_population`` recomputes a population's caches from its members,
 ``snapshot`` keeps a population's state across an in-place step,
-``floyd_reference`` is Floyd's sampler on a set, and ``binomial_walk`` is the
-flip-count walk that the bisected table replaces.
+``floyd_reference`` is Floyd's sampler on a set, ``binomial_walk`` is the
+flip-count walk that the bisected table replaces, and ``series_rows`` expands
+a figure1 series into one row per row time.
 Genotypes are packed ints, as in the package; ``Genotype`` is the
 ``(bits, n)`` pair that the package once stored, kept here only so that
 pinned digests hash the text they always hashed.
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from jumpga import GaParams, IntegrityError, Population, RandomStream, jump_fitness
 from jumpga.core import _floyd_mask
-from jumpga.experiments import _count_moves
+from jumpga.experiments import DistanceSeriesRun, _count_moves
 
 
 class Genotype(NamedTuple):
@@ -128,6 +129,12 @@ def check_population(pop: Population, n: int, k: int) -> None:
     tied = pop.fitnesses.count(low)
     if pop.tied != tied:
         raise IntegrityError(f"cached tie count {pop.tied} != {tied} members at {low}")
+
+
+def series_rows(dr: DistanceSeriesRun) -> tuple[tuple[int, tuple[float, ...]], ...]:
+    """One ``(iteration, frequencies)`` per row of ``dr``, each stretch's tuple
+    object repeated over its rows."""
+    return tuple((t, freqs) for times, freqs in dr.runs for t in times)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import math
 
 import pytest
 from conftest import record_acceptance
-from reference import estimate_unconditioned_drift, hamming_distance
+from reference import estimate_unconditioned_drift, hamming_distance, series_rows
 
 from jumpga import (
     EventClass,
@@ -50,6 +50,8 @@ from jumpga import (
 )
 from jumpga.cli import main
 from jumpga.experiments import SurvivalReplicate
+
+pytestmark = pytest.mark.acceptance
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +401,7 @@ def _ordered_first_passages(run) -> bool:
     idx = {d: run.distances.index(d) for d in (2, 4, 6, 8)}
     previous = -1.0
     for d in (2, 4, 6, 8):
-        fp = next((t for t, fr in run.rows if fr[idx[d]] >= 0.1), None)
+        fp = next((t for t, fr in series_rows(run) if fr[idx[d]] >= 0.1), None)
         if fp is None or fp <= previous:
             return False
         previous = fp
@@ -412,7 +414,7 @@ def test_09_distance_spread_runs_show_collapse_and_ordered_passages(distance_ser
     pass_a = pass_b = pass_both = 0
     occupancies: list[float] = []
     for run in runs:
-        a, occupancy = _collapse_occupancy(run.rows, run.iterations)
+        a, occupancy = _collapse_occupancy(series_rows(run), run.iterations)
         b = _ordered_first_passages(run)
         pass_a += a
         pass_b += b

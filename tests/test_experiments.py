@@ -14,6 +14,7 @@ from reference import (
     estimate_unconditioned_drift,
     floyd_reference,
     hamming_distance,
+    series_rows,
     snapshot,
     standard_bit_mutation,
     uniform_crossover,
@@ -465,15 +466,15 @@ def test_distance_series_structure_and_determinism():
     assert len(runs) == 2
     for dr in runs:
         assert dr.distances == (0, 2, 4, 6)
-        t0, f0 = dr.rows[0]
+        t0, f0 = series_rows(dr)[0]
         assert t0 == 0
         assert f0[0] == 1.0  # monomorphic start: all pairs at distance 0
-        for i, (t, freqs) in enumerate(dr.rows):
+        for i, (t, freqs) in enumerate(series_rows(dr)):
             assert t == 12 * i
             assert sum(freqs) == pytest.approx(1.0, abs=1e-9)
             assert all(f >= 0 for f in freqs)
         assert dr.found_optimum
-        assert dr.rows[-1][0] <= dr.iterations
+        assert series_rows(dr)[-1][0] <= dr.iterations
     assert run_figure1(p, **cfg) == runs
 
 
@@ -483,14 +484,14 @@ def test_distance_series_default_stride_follows_mu():
         p = GaParams(n=100, k=3, mu=mu, p_c=0.5, chi=1.0, seed=7)
         (dr,) = run_figure1(p, replicates=1, stride=None, max_iterations=30)
         assert (dr.iterations, dr.found_optimum) == (30, False)
-        assert [t for t, _ in dr.rows] == list(range(0, 31, stride))
+        assert [t for t, _ in series_rows(dr)] == list(range(0, 31, stride))
 
 
 def test_distance_series_rows_share_one_frequency_tuple_per_unchanged_stretch():
-    # ``rows`` repeats each stretch's one tuple object over the stretch's rows.
+    # ``series_rows`` repeats each stretch's one tuple object over the stretch's rows.
     p = GaParams(n=100, k=4, mu=32, p_c=1.0, chi=1.0, seed=11)
     (dr,) = run_figure1(p, replicates=1, max_iterations=3000)
-    freqs = [f for _, f in dr.rows]
+    freqs = [f for _, f in series_rows(dr)]
     starts = [f for i, f in enumerate(freqs) if i == 0 or f is not freqs[i - 1]]
     # Each object fills one stretch of consecutive rows and no other row.
     assert len({id(f) for f in starts}) == len(starts) == len({id(f) for f in freqs})
@@ -521,7 +522,7 @@ def test_distance_series_runs_expand_to_the_rows_of_a_per_step_loop():
                 if changed:
                     starts.append(t)
                     changed = False
-        assert dr.rows == tuple(rows)
+        assert series_rows(dr) == tuple(rows)
         times = [r for r, _ in dr.runs]
         assert [r.start for r in times] == starts
         assert all(r and r.step == stride for r in times)
@@ -533,7 +534,7 @@ def test_distance_series_runs_expand_to_the_rows_of_a_per_step_loop():
 def test_distance_series_distinct_replicates_differ():
     p = GaParams(n=60, k=3, mu=12, p_c=1.0, chi=1.0, seed=5)
     runs = run_figure1(p, replicates=2, stride=12)
-    assert runs[0].iterations != runs[1].iterations or runs[0].rows != runs[1].rows
+    assert runs[0].iterations != runs[1].iterations or series_rows(runs[0]) != series_rows(runs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +573,7 @@ def test_a_cap_of_zero_means_zero_iterations_in_every_runner():
     assert survival.monitored_replicates == 0
     assert all(r.takeover_censored for r in survival.replicates)
     for dr in run_figure1(p, replicates=2, max_iterations=0):
-        assert (dr.iterations, dr.found_optimum, len(dr.rows)) == (0, False, 1)
+        assert (dr.iterations, dr.found_optimum, len(series_rows(dr))) == (0, False, 1)
     comparison = run_comparison(p, replicates=2, max_iterations=0)
     assert comparison.cap == 0
     for arm in comparison.arms:

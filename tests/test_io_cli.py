@@ -13,9 +13,11 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
+from reference import series_rows
 
 import jumpga.cli as cli
 import jumpga.core as core
@@ -105,8 +107,8 @@ def test_write_series_csv_tuple_cells_match_flattened_rows(tmp_path):
     (dr,) = run_figure1(p, replicates=1, max_iterations=500)
     header = ("iteration",) + tuple(f"d{d}" for d in dr.distances)
     path = tmp_path / "series.csv"
-    write_series_csv(dr.rows, path, header)
-    flat = [(t,) + f for t, f in dr.rows]
+    write_series_csv(series_rows(dr), path, header)
+    flat = [(t,) + f for t, f in series_rows(dr)]
     assert path.read_bytes() == csv_reference(flat, header)
     shared = (0.25, None, True, "a,b", -0.0)
     rows = [(1, shared, "x"), (2, shared, None), (3, (0.25, 0.0), shared), (4, (), 5)]
@@ -123,9 +125,9 @@ def test_write_series_csv_reuses_tuple_text_by_identity_not_equality(tmp_path):
 
 
 def test_write_series_csv_range_rows_stand_for_one_line_per_item(tmp_path):
-    # The second table, written with the first one's cache, reads back times
-    # the first formatted, starts past them, and mixes in ranges that the
-    # cache does not serve: stepped, offset, empty, negative.
+    # Two tables written with one cache: the second repeats times of the
+    # first, starts past them, and mixes in stepped, offset, empty and
+    # negative ranges.
     shared = (0.5, None, "a,b", 0.0)
     tables = [
         [
@@ -154,7 +156,25 @@ def test_write_series_csv_range_rows_stand_for_one_line_per_item(tmp_path):
         path = tmp_path / f"runs{i}.csv"
         write_series_csv(rows, path, tuple("abcdef"), cache=cache)
         assert path.read_bytes() == csv_reference(flat, tuple("abcdef"))
-    assert cache.iterations == [str(t) for t in range(25)]
+
+
+def test_write_series_csv_keeps_no_text_per_row_in_its_cache(tmp_path):
+    # A long stretch through a cache that outlives the write: the cache holds
+    # the stretch's frequency texts, not one text per row time, so a figure1
+    # job's cache does not grow with its rows.
+    rows = [(range(200_000), (0.25, 0.75))]
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = TextCache()
+        write_series_csv(rows, path, ("t", "a", "b"), cache=cache)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
+    assert cache.floats == {0.25: "0.25", 0.75: "0.75"}
+    assert path.read_bytes().count(b"\n") == 1 + 200_000
 
 
 def test_render_svg_draws_each_stretch_as_its_points(tmp_path):
@@ -163,7 +183,7 @@ def test_render_svg_draws_each_stretch_as_its_points(tmp_path):
     p = GaParams(n=40, k=3, mu=10, p_c=1.0, chi=1.0, seed=3)
     (dr,) = run_figure1(p, replicates=1, stride=3, max_iterations=500)
     assert any(len(times) > 1 for times, _ in dr.runs)
-    points = [(range(t, t + 1), freqs) for t, freqs in dr.rows]
+    points = [(range(t, t + 1), freqs) for t, freqs in series_rows(dr)]
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     render_svg(dr.runs, a, dr.distances, title="t")
     render_svg(points, b, dr.distances, title="t")

@@ -42,18 +42,20 @@ def test_figure1_cost_prints_one_row_per_part_and_the_series_size(capsys):
     assert study.main(["--max-iterations", "30", "--repeats", "1"]) == 0
     out, err = capsys.readouterr()
     header, rule, *rows, total, blank, sizes, texts = out.splitlines()
-    assert header.startswith("| part | ms per job") and rule == "| --- | --- |"
+    assert header.startswith("| part | ms per job") and header.endswith(" | peak traced MiB |")
+    assert rule == "| --- | --- | --- |"
     cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows + [total]]
-    assert [name for name, _ in cells] == [*study.PARTS, "total"]
-    assert all(float(ms) >= 0 for _, ms in cells)
+    assert [name for name, _, _ in cells] == [*study.PARTS, "total"]
+    assert all(float(ms) >= 0 and float(mib) >= 0 for _, ms, mib in cells)
+    # The job's peak is its largest part's.
+    assert 0 < float(cells[-1][2]) == max(float(mib) for _, _, mib in cells[:-1])
     # Three replicates of rows 0..30 at stride 1, in at least one stretch each.
     assert blank == "" and sizes.startswith("93 rows in ")
     assert sizes.endswith(" unchanged stretches per job")
-    # The replicates share their times and x labels, so the job formats fewer
-    # texts than its 93 rows have times and x labels, and the same count on
-    # every rerun.
+    # The replicates share their x labels, so the job formats fewer texts
+    # than its 93 rows have x labels, and the same count on every rerun.
     count, tail = texts.split(" ", 1)
-    assert tail == "number texts formatted per job" and 0 < int(count) < 2 * 93
+    assert tail == "number texts formatted per job" and 0 < int(count) < 93
     assert study.main(["--max-iterations", "30", "--repeats", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == texts
     assert err.startswith("wall ")
